@@ -28,7 +28,6 @@ from .discrepancy import (
     coincidence_number,
     dd,
     kernel_matrix,
-    qqd_delta_swap,
     qqd_squared,
     qqd_squared_quadratic,
     swd,
@@ -37,6 +36,7 @@ from .discrepancy import (
 from .errors import (
     CapacityError,
     DomainError,
+    DriftError,
     ParseError,
     QQDesignError,
     StructureError,
@@ -62,6 +62,7 @@ from .search import (
     ExhaustiveResult,
     SearchConfig,
     SearchResult,
+    SearchStats,
     count_utype_designs,
     exhaustive_uniform,
     random_utype,
@@ -79,6 +80,7 @@ __all__ = [
     "Design",
     "DesignSpec",
     "DomainError",
+    "DriftError",
     "ExhaustiveResult",
     "FrequencyVector",
     "KernelFactor",
@@ -88,6 +90,7 @@ __all__ = [
     "QQDesignError",
     "SearchConfig",
     "SearchResult",
+    "SearchStats",
     "StructureError",
     "UTypeReport",
     "balance_component",
@@ -113,7 +116,6 @@ __all__ = [
     "lb_symmetric",
     "level_to_unit",
     "loads_design_text",
-    "qqd_delta_swap",
     "qqd_from_balance",
     "qqd_squared",
     "qqd_squared_quadratic",

@@ -20,22 +20,13 @@ from .errors import DomainError
 from .model import DesignSpec
 
 
-def _check_feasible(spec: DesignSpec) -> None:
-    for k, s in enumerate(spec.levels):
-        if spec.n % s != 0:
-            raise DomainError(
-                f"not U-type feasible: level count {s} of factor {k} "
-                f"does not divide n={spec.n}"
-            )
-
-
 def lb1(spec: DesignSpec) -> float:
     """Kernel-sum lower bound for any U-type-feasible spec.
 
     Evaluated in the log domain: the bound multiplies ~s_k fractional
     powers per factor and plain products lose precision multiplicatively.
     """
-    _check_feasible(spec)
+    spec.require_utype_feasible()
     n, p, q = spec.n, spec.p, spec.q
     C = -math.prod((5 * s + 1) / (4 * s) for s in spec.qualitative_levels) * (4 / 3) ** q
     if n == 1:

@@ -3,13 +3,15 @@
 Subcommands: eval, bounds, balance, compare, search, reproduce.  Exit
 codes: 0 success, 1 usage or parse error, 2 domain/structure/capacity
 error, 3 reproduction failure, 4 search finished without reaching the
-lower bound.  Values print at six decimals (banker's rounding); --json
-emits full precision.
+lower bound, 5 the search's incrementally tracked objective disagreed
+with its full recomputation (an internal fault).  Values print at six
+decimals (banker's rounding); --json emits full precision.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,7 +27,14 @@ from .discrepancy import (
     swd,
     wd_squared,
 )
-from .errors import CapacityError, DomainError, ParseError, QQDesignError, StructureError
+from .errors import (
+    CapacityError,
+    DomainError,
+    DriftError,
+    ParseError,
+    QQDesignError,
+    StructureError,
+)
 from .model import CriterionConfig, DesignSpec
 from .reference import run_checks
 from .search import SearchConfig, search_uniform
@@ -35,6 +44,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_REPRODUCE = 3
 EXIT_BOUND_NOT_REACHED = 4
+EXIT_DRIFT = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,6 +264,7 @@ def _cmd_search(args) -> int:
         "gap": result.gap,
         "terminated_by": result.terminated_by,
         "trace": [list(t) for t in result.trace],
+        "stats": {**dataclasses.asdict(result.stats), "accepted": result.stats.accepted},
         "out": args.out,
     }
     if args.json:
@@ -329,6 +340,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except DriftError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DRIFT
     except QQDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

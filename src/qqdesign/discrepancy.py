@@ -55,8 +55,9 @@ def _coincidence_matrix(qualitative: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _quant_kernel(column: np.ndarray) -> np.ndarray:
-    d = np.abs(column[:, None] - column[None, :])
+def _quant_kernel(x, z):
+    """Wrap-around kernel 3/2 - |x - z| + |x - z|^2, broadcast over x and z."""
+    d = np.abs(x - z)
     return 1.5 - d + d * d
 
 
@@ -67,7 +68,8 @@ def _pair_weights(
     p = qualitative.shape[1]
     w = (b**p) * (a / b) ** _coincidence_matrix(qualitative)
     for k in range(quantitative.shape[1]):
-        w = w * _quant_kernel(quantitative[:, k])
+        col = quantitative[:, k]
+        w = w * _quant_kernel(col[:, None], col[None, :])
     return w
 
 
@@ -232,104 +234,123 @@ def qqd_squared_quadratic(
 
 
 class PairCache:
-    """Incremental pairwise state for entry-swap moves.
+    """Incremental evaluator for entry-swap moves: score first, commit second.
 
-    Holds, for every row pair, the qualitative coincidence count and the
-    per-column quantitative kernel factors, plus the resulting pair-weight
-    matrix.  A swap of two entries within one column touches only the
-    pairs involving those rows, so updates cost O(n) kernel evaluations.
-    Single-owner mutable: not for concurrent mutation.
+    Swapping two entries of one column keeps the column balanced and
+    changes only the pairs (i, r) and (j, r) with r outside {i, j}.  With
+    B the pair weight without the swapped column (b^p factored out) and f
+    that column's kernel, the change in the squared discrepancy is
+
+        delta = (2 b^p / n^2) * sum_{r not in {i, j}}
+                (B_ir - B_jr) * (f(x_j, x_r) - f(x_i, x_r)).
+
+    ``delta`` rebuilds B for rows i and j from the level columns, so a
+    proposal costs O(n*m) and no n x n state is kept; ``apply_swap``
+    commits a swap and adds its change to the tracked value, reusing the
+    change just scored for the same swap.  The initial value is one full
+    reduction; afterwards ``value`` is O(1).  The tracked value collects
+    rounding from every commit, so callers that need it exact re-verify
+    with ``qqd_squared``.  Single-owner mutable: not for concurrent use.
     """
 
     def __init__(self, design: Design, config: CriterionConfig | None = None):
         self.config = config or DEFAULT_CONFIG
         self.spec = design.spec
+        a, b = self.config.a, self.config.b
+        n, p = self.spec.n, self.spec.p
         self._qual = np.array(design.qualitative)
         self._quant = np.array(design.quantitative)
-        self._delta = _coincidence_matrix(self._qual)
-        self._qfac = [
-            _quant_kernel(self._quant[:, k]) for k in range(self.spec.q)
-        ]
-        self._w = _pair_weights(self._qual, self._quant, self.config.a, self.config.b)
-        self._C = _constant_term(
-            self.spec.qualitative_levels, self.spec.q, self.config.a, self.config.b
-        )
+        self._value = _constant_term(
+            self.spec.qualitative_levels, self.spec.q, a, b
+        ) + float(np.sum(_pair_weights(self._qual, self._quant, a, b))) / n**2
+        self._ratio = a / b
+        self._ratio_powers = self._ratio ** np.arange(p + 1)
+        self._scale = 2.0 * b**p / n**2
+        self._scored: tuple[int, int, int, float] | None = None
         self._design = design
 
     @property
     def design(self) -> Design:
-        """The design the cache currently represents."""
+        """The design the evaluator currently represents."""
         if self._design is None:
             self._design = Design(self.spec, self._qual.copy(), self._quant.copy())
         return self._design
 
     def value(self) -> float:
-        """Current squared discrepancy, reduced from the cached pair weights."""
-        return self._C + float(np.sum(self._w)) / self.spec.n**2
+        """Current squared discrepancy as tracked through the committed swaps."""
+        return self._value
 
-    def _refresh_rows(self, i: int, j: int) -> None:
-        a, b = self.config.a, self.config.b
-        p = self.spec.p
-        for r in (i, j):
-            row = (b**p) * (a / b) ** self._delta[r]
-            for fac in self._qfac:
-                row = row * fac[r]
-            self._w[r, :] = row
-            self._w[:, r] = row
-
-    def apply_swap(self, column: int, row_i: int, row_j: int) -> float:
-        """Swap two entries within one column; returns the new value.
-
-        Swapping back with the same arguments restores the previous state
-        (and value) exactly.
-        """
+    def _column(self, column: int, row_i: int, row_j: int) -> np.ndarray:
         spec = self.spec
         if not 0 <= column < spec.m:
             raise DomainError(f"column index {column} out of range for {spec.m} factors")
         n = spec.n
         if not (0 <= row_i < n and 0 <= row_j < n):
             raise DomainError(f"row index out of range for n={n}: ({row_i}, {row_j})")
-        if row_i == row_j:
-            return self.value()
-        self._design = None
         if column < spec.p:
-            col = self._qual[:, column]
-            col[row_i], col[row_j] = col[row_j], col[row_i]
-            for r in (row_i, row_j):
-                fresh = np.sum(self._qual == self._qual[r], axis=1)
-                self._delta[r, :] = fresh
-                self._delta[:, r] = fresh
+            return self._qual[:, column]
+        return self._quant[:, column - spec.p]
+
+    def is_noop(self, column: int, row_i: int, row_j: int) -> bool:
+        """True when the two entries are equal, so the swap changes nothing."""
+        col = self._column(column, row_i, row_j)
+        return bool(col[row_i] == col[row_j])
+
+    def delta(self, column: int, row_i: int, row_j: int) -> float:
+        """Change in the squared discrepancy if the two entries were swapped.
+
+        Leaves the design and the tracked value unchanged; it only
+        remembers the result for ``apply_swap``.  Equal entries give
+        exactly 0.0.
+        """
+        col = self._column(column, row_i, row_j)
+        xi, xj = col[row_i], col[row_j]
+        if xi == xj:
+            return 0.0
+        # the change is symmetric in i and j, so order them and take both
+        # rows as a strided view instead of a fancy-indexed copy
+        lo, hi = min(row_i, row_j), max(row_i, row_j)
+        rows = slice(lo, hi + 1, hi - lo)
+        p = self.spec.p
+        # f: the swapped column's kernel against every row r, row hi minus row lo;
+        # weights: the pair weights of rows lo and hi without that column
+        weights = 1.0
+        if p:
+            same = self._qual == self._qual[rows, None, :]
+            if column < p:
+                f = (self._ratio - 1.0) * (
+                    same[1, :, column] - same[0, :, column].astype(np.float64)
+                )
+                same[:, :, column] = False
+            weights = self._ratio_powers[same.sum(axis=2)]
+        if self.spec.q:
+            kern = _quant_kernel(self._quant, self._quant[rows, None, :])
+            if column >= p:
+                f = kern[1, :, column - p] - kern[0, :, column - p]
+                kern[:, :, column - p] = 1.0
+            weights = weights * kern.prod(axis=2)
+        f[lo] = f[hi] = 0.0
+        change = self._scale * float(np.dot(weights[0] - weights[1], f))
+        self._scored = (column, row_i, row_j, change)
+        return change
+
+    def apply_swap(self, column: int, row_i: int, row_j: int) -> float:
+        """Swap two entries within one column; returns the new tracked value.
+
+        Equal entries are a no-op.  The change comes from the preceding
+        ``delta`` call when it scored the same swap, and is computed
+        otherwise.
+        """
+        col = self._column(column, row_i, row_j)
+        if col[row_i] == col[row_j]:
+            return self._value
+        scored = self._scored
+        if scored is not None and scored[:3] == (column, row_i, row_j):
+            change = scored[3]
         else:
-            k = column - spec.p
-            col = self._quant[:, k]
-            col[row_i], col[row_j] = col[row_j], col[row_i]
-            fac = self._qfac[k]
-            for r in (row_i, row_j):
-                d = np.abs(col - col[r])
-                fresh = 1.5 - d + d * d
-                fac[r, :] = fresh
-                fac[:, r] = fresh
-        self._refresh_rows(row_i, row_j)
-        return self.value()
-
-    def matches(self, design: Design) -> bool:
-        return (
-            design.spec == self.spec
-            and np.array_equal(design.qualitative, self._qual)
-            and np.array_equal(design.quantitative, self._quant)
-        )
-
-
-def qqd_delta_swap(
-    cache: PairCache, design: Design, column: int, row_i: int, row_j: int
-) -> tuple[float, PairCache]:
-    """Swap two entries of one column and return (new QQD^2, updated cache).
-
-    ``design`` must be the design the cache currently represents; the
-    returned cache represents the swapped design (``cache.design``).
-    Equal row indices are a no-op.
-    """
-    if not cache.matches(design):
-        raise DomainError("cache does not represent the given design")
-    value = cache.apply_swap(column, row_i, row_j)
-    return value, cache
+            change = self.delta(column, row_i, row_j)
+        self._scored = None
+        col[row_i], col[row_j] = col[row_j], col[row_i]
+        self._value += change
+        self._design = None
+        return self._value

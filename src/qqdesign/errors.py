@@ -19,3 +19,7 @@ class CapacityError(QQDesignError, RuntimeError):
 
 class ParseError(QQDesignError, ValueError):
     """A design file is malformed; the message locates the problem."""
+
+
+class DriftError(QQDesignError, RuntimeError):
+    """An incrementally tracked value disagrees with its full recomputation."""

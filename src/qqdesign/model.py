@@ -84,6 +84,15 @@ class DesignSpec:
         """True when every level count divides the run count."""
         return all(self.n % s == 0 for s in self.levels)
 
+    def require_utype_feasible(self) -> None:
+        """Raise DomainError naming the first level count that does not divide n."""
+        for k, s in enumerate(self.levels):
+            if self.n % s != 0:
+                raise DomainError(
+                    f"no U-type designs exist: level count {s} of factor {k} "
+                    f"does not divide n={self.n}"
+                )
+
 
 @dataclass(frozen=True)
 class CriterionConfig:

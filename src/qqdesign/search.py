@@ -1,13 +1,17 @@
 """Threshold-accepting search for uniform designs, plus an exhaustive oracle.
 
 The search walks the space of U-type designs by swapping two entries
-within one column (which preserves column balance), accepts a move when
-its objective increase is at most the current threshold, and lowers the
-threshold over a fixed schedule.  The objective is the squared
-qualitative-quantitative discrepancy, maintained incrementally through a
-PairCache and re-verified by a full recomputation at termination.  The
-combined analytic lower bound doubles as an early-stopping certificate:
-a design within ``bound_tol`` of the bound is provably uniform.
+within one column (which preserves column balance) and lowers its
+acceptance threshold over a fixed schedule.  Each proposal is scored
+first by ``PairCache.delta`` in O(n*m) without touching the design; a
+proposal whose change is at most the current threshold is committed with
+``PairCache.apply_swap``, and a rejected one costs nothing more.  Swaps
+of two equal entries are counted and skipped.  The objective is the
+squared qualitative-quantitative discrepancy; the incrementally tracked
+value of the winner is re-verified by a full recomputation at the end,
+and a disagreement raises ``DriftError``.  The combined analytic lower
+bound doubles as an early-stopping certificate: a design within
+``bound_tol`` of the bound is provably uniform.
 
 All randomness flows from numpy's PCG64 generator seeded from the
 configured seed, so identical inputs give bit-identical results on every
@@ -17,14 +21,20 @@ platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import product
 
 import numpy as np
 
 from .bounds import lb
-from .discrepancy import PairCache, _constant_term, qqd_squared
-from .errors import CapacityError, DomainError
+from .discrepancy import (
+    PairCache,
+    _coincidence_matrix,
+    _constant_term,
+    _quant_kernel,
+    qqd_squared,
+)
+from .errors import CapacityError, DomainError, DriftError
 from .model import DEFAULT_CONFIG, Design, DesignSpec, design_from_levels
 
 
@@ -34,10 +44,7 @@ def _balanced_column(spec_n: int, s: int, rng: np.random.Generator) -> np.ndarra
 
 def random_utype(spec: DesignSpec, seed) -> Design:
     """Uniformly random balanced columns; deterministic for a given seed."""
-    if not spec.is_utype_feasible():
-        raise DomainError(
-            f"no U-type designs exist: some level count does not divide n={spec.n}"
-        )
+    spec.require_utype_feasible()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cols = [_balanced_column(spec.n, s, rng) for s in spec.levels]
     levels = np.column_stack(cols)
@@ -79,6 +86,31 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """Proposal counts summed over the restarts a search ran.
+
+    Every proposal is exactly one of: a no-op (two equal entries, skipped
+    unscored), accepted or rejected.  Accepted ones split by the sign of
+    their change into improving, equal and worsening.  The counts are
+    deterministic for a given seed.
+    """
+
+    proposals: int = 0
+    noops: int = 0
+    improving: int = 0
+    equal: int = 0
+    worsening: int = 0
+    rejected: int = 0
+
+    @property
+    def accepted(self) -> int:
+        return self.improving + self.equal + self.worsening
+
+    def __add__(self, other: SearchStats) -> SearchStats:
+        return SearchStats(*(x + y for x, y in zip(astuple(self), astuple(other))))
+
+
+@dataclass(frozen=True)
 class SearchResult:
     best_design: Design
     best_value: float
@@ -87,6 +119,7 @@ class SearchResult:
     gap: float
     trace: tuple[tuple[int, float], ...]
     terminated_by: str  # "budget" | "bound" | "schedule"
+    stats: SearchStats
 
 
 def _default_schedule(initial_gap: float) -> tuple[float, ...]:
@@ -110,13 +143,13 @@ def _run_restart(
     best_design = design
     trace = [(0, value)]
     if config.stop_at_bound and best_value <= bound + config.bound_tol:
-        return best_value, best_design, trace, "bound"
+        return best_value, best_design, trace, "bound", SearchStats()
     if spec.n < 2:
-        return best_value, best_design, trace, "schedule"
+        return best_value, best_design, trace, "schedule", SearchStats()
 
     schedule = config.threshold_schedule or _default_schedule(value - bound)
     chunk = max(1, config.budget // len(schedule))
-    iteration = 0
+    iteration = noops = improving = equal = worsening = rejected = 0
     terminated = "budget" if config.budget == 0 else None
     for threshold in schedule:
         if terminated:
@@ -128,19 +161,29 @@ def _run_restart(
             iteration += 1
             column = int(rng.integers(spec.m))
             row_i, row_j = (int(r) for r in rng.choice(spec.n, size=2, replace=False))
-            candidate = cache.apply_swap(column, row_i, row_j)
-            if candidate - value <= threshold:
-                value = candidate
-                if value < best_value:
-                    best_value = value
-                    best_design = cache.design
-                    trace.append((iteration, value))
-                    if config.stop_at_bound and value <= bound + config.bound_tol:
-                        terminated = "bound"
-                        break
+            if cache.is_noop(column, row_i, row_j):
+                noops += 1
+                continue
+            change = cache.delta(column, row_i, row_j)
+            if change > threshold:
+                rejected += 1
+                continue
+            value = cache.apply_swap(column, row_i, row_j)
+            if change > 0.0:
+                worsening += 1
+            elif change == 0.0:
+                equal += 1
             else:
-                cache.apply_swap(column, row_i, row_j)  # exact revert
-    return best_value, best_design, trace, terminated or "schedule"
+                improving += 1
+            if value < best_value:
+                best_value = value
+                best_design = cache.design
+                trace.append((iteration, value))
+                if config.stop_at_bound and value <= bound + config.bound_tol:
+                    terminated = "bound"
+                    break
+    stats = SearchStats(iteration, noops, improving, equal, worsening, rejected)
+    return best_value, best_design, trace, terminated or "schedule", stats
 
 
 def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> SearchResult:
@@ -149,19 +192,22 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
     Restarts draw from children of one seed sequence; results merge by
     minimum value with ties broken by restart index, so the outcome does
     not depend on execution order.  The incrementally tracked objective of
-    the winner is re-verified against a full recomputation.
+    the winner is re-verified against a full recomputation; a disagreement
+    beyond ``tol_equiv`` raises ``DriftError``.  ``stats`` sums the
+    proposal counts of every restart that ran.
     """
     config = config or SearchConfig()
-    if not spec.is_utype_feasible():
-        raise DomainError(
-            f"no U-type designs exist: some level count does not divide n={spec.n}"
-        )
+    spec.require_utype_feasible()
     report = lb(spec)
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best = None
+    stats = SearchStats()
     for child in seeds:
         rng = np.random.Generator(np.random.PCG64(child))
-        value, design, trace, terminated = _run_restart(spec, config, rng, report.value)
+        value, design, trace, terminated, restart_stats = _run_restart(
+            spec, config, rng, report.value
+        )
+        stats = stats + restart_stats
         if best is None or value < best[0]:
             best = (value, design, trace, terminated)
         if terminated == "bound" and config.stop_at_bound:
@@ -169,7 +215,7 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
     value, design, trace, terminated = best
     recomputed = qqd_squared(design)
     if abs(recomputed - value) > DEFAULT_CONFIG.tol_equiv:
-        raise RuntimeError(
+        raise DriftError(
             f"incremental objective drifted: tracked {value!r} vs recomputed {recomputed!r}"
         )
     return SearchResult(
@@ -180,6 +226,7 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
         gap=value - report.value,
         trace=tuple(trace),
         terminated_by=terminated,
+        stats=stats,
     )
 
 
@@ -208,10 +255,7 @@ def _distinct_balanced_columns(n: int, s: int) -> list[tuple[int, ...]]:
 
 def count_utype_designs(spec: DesignSpec) -> int:
     """Exact size of the U-type design space (columns chosen independently)."""
-    if not spec.is_utype_feasible():
-        raise DomainError(
-            f"no U-type designs exist: some level count does not divide n={spec.n}"
-        )
+    spec.require_utype_feasible()
     total = 1
     for s in spec.levels:
         reps = spec.n // s
@@ -248,13 +292,10 @@ def exhaustive_uniform(spec: DesignSpec, cap: int = 10_000_000) -> ExhaustiveRes
         for col in factor_columns[k]:
             arr = np.asarray(col)
             if k < spec.p:
-                mats.append(
-                    np.where(arr[:, None] == arr[None, :], config.a / config.b, 1.0)
-                )
+                mats.append((config.a / config.b) ** _coincidence_matrix(arr[:, None]))
             else:
                 x = (2 * arr + 1) / (2 * s)
-                d = np.abs(x[:, None] - x[None, :])
-                mats.append(1.5 - d + d * d)
+                mats.append(_quant_kernel(x[:, None], x[None, :]))
         factor_weights.append(mats)
 
     C = _constant_term(spec.qualitative_levels, spec.q, config.a, config.b)

@@ -260,6 +260,39 @@ def test_search_json_design_output(capsys, tmp_path):
     )
 
 
+def test_search_json_reports_proposal_stats(capsys):
+    code, out, _ = run(
+        capsys,
+        "search",
+        "--n", "8", "--p", "1", "--q", "2", "--levels", "2,8,8",
+        "--budget", "400", "--restarts", "2", "--seed", "3", "--json",
+    )
+    stats = json.loads(out)["stats"]
+    assert set(stats) == {
+        "proposals", "noops", "accepted", "improving", "equal", "worsening", "rejected"
+    }
+    assert stats["proposals"] == 800
+    assert stats["proposals"] == stats["noops"] + stats["accepted"] + stats["rejected"]
+    assert stats["accepted"] == stats["improving"] + stats["equal"] + stats["worsening"]
+
+
+def test_search_drift_exit_code_without_traceback(capsys, monkeypatch):
+    import qqdesign.search as search_module
+
+    monkeypatch.setattr(search_module, "qqd_squared", lambda design: -1.0)
+    code, out, err = run(
+        capsys,
+        "search",
+        "--n", "4", "--p", "1", "--q", "2", "--levels", "4,2,2",
+        "--budget", "100", "--seed", "1", "--json",
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: incremental objective drifted")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_search_zero_budget(capsys):
     code, out, _ = run(
         capsys,

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqdesign import (
     CapacityError,
@@ -18,7 +20,6 @@ from qqdesign import (
     frequency_vector,
     full_factorial,
     kernel_matrix,
-    qqd_delta_swap,
     qqd_squared,
     qqd_squared_quadratic,
     random_utype,
@@ -326,17 +327,32 @@ def test_swd_requires_both_factor_types():
         swd(load_reference_design("juxtaposed_16run_2"), "squared")
 
 
-# ----------------------------------------------------------------- swap cache
+# ------------------------------------------------------------ swap evaluator
 
-def test_swap_and_swap_back_restores_value_exactly():
+def _swapped(design, column, i, j):
+    qual = np.array(design.qualitative)
+    quant = np.array(design.quantitative)
+    col = qual[:, column] if column < design.spec.p else quant[:, column - design.spec.p]
+    col[i], col[j] = col[j], col[i]
+    return Design(design.spec, qual, quant)
+
+
+def test_swap_and_swap_back_restores_design_exactly():
     design = load_reference_design("mcd_16run_1")
     cache = PairCache(design)
     before = cache.value()
-    value, cache = qqd_delta_swap(cache, design, 1, 2, 9)
+    forward = cache.delta(1, 2, 9)
+    value = cache.apply_swap(1, 2, 9)
     assert value != before
-    value, cache = qqd_delta_swap(cache, cache.design, 1, 2, 9)
-    assert value == before  # bitwise round trip
+    assert value == before + forward
+    back = cache.delta(1, 2, 9)
+    assert back == -forward  # same terms, negated, summed in the same order
+    value = cache.apply_swap(1, 2, 9)
+    assert value == pytest.approx(before, abs=1e-15)
     assert cache.design == design
+    # unscored commits compute their own change, never reuse a stale one
+    cache.apply_swap(1, 2, 9)
+    assert cache.apply_swap(1, 2, 9) == pytest.approx(before, abs=1e-15)
 
 
 def test_swap_within_constant_column_changes_nothing():
@@ -344,14 +360,17 @@ def test_swap_within_constant_column_changes_nothing():
     design = design_from_levels(spec, [[0]] * 4, [[0], [1], [0], [1]])
     cache = PairCache(design)
     before = cache.value()
-    value, _ = qqd_delta_swap(cache, design, 0, 0, 3)
-    assert value == before
+    assert cache.is_noop(0, 0, 3)
+    assert cache.delta(0, 0, 3) == 0.0
+    assert cache.apply_swap(0, 0, 3) == before
+    assert cache.design is design
 
 
 def test_swap_equal_rows_is_noop():
     design = load_reference_design("mcd_8run_1")
     cache = PairCache(design)
-    value, cache = qqd_delta_swap(cache, design, 0, 3, 3)
+    assert cache.delta(0, 3, 3) == 0.0
+    value = cache.apply_swap(0, 3, 3)
     assert value == cache.value() == pytest.approx(qqd_squared(design), abs=1e-12)
 
 
@@ -363,16 +382,19 @@ def test_swap_matches_full_recompute_on_random_designs():
         for _ in range(6):
             col = int(rng.integers(spec.m))
             i, j = (int(v) for v in rng.choice(spec.n, size=2, replace=False))
-            value, cache = qqd_delta_swap(cache, cache.design, col, i, j)
+            before = cache.value()
+            change = cache.delta(col, i, j)
+            value = cache.apply_swap(col, i, j)
+            assert value == before + change
             assert value == pytest.approx(qqd_squared(cache.design), abs=1e-10)
 
 
-def test_swap_rejects_stale_design():
-    design = load_reference_design("mcd_8run_1")
-    other = load_reference_design("mcd_8run_2")
-    cache = PairCache(design)
-    with pytest.raises(DomainError, match="cache"):
-        qqd_delta_swap(cache, other, 0, 0, 1)
+def test_swap_rejects_out_of_range_indices():
+    cache = PairCache(load_reference_design("mcd_8run_1"))
+    for args in [(3, 0, 1), (-1, 0, 1), (0, 0, 8), (1, -1, 2)]:
+        for method in (cache.delta, cache.apply_swap, cache.is_noop):
+            with pytest.raises(DomainError, match="out of range"):
+                method(*args)
 
 
 def test_pair_cache_supports_general_weights():
@@ -380,20 +402,89 @@ def test_pair_cache_supports_general_weights():
     design = load_reference_design("bound_attaining_4run")
     cache = PairCache(design, config)
     assert cache.value() == pytest.approx(qqd_squared(design, config), abs=1e-12)
+    for col, i, j in [(0, 0, 1), (1, 0, 3), (2, 1, 2)]:
+        change = cache.delta(col, i, j)
+        after = qqd_squared(_swapped(cache.design, col, i, j), config)
+        assert change == pytest.approx(after - cache.value(), abs=1e-12)
+        cache.apply_swap(col, i, j)
+
+
+def _pair_sum(design):
+    # the pair summands written out from coincidence numbers and the kernel
+    n, p, q = design.spec.n, design.spec.p, design.spec.q
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            product = 1.25**p * 1.2 ** coincidence_number(design, i, j)
+            for k in range(q):
+                d = abs(design.quantitative[i, k] - design.quantitative[j, k])
+                product *= 1.5 - d + d * d
+            total += product
+    return total
 
 
 def test_pair_cache_entries_reproduce_pair_summands():
-    # cached coincidences and per-column factors rebuild each pair product
+    # the value and every scored swap follow from the written-out pair summands
     design = random_utype(DesignSpec(n=8, p=2, q=2, levels=(2, 4, 4, 2)), 13)
     cache = PairCache(design)
-    for i in range(8):
-        for j in range(8):
-            delta = coincidence_number(design, i, j)
-            product = 1.25**2 * 1.2**delta
-            for k in range(2):
-                d = abs(design.quantitative[i, k] - design.quantitative[j, k])
-                product *= 1.5 - d + d * d
-            assert cache._w[i, j] == pytest.approx(product, abs=1e-12)
+    constant = -(2.75 / 2) * (5.25 / 4) * (4 / 3) ** 2
+    assert cache.value() == pytest.approx(constant + _pair_sum(design) / 64, abs=1e-12)
+    for col, i, j in [(0, 0, 5), (1, 2, 7), (2, 1, 3), (3, 4, 6)]:
+        after = _swapped(design, col, i, j)
+        expected = (_pair_sum(after) - _pair_sum(design)) / 64
+        assert cache.delta(col, i, j) == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def _feasible_specs(draw):
+    n = draw(st.sampled_from([2, 4, 6, 8, 9, 10, 12, 15]))
+    divisors = [s for s in range(1, n + 1) if n % s == 0]
+    p = draw(st.integers(0, 2))
+    q = draw(st.integers(0 if p else 1, 2))
+    levels = tuple(draw(st.sampled_from(divisors)) for _ in range(p + q))
+    return DesignSpec(n=n, p=p, q=q, levels=levels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=_feasible_specs(),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.sampled_from([(1.5, 1.25), (2.0, 1.0), (3.7, 0.4)]),
+    data=st.data(),
+)
+def test_delta_matches_recompute_property(spec, seed, weights, data):
+    config = CriterionConfig(a=weights[0], b=weights[1])
+    design = random_utype(spec, seed)
+    cache = PairCache(design, config)
+    before = cache.value()
+    col = data.draw(st.integers(0, spec.m - 1))
+    i = data.draw(st.integers(0, spec.n - 1))
+    j = data.draw(st.integers(0, spec.n - 1))
+    change = cache.delta(col, i, j)
+    # scoring mutates nothing
+    assert cache.value() == before
+    assert cache.design == design
+    after = _swapped(design, col, i, j)
+    if cache.is_noop(col, i, j):
+        assert change == 0.0
+        assert after == design
+    expected = qqd_squared(after, config) - qqd_squared(design, config)
+    assert change == pytest.approx(expected, abs=1e-12)
+
+
+def test_tracked_value_does_not_drift_over_long_runs():
+    spec = DesignSpec(n=30, p=2, q=2, levels=(3, 5, 6, 30))
+    cache = PairCache(random_utype(spec, 17))
+    rng = np.random.default_rng(23)
+    commits = 0
+    while commits < 5000:
+        col = int(rng.integers(spec.m))
+        i, j = (int(v) for v in rng.integers(spec.n, size=2))
+        if cache.is_noop(col, i, j):
+            continue
+        cache.apply_swap(col, i, j)
+        commits += 1
+        assert abs(cache.value() - qqd_squared(cache.design)) <= 1e-12
 
 
 # ------------------------------------------------------------------ symmetry

@@ -7,7 +7,9 @@ from qqdesign import (
     CapacityError,
     DesignSpec,
     DomainError,
+    DriftError,
     SearchConfig,
+    SearchStats,
     count_utype_designs,
     exhaustive_uniform,
     frequency_vector,
@@ -110,8 +112,40 @@ def test_search_zero_budget_returns_initial_design():
     assert len(result.trace) == 1
 
 
+def test_search_stats_account_for_every_proposal():
+    config = SearchConfig(budget=3000, restarts=3, seed=4, stop_at_bound=False)
+    result = search_uniform(SPEC_PAIR, config)
+    stats = result.stats
+    assert stats.proposals == 3 * 3000
+    assert stats.proposals == stats.noops + stats.accepted + stats.rejected
+    assert stats.accepted == stats.improving + stats.equal + stats.worsening
+    # the 2-level qualitative column makes equal-entry swaps common
+    assert stats.noops > 0 and stats.improving > 0 and stats.rejected > 0
+    assert stats.improving >= len(result.trace) - 1
+    assert search_uniform(SPEC_PAIR, config).stats == stats
+
+
+def test_search_stats_sum_over_restarts():
+    one = search_uniform(SPEC_PAIR, SearchConfig(budget=500, restarts=1, seed=8))
+    assert one.stats.proposals == 500
+    config = SearchConfig(budget=0, restarts=2, seed=8, stop_at_bound=False)
+    assert search_uniform(SPEC_PAIR, config).stats == SearchStats()
+    assert SearchStats(1, 2, 3, 4, 5, 6) + SearchStats(6, 5, 4, 3, 2, 1) == SearchStats(
+        *([7] * 6)
+    )
+
+
+def test_search_drift_raises_typed_error(monkeypatch):
+    import qqdesign.search as search_module
+
+    monkeypatch.setattr(search_module, "qqd_squared", lambda design: 1.0e3)
+    with pytest.raises(DriftError, match="drifted") as info:
+        search_uniform(SPEC_4RUN, SearchConfig(budget=100, seed=1))
+    assert isinstance(info.value, RuntimeError)  # older callers catch RuntimeError
+
+
 def test_search_rejects_infeasible_spec():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="U-type.*level count 4 of factor 0"):
         search_uniform(DesignSpec(n=6, p=1, q=1, levels=(4, 2)))
 
 
