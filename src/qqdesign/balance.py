@@ -5,9 +5,17 @@ quantitative factors share s2 levels, the balance component of a column
 subset is the sum of squared deviations of its level-combination counts
 from perfect uniformity; it vanishes exactly when the subset forms an
 orthogonal array of full strength.  The balance pattern averages the
-components over all subsets of each size.  Counts accumulate as exact
-integers and only the final normalization is floating point, so the
-column-subset form and the pairwise row form agree exactly.
+components over all subsets of each size.
+
+Two routes give the per-size sums: enumerating every column subset
+(``balance_pattern``, which also lists the components, capped at
+``SUBSET_FACTOR_CAP`` factors) and the histogram of pairwise row
+agreement counts (``balance_pattern_rowform``, no cap).  Counts
+accumulate as exact integers and only the final normalization is
+floating point, so the two routes agree exactly.  ``balance_form`` turns
+the per-size sums into the squared discrepancy; ``qqd_from_balance``
+feeds it the row-form sums and ``bounds.lb2`` feeds it lower bounds on
+them.
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .discrepancy import _coincidence_matrix, _qualitative_head
 from .errors import CapacityError, DomainError
-from .model import Design, validate_utype
+from .model import DEFAULT_CONFIG, Design, validate_utype
 
 SUBSET_FACTOR_CAP = 24  # subset enumeration is 2^(p+q); refuse beyond this
 
@@ -85,37 +94,28 @@ def balance_component(design: Design, columns) -> float:
     return float(_component_exact(levels, cols, spec.p, s1, s2, spec.n))
 
 
-def _subset_sums(design: Design) -> tuple[list[Fraction], dict[tuple[int, ...], Fraction]]:
-    """Exact aggregate (index k-1) and per-subset components."""
+def balance_pattern(design: Design) -> BalancePattern:
+    """Balance pattern by direct enumeration of all column subsets."""
     spec = design.spec
     if spec.m > SUBSET_FACTOR_CAP:
         raise CapacityError(
             f"subset enumeration over {spec.m} factors exceeds cap {SUBSET_FACTOR_CAP}"
         )
     levels, s1, s2 = _two_type_levels(design)
-    components: dict[tuple[int, ...], Fraction] = {}
-    aggregate: list[Fraction] = []
+    components: dict[tuple[int, ...], float] = {}
+    aggregate = []
     for k in range(1, spec.m + 1):
         acc = Fraction(0)
         for cols in combinations(range(spec.m), k):
             comp = _component_exact(levels, cols, spec.p, s1, s2, spec.n)
-            components[cols] = comp
+            components[cols] = float(comp)
             acc += comp
-        aggregate.append(acc / math.comb(spec.m, k))
-    return aggregate, components
+        aggregate.append(float(acc / math.comb(spec.m, k)))
+    return BalancePattern(aggregate=tuple(aggregate), components=components)
 
 
-def balance_pattern(design: Design) -> BalancePattern:
-    """Balance pattern by direct enumeration of all column subsets."""
-    aggregate, components = _subset_sums(design)
-    return BalancePattern(
-        aggregate=tuple(float(v) for v in aggregate),
-        components={c: float(v) for c, v in components.items()},
-    )
-
-
-def balance_pattern_rowform(design: Design) -> BalancePattern:
-    """Balance pattern through row agreement counts.
+def _size_sums(design: Design) -> list[Fraction]:
+    """Exact sum of the components over all k-column subsets (index k-1).
 
     A subset contributes to the pair (i, j) iff the rows agree on all its
     columns, so the subset sum collapses to binomials of the per-pair
@@ -125,12 +125,8 @@ def balance_pattern_rowform(design: Design) -> BalancePattern:
     spec = design.spec
     levels, s1, s2 = _two_type_levels(design)
     n, p, q, m = spec.n, spec.p, spec.q, spec.m
-    agree = np.zeros((n, n), dtype=np.int64)
-    for k in range(m):
-        col = levels[:, k]
-        agree += col[:, None] == col[None, :]
-    agree_hist = np.bincount(agree.ravel(), minlength=m + 1)
-    aggregate = []
+    agree_hist = np.bincount(_coincidence_matrix(levels).ravel(), minlength=m + 1)
+    sums = []
     for k in range(1, m + 1):
         pairs = sum(
             int(agree_hist[a]) * math.comb(a, k) for a in range(k, m + 1)
@@ -139,18 +135,41 @@ def balance_pattern_rowform(design: Design) -> BalancePattern:
             math.comb(p, k1) * math.comb(q, k - k1) * Fraction(n * n, s1**k1 * s2 ** (k - k1))
             for k1 in range(max(0, k - q), min(p, k) + 1)
         )
-        aggregate.append((pairs - reference) / math.comb(m, k))
+        sums.append(pairs - reference)
+    return sums
+
+
+def balance_pattern_rowform(design: Design) -> BalancePattern:
+    """Balance pattern from the histogram of row agreement counts."""
+    m = design.spec.m
+    aggregate = (v / math.comb(m, k) for k, v in enumerate(_size_sums(design), start=1))
     return BalancePattern(aggregate=tuple(float(v) for v in aggregate), components=None)
+
+
+def balance_form(n: int, p: int, q: int, s: int, sums) -> float:
+    """Squared discrepancy of a U(n; s^p 2^q) design from per-size balance sums.
+
+    ``sums[k-1]`` is the sum of the balance components over all k-column
+    subsets.  The two-level wrap-around kernel takes the values a (distance
+    0) and b (distance 1/2) of the default qualitative kernel, so every
+    pair product is b^(p+q) (a/b)^(agreements), a polynomial in the
+    per-column agreement indicators and hence in the balance components.
+    Exact rationals throughout; one final float rounding.
+    """
+    a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
+    head = _qualitative_head((s,) * p, a, b)
+    const = head * ((a + b) / 2) ** q - head * Fraction(4, 3) ** q
+    acc = sum((a / b - 1) ** k * v for k, v in enumerate(sums, start=1))
+    return float(const + b ** (p + q) / (n * n) * acc)
 
 
 def qqd_from_balance(design: Design) -> float:
     """Squared discrepancy assembled from the balance pattern.
 
-    Valid for designs whose quantitative factors all have two levels: the
-    two-level wrap-around kernel takes only the values 3/2 and 5/4, which
-    makes every pair product a polynomial in the per-column agreement
-    indicators and hence in the balance components.  Exact rationals
-    throughout; one final float rounding.
+    Valid for designs whose quantitative factors all have two levels (see
+    ``balance_form``).  The per-size component sums come from the row
+    agreement histogram, so the cost is O(n^2 m) with no subset
+    enumeration and no factor cap.
     """
     spec = design.spec
     for j, s in enumerate(spec.quantitative_levels):
@@ -159,13 +178,5 @@ def qqd_from_balance(design: Design) -> float:
                 "the balance form needs 2-level quantitative factors "
                 f"(factor {spec.p + j} has {s})"
             )
-    aggregate, _ = _subset_sums(design)
     s1 = spec.qualitative_levels[0] if spec.p else 1
-    n, p, q, m = spec.n, spec.p, spec.q, spec.m
-    head = Fraction(5 * s1 + 1, 4 * s1) ** p
-    const = -head * Fraction(4, 3) ** q + head * Fraction(11, 8) ** q
-    acc = sum(
-        Fraction(1, 5**k) * math.comb(m, k) * aggregate[k - 1]
-        for k in range(1, m + 1)
-    )
-    return float(const + Fraction(1, n * n) * Fraction(5, 4) ** m * acc)
+    return balance_form(spec.n, spec.p, spec.q, s1, _size_sums(design))

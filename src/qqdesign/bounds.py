@@ -5,9 +5,14 @@ U-type spec: over all designs with balanced columns, the multiset of
 off-diagonal pair products is fixed, so by the arithmetic-geometric mean
 inequality the pair sum is minimized when all products equal their
 geometric mean.  The balance-pattern bound (lb2) applies to specs of the
-form s^p 2^q and bounds each balance component by the residue of n modulo
-the cell count.  ``lb`` reports the larger applicable bound with its
-provenance.
+form s^p 2^q: it bounds each balance component by the residue of n modulo
+the cell count and passes those bounds to ``balance.balance_form``.
+``lb`` reports the larger applicable bound with its provenance.
+
+The kernel (the weights a and b, the constant term and the wrap-around
+values at lattice distances) comes from ``discrepancy`` and
+``DEFAULT_CONFIG``.  ``lb_symmetric`` alone writes its constants out, so
+that it stays an independent check on ``lb1``.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .balance import balance_form
+from .discrepancy import _constant_term, _lattice_kernel, _qualitative_head
 from .errors import DomainError
-from .model import DesignSpec
+from .model import DEFAULT_CONFIG, DesignSpec
 
 
 def lb1(spec: DesignSpec) -> float:
@@ -28,27 +35,22 @@ def lb1(spec: DesignSpec) -> float:
     """
     spec.require_utype_feasible()
     n, p, q = spec.n, spec.p, spec.q
-    C = -math.prod((5 * s + 1) / (4 * s) for s in spec.qualitative_levels) * (4 / 3) ** q
+    a, b = DEFAULT_CONFIG.a, DEFAULT_CONFIG.b
+    C = _constant_term(spec.qualitative_levels, q, a, b)
+    # a row paired with itself: weight a per qualitative factor, the
+    # wrap-around kernel at distance 0 per quantitative one
+    diag = a**p * _lattice_kernel(0, 1) ** q
     if n == 1:
         # single-point design: the double sum is the lone diagonal term
-        return C + 1.5 ** (p + q)
-    logs = []
-    for s in spec.qualitative_levels:
-        logs.append((n - s) / (s * (n - 1)) * math.log(6 / 5))
+        return C + diag
+    logs = [(n - s) / (s * (n - 1)) * math.log(a / b) for s in spec.qualitative_levels]
     for s in spec.quantitative_levels:
-        logs.append((n - s) / (s * (n - 1)) * math.log(3 / 2))
-        if s % 2 == 0:
-            # antipodal lattice distance 1/2 appears n^2/s times
-            logs.append(n / (s * (n - 1)) * math.log(5 / 4))
-            top = s // 2 - 1
-        else:
-            top = (s - 1) // 2
-        for i in range(1, top + 1):
-            logs.append(
-                2 * n / (s * (n - 1)) * math.log(1.5 - i * (s - i) / s**2)
-            )
+        for d in range(s // 2 + 1):
+            # s times the share of off-diagonal pairs at lattice distance d/s
+            weight = n - s if d == 0 else n if 2 * d == s else 2 * n
+            logs.append(weight / (s * (n - 1)) * math.log(_lattice_kernel(d, s)))
     geo = math.exp(math.fsum(logs))
-    return C + (1 / n) * 1.5 ** (p + q) + ((n - 1) / n) * 1.25**p * geo
+    return C + (1 / n) * diag + ((n - 1) / n) * b**p * geo
 
 
 def lb_symmetric(n: int, p: int, q: int, s1: int, s2: int) -> float:
@@ -82,15 +84,14 @@ def lb_symmetric(n: int, p: int, q: int, s1: int, s2: int) -> float:
 def lb2(n: int, p: int, q: int, s: int) -> float:
     """Balance-pattern lower bound for designs in U(n, s^p 2^q).
 
-    Residuals r = n mod (s^k1 * 2^k2) are taken in exact integer
-    arithmetic (the moduli outgrow 64 bits quickly); the value is
-    assembled as an exact rational and rounded once.
+    A k1 + k2 column subset has at least r (1 - r / cells) as its
+    component, with cells = s^k1 * 2^k2 and r = n mod cells.  Residuals
+    are taken in exact integer arithmetic (the moduli outgrow 64 bits
+    quickly) and ``balance_form`` rounds the exact value once.
     """
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s < 1:
         raise DomainError("lb2 needs n >= 1, s >= 1 and at least one factor")
-    head = Fraction(5 * s + 1, 4 * s) ** p
-    const = -head * Fraction(4, 3) ** q + head * Fraction(11, 8) ** q
-    acc = Fraction(0)
+    sums = []
     for k in range(1, p + q + 1):
         inner = Fraction(0)
         for k1 in range(max(0, k - q), min(p, k) + 1):
@@ -103,8 +104,8 @@ def lb2(n: int, p: int, q: int, s: int) -> float:
                 * Fraction(r)
                 * (1 - Fraction(r, cells))
             )
-        acc += Fraction(1, 5**k) * inner
-    return float(const + Fraction(1, n**2) * Fraction(5, 4) ** (p + q) * acc)
+        sums.append(inner)
+    return balance_form(n, p, q, s, sums)
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,9 @@ def full_factorial_qqd(spec: DesignSpec) -> float:
     The value does not depend on the repetition count: it is the minimum
     over designs whose frequency vector is constant.
     """
-    head = math.prod(Fraction(5 * s + 1, 4 * s) for s in spec.qualitative_levels)
+    head = _qualitative_head(
+        spec.qualitative_levels, Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
+    )
     tail = math.prod(
         Fraction(4, 3) + Fraction(1, 6 * s * s) for s in spec.quantitative_levels
     )

@@ -54,25 +54,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
-    """Comma list with optional repeats: '4,2,2' or '2^7,4^7'."""
+def _parse_levels(text: str, m: int) -> tuple[int, ...]:
+    """Comma list with optional repeats: '4,2,2' or '2^7,4^7'; at most m counts."""
     levels: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "^" in part:
-            base, _, count = part.partition("^")
-            levels.extend([int(base)] * int(count))
-        else:
-            levels.append(int(part))
+        base, caret, count = part.partition("^")
+        try:
+            level, repeats = int(base), int(count) if caret else 1
+            if repeats < 0:
+                raise ValueError(part)
+        except ValueError:
+            raise ParseError(
+                f"--levels: expected 'count' or 'count^repeats', got {part!r}"
+            ) from None
+        if len(levels) + repeats > m:  # refuse before building an oversized list
+            raise DomainError(f"expected {m} level counts, --levels {text!r} gives more")
+        levels.extend([level] * repeats)
     if not levels:
         raise DomainError(f"no level counts in {text!r}")
     return tuple(levels)
 
 
 def _spec_from_args(args) -> DesignSpec:
-    return DesignSpec(n=args.n, p=args.p, q=args.q, levels=_parse_levels(args.levels))
+    levels = _parse_levels(args.levels, args.p + args.q)
+    return DesignSpec(n=args.n, p=args.p, q=args.q, levels=levels)
 
 
 def _add_spec_flags(sub) -> None:
@@ -90,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qqdesign", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--tol", type=float, default=None, help="override the comparison tolerance"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate a criterion on a design file")
@@ -115,6 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", parents=[common], help="rank design files by qqd^2")
     p_cmp.add_argument("files", nargs="+")
+    p_cmp.add_argument(
+        "--tol", type=float, default=1e-10, help="values this close share a rank"
+    )
 
     p_search = sub.add_parser("search", parents=[common], help="search for a uniform design")
     _add_spec_flags(p_search)
@@ -123,8 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--out", default=None, help="write the best design here")
 
-    sub.add_parser(
+    p_repro = sub.add_parser(
         "reproduce", parents=[common], help="recompute the bundled reference values"
+    )
+    p_repro.add_argument(
+        "--tol", type=float, default=None, help="one tolerance for every value check"
     )
     return parser
 
@@ -223,12 +234,11 @@ def _cmd_compare(args) -> int:
     scored = sorted(
         ((qqd_squared(d), path) for path, d in designs), key=lambda t: (t[0], t[1])
     )
-    tie_tol = args.tol if args.tol is not None else 1e-10
     rows = []
     rank = 0
     previous = None
     for i, (value, path) in enumerate(scored, start=1):
-        if previous is None or abs(value - previous) > tie_tol:
+        if previous is None or abs(value - previous) > args.tol:
             rank = i
         previous = value
         rows.append(
@@ -337,7 +347,7 @@ def main(argv=None) -> int:
     except (DomainError, StructureError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DriftError as exc:

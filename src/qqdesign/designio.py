@@ -40,85 +40,87 @@ def loads_design_text(text: str) -> Design:
     n, p, q = (_parse_int(tok, "line 1") for tok in head)
     levels = tuple(_parse_int(tok, "line 2") for tok in lines[1].split())
     spec = DesignSpec(n=n, p=p, q=q, levels=levels)
-    rows = lines[2:]
-    if len(rows) != n:
-        raise ParseError(f"expected {n} data rows, found {len(rows)}")
-    qual = np.zeros((n, p), dtype=np.int64)
-    quant = np.zeros((n, q), dtype=np.float64)
-    for r, line in enumerate(rows):
-        tokens = line.split()
-        if len(tokens) != p + q:
-            raise ParseError(f"row {r}: expected {p + q} entries, found {len(tokens)}")
-        for k in range(p):
-            qual[r, k] = _parse_int(tokens[k], f"row {r}, column {k}")
-        for j in range(q):
-            tok = tokens[p + j]
-            quant[r, j] = _entry_value(tok, spec.quantitative_levels[j], r, p + j)
-    return Design(spec, qual, quant)
+    rows = [
+        [_token_value(tok, r, k) for k, tok in enumerate(line.split())]
+        for r, line in enumerate(lines[2:])
+    ]
+    return _design_from_rows(spec, rows)
 
 
-def _entry_value(token: str, s: int, row: int, column: int) -> float:
-    where = f"row {row}, column {column}"
-    if _is_int_token(token):
-        level = int(token)
-        if not 0 <= level < s:
-            raise DomainError(f"{where}: level {level} outside 0..{s - 1}")
-        return level_to_unit(level, s)
+def _token_value(token: str, r: int, k: int) -> int | float:
+    """The number a text token stands for, typed as JSON would type it."""
     try:
-        value = float(token)
+        return int(token) if _is_int_token(token) else float(token)
     except ValueError:
-        raise ParseError(f"{where}: not a number: {token!r}") from None
-    return value
+        raise ParseError(f"row {r}, column {k}: not a number: {token!r}") from None
 
 
 def _is_int_token(token: str) -> bool:
     body = token[1:] if token[:1] in "+-" else token
-    return body.isdigit()
+    return body.isdecimal()
+
+
+def _entry_value(entry, s: int, r: int, k: int, qualitative: bool) -> int | float:
+    """Decode one entry: an integer is a level of the s-level factor, a decimal a raw value."""
+    if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+        raise ParseError(f"row {r}, column {k}: expected a number, got {entry!r}")
+    if isinstance(entry, float):
+        if qualitative:
+            raise ParseError(f"row {r}, column {k}: expected an integer, got {entry!r}")
+        return entry
+    if not 0 <= entry < s:
+        raise DomainError(f"row {r}, column {k}: level {entry} outside 0..{s - 1}")
+    return entry if qualitative else level_to_unit(entry, s)
+
+
+def _design_from_rows(spec: DesignSpec, rows: list) -> Design:
+    if len(rows) != spec.n:
+        raise ParseError(f"expected {spec.n} data rows, found {len(rows)}")
+    qual, quant = [], []
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != spec.m:
+            raise ParseError(f"row {r}: expected {spec.m} entries, got {row!r}")
+        values = [
+            _entry_value(entry, s, r, k, k < spec.p)
+            for k, (entry, s) in enumerate(zip(row, spec.levels))
+        ]
+        qual.append(values[: spec.p])
+        quant.append(values[spec.p :])
+    return Design(spec, qual, quant)
+
+
+def _json_int(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"design JSON field {field!r}: expected an integer, got {value!r}")
+    return value
 
 
 def design_from_json_dict(data: dict) -> Design:
     for key in ("n", "p", "q", "levels", "rows"):
         if key not in data:
             raise ParseError(f"design JSON is missing the {key!r} field")
+    for key in ("levels", "rows"):
+        if not isinstance(data[key], list):
+            raise ParseError(f"design JSON field {key!r} must be a list, got {data[key]!r}")
     spec = DesignSpec(
-        n=int(data["n"]), p=int(data["p"]), q=int(data["q"]),
-        levels=tuple(int(s) for s in data["levels"]),
+        n=_json_int(data["n"], "n"),
+        p=_json_int(data["p"], "p"),
+        q=_json_int(data["q"], "q"),
+        levels=tuple(_json_int(s, "levels") for s in data["levels"]),
     )
-    rows = data["rows"]
-    if len(rows) != spec.n:
-        raise ParseError(f"expected {spec.n} rows, found {len(rows)}")
-    qual = np.zeros((spec.n, spec.p), dtype=np.int64)
-    quant = np.zeros((spec.n, spec.q), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != spec.m:
-            raise ParseError(f"row {r}: expected {spec.m} entries, found {len(row)}")
-        for k in range(spec.p):
-            if not isinstance(row[k], int):
-                raise ParseError(f"row {r}, column {k}: qualitative entries must be integers")
-            qual[r, k] = row[k]
-        for j in range(spec.q):
-            entry = row[spec.p + j]
-            s = spec.quantitative_levels[j]
-            if isinstance(entry, bool):
-                raise ParseError(f"row {r}, column {spec.p + j}: not a number")
-            if isinstance(entry, int):
-                if not 0 <= entry < s:
-                    raise DomainError(
-                        f"row {r}, column {spec.p + j}: level {entry} outside 0..{s - 1}"
-                    )
-                quant[r, j] = level_to_unit(entry, s)
-            else:
-                quant[r, j] = float(entry)
-    return Design(spec, qual, quant)
+    return _design_from_rows(spec, data["rows"])
 
 
 def read_design(path) -> Design:
-    """Parse a design file; JSON when the content starts with '{'."""
-    text = Path(path).read_text()
+    """Parse a design file; JSON when the content starts with '{'; ParseError if unreadable."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read design file {str(path)!r}: {exc}") from None
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid JSON design file: {exc}") from None
         return design_from_json_dict(data)
     return loads_design_text(text)

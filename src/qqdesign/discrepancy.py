@@ -61,6 +61,11 @@ def _quant_kernel(x, z):
     return 1.5 - d + d * d
 
 
+def _lattice_kernel(d, s):
+    """Wrap-around kernel at lattice distance d/s: 3/2 - d (s - d) / s^2."""
+    return 1.5 - d * (s - d) / s**2
+
+
 def _pair_weights(
     qualitative: np.ndarray, quantitative: np.ndarray, a: float, b: float
 ) -> np.ndarray:
@@ -73,8 +78,13 @@ def _pair_weights(
     return w
 
 
+def _qualitative_head(s_qual, a, b):
+    """prod_k (a + (s_k - 1) b) / s_k; exact when a and b are Fractions."""
+    return math.prod((a + (s - 1) * b) / s for s in s_qual)
+
+
 def _constant_term(s_qual, q: int, a: float, b: float) -> float:
-    return -math.prod((a + (s - 1) * b) / s for s in s_qual) * (4.0 / 3.0) ** q
+    return -_qualitative_head(s_qual, a, b) * (4.0 / 3.0) ** q
 
 
 def _qqd_squared_arrays(
@@ -201,8 +211,7 @@ def kernel_matrix(
         np.fill_diagonal(entries, config.a)
         return KernelFactor(s=s, kind="qualitative", entries=entries)
     i = np.arange(s)
-    d = np.abs(i[:, None] - i[None, :])
-    entries = 1.5 - d * (s - d) / s**2
+    entries = _lattice_kernel(np.abs(i[:, None] - i[None, :]), s)
     return KernelFactor(s=s, kind="quantitative", entries=entries)
 
 

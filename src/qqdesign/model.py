@@ -96,7 +96,7 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class CriterionConfig:
-    """Kernel weights and tolerances.
+    """Kernel weights.
 
     ``a`` and ``b`` are the same-level and different-level weights of the
     qualitative kernel.  The defaults 3/2 and 5/4 give the qualitative
@@ -106,8 +106,6 @@ class CriterionConfig:
 
     a: float = 1.5
     b: float = 1.25
-    tol_equiv: float = 1e-10
-    tol_reference: float = 5e-5  # against 4-decimal documented values
 
     def __post_init__(self) -> None:
         if not (self.a > self.b > 0.0):

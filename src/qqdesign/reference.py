@@ -16,7 +16,7 @@ from importlib.resources import files
 
 from .bounds import lb1, lb2
 from .designio import loads_design_text
-from .discrepancy import SWD_MODES, qqd_squared, swd
+from .discrepancy import qqd_squared, swd
 from .model import Design, DesignSpec
 from .model import is_mcd as _is_mcd
 
@@ -69,6 +69,8 @@ QQD_EXPECTED = {
 
 MCD_NAMES = ("mcd_8run_1", "mcd_8run_2", "mcd_16run_1", "mcd_16run_2", "mcd_16run_3")
 
+#: the paper's SWD sums slice WD values, not squared ones
+SWD_MODE = "wd"
 SWD_EXPECTED = {
     "juxtaposed_16run_2": 1.1055,
     "juxtaposed_16run_same": 1.0999,
@@ -113,19 +115,6 @@ def _value_row(label: str, expected: float, computed: float, tol: float, note: s
     )
 
 
-def matching_swd_mode(tol: float = VALUE_TOL) -> str | None:
-    """The unique slice-summation mode reproducing both reference SWD values."""
-    matches = []
-    for mode in SWD_MODES:
-        ok = all(
-            abs(swd(load_reference_design(name), mode) - want) <= tol
-            for name, want in SWD_EXPECTED.items()
-        )
-        if ok:
-            matches.append(mode)
-    return matches[0] if len(matches) == 1 else None
-
-
 def run_checks(tol: float | None = None) -> list[CheckRow]:
     """Recompute every reference value; one row per check."""
     value_tol = VALUE_TOL if tol is None else tol
@@ -140,66 +129,33 @@ def run_checks(tol: float | None = None) -> list[CheckRow]:
 
     for name in MCD_NAMES:
         report = _is_mcd(load_reference_design(name))
-        rows.append(
-            CheckRow(
-                label=f"is_mcd {name}",
-                expected=1.0,
-                computed=1.0 if report.passed else 0.0,
-                tol=0.0,
-                passed=report.passed,
-                note="" if report.passed else report.defects[0].message,
-            )
-        )
+        note = "" if report.passed else report.defects[0].message
+        rows.append(_value_row(f"is_mcd {name}", 1.0, float(report.passed), 0.0, note))
 
-    mode = matching_swd_mode(value_tol)
     for name, expected in SWD_EXPECTED.items():
-        if mode is None:
-            computed = swd(load_reference_design(name), "wd")
-            rows.append(
-                CheckRow(
-                    label=f"swd {name}",
-                    expected=expected,
-                    computed=computed,
-                    tol=value_tol,
-                    passed=False,
-                    note="no slice-summation mode matches both reference values",
-                )
-            )
-        else:
-            computed = swd(load_reference_design(name), mode)
-            rows.append(
-                _value_row(
-                    f"swd {name}", expected, computed, value_tol, note=f"mode={mode}"
-                )
-            )
+        computed = swd(load_reference_design(name), SWD_MODE)
+        rows.append(
+            _value_row(f"swd {name}", expected, computed, value_tol, note=f"mode={SWD_MODE}")
+        )
 
     juxta_qqd = qqd_squared(load_reference_design("juxtaposed_16run_same")) - qqd_squared(
         load_reference_design("juxtaposed_16run_2")
     )
     rows.append(
-        CheckRow(
-            label="ordering qqd^2: duplicated-column variant is worse",
-            expected=1.0,
-            computed=1.0 if juxta_qqd > 0 else 0.0,
-            tol=0.0,
-            passed=juxta_qqd > 0,
-            note=f"difference {juxta_qqd:+.6f}",
+        _value_row(
+            "ordering qqd^2: duplicated-column variant is worse",
+            1.0, float(juxta_qqd > 0), 0.0, f"difference {juxta_qqd:+.6f}",
         )
     )
-    if mode is not None:
-        juxta_swd = swd(load_reference_design("juxtaposed_16run_same"), mode) - swd(
-            load_reference_design("juxtaposed_16run_2"), mode
+    juxta_swd = swd(load_reference_design("juxtaposed_16run_same"), SWD_MODE) - swd(
+        load_reference_design("juxtaposed_16run_2"), SWD_MODE
+    )
+    rows.append(
+        _value_row(
+            "ordering swd: naive criterion prefers the worse design",
+            1.0, float(juxta_swd < 0), 0.0, f"difference {juxta_swd:+.6f}",
         )
-        rows.append(
-            CheckRow(
-                label="ordering swd: naive criterion prefers the worse design",
-                expected=1.0,
-                computed=1.0 if juxta_swd < 0 else 0.0,
-                tol=0.0,
-                passed=juxta_swd < 0,
-                note=f"difference {juxta_swd:+.6f}",
-            )
-        )
+    )
 
     rows.append(
         _value_row(

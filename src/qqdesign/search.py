@@ -186,6 +186,10 @@ def _run_restart(
     return best_value, best_design, trace, terminated or "schedule", stats
 
 
+# largest accepted gap between the tracked and the recomputed best value
+DRIFT_TOL = 1e-10
+
+
 def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> SearchResult:
     """Best U-type design found across ``config.restarts`` independent restarts.
 
@@ -193,7 +197,7 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
     minimum value with ties broken by restart index, so the outcome does
     not depend on execution order.  The incrementally tracked objective of
     the winner is re-verified against a full recomputation; a disagreement
-    beyond ``tol_equiv`` raises ``DriftError``.  ``stats`` sums the
+    beyond ``DRIFT_TOL`` raises ``DriftError``.  ``stats`` sums the
     proposal counts of every restart that ran.
     """
     config = config or SearchConfig()
@@ -214,7 +218,7 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
             break
     value, design, trace, terminated = best
     recomputed = qqd_squared(design)
-    if abs(recomputed - value) > DEFAULT_CONFIG.tol_equiv:
+    if abs(recomputed - value) > DRIFT_TOL:
         raise DriftError(
             f"incremental objective drifted: tracked {value!r} vs recomputed {recomputed!r}"
         )

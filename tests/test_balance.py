@@ -159,7 +159,8 @@ def test_balance_form_matches_closed_form_on_random_designs():
     spec = DesignSpec(n=8, p=1, q=3, levels=(4, 2, 2, 2))
     for seed in range(50):
         design = random_utype(spec, seed)
-        assert abs(qqd_from_balance(design) - qqd_squared(design)) < 1e-12
+        # the value is about 1.1e4, where one ulp is 1.8e-12
+    assert qqd_from_balance(design) == pytest.approx(qqd_squared(design), rel=1e-12, abs=0)
 
 
 def test_balance_form_rejects_wide_quantitative_levels():
@@ -175,3 +176,17 @@ def test_subset_enumeration_capacity_cap():
     design = random_utype(spec, 0)
     with pytest.raises(CapacityError, match="cap"):
         balance_pattern(design)
+
+
+def test_balance_form_has_no_factor_cap(monkeypatch):
+    import qqdesign.balance as balance_module
+
+    def refuse(*args):
+        raise AssertionError("the balance value must not enumerate subsets")
+
+    spec = DesignSpec(n=2, p=13, q=12, levels=(2,) * 25)
+    design = random_utype(spec, 0)
+    monkeypatch.setattr(balance_module, "combinations", refuse)
+    monkeypatch.setattr(balance_module, "_component_exact", refuse)
+    # the value is about 1.1e4, where one ulp is 1.8e-12
+    assert qqd_from_balance(design) == pytest.approx(qqd_squared(design), rel=1e-12, abs=0)

@@ -99,6 +99,49 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+VALID_JSON = {"n": 2, "p": 1, "q": 1, "levels": [2, 2], "rows": [[0, 0], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "column, entry", [(c, e) for c in (0, 1) for e in ("1", None, True)]
+)
+def test_eval_rejects_json_entries_that_are_not_numbers(capsys, tmp_path, column, entry):
+    rows = [[0, 0], [1, 1]]
+    rows[1][column] = entry
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({**VALID_JSON, "rows": rows}))
+    code, _, err = run(capsys, "eval", str(path))
+    assert code == 1
+    assert f"row 1, column {column}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("n", "x"), ("levels", [2, "2"]), ("rows", 5)])
+def test_eval_rejects_json_fields_of_the_wrong_type(capsys, tmp_path, field, value):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({**VALID_JSON, field: value}))
+    code, _, err = run(capsys, "eval", str(path))
+    assert code == 1
+    assert repr(field) in err
+    assert "Traceback" not in err
+
+
+def test_eval_directory_is_an_unreadable_file(capsys, tmp_path):
+    code, _, err = run(capsys, "eval", str(tmp_path))
+    assert code == 1
+    assert "cannot read design file" in err
+    assert "Traceback" not in err
+
+
+def test_eval_binary_file_is_an_unreadable_file(capsys, tmp_path):
+    path = tmp_path / "d.bin"
+    path.write_bytes(bytes(range(128, 256)))
+    code, _, err = run(capsys, "eval", str(path))
+    assert code == 1
+    assert "cannot read design file" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------- bounds
 
 def test_bounds_4run_spec(capsys):
@@ -135,6 +178,25 @@ def test_bounds_full_factorial_reference(capsys):
     assert code == 0
     payload = json.loads(out)
     assert "full_factorial" in payload
+
+
+@pytest.mark.parametrize("levels", ["4,x,2", "2^x"])
+def test_bounds_unreadable_levels_are_a_usage_error(capsys, levels):
+    code, _, err = run(
+        capsys, "bounds", "--n", "4", "--p", "1", "--q", "2", "--levels", levels
+    )
+    assert code == 1
+    assert "--levels" in err
+    assert "Traceback" not in err
+
+
+def test_bounds_has_no_tol_flag(capsys):
+    code, _, err = run(
+        capsys, "bounds", "--n", "4", "--p", "1", "--q", "2", "--levels", "4,2,2",
+        "--tol", "5",
+    )
+    assert code == 1
+    assert "--tol" in err
 
 
 def test_bounds_infeasible_spec(capsys):
@@ -340,3 +402,4 @@ def test_reproduce_fails_under_impossible_tolerance(capsys):
     code, out, _ = run(capsys, "reproduce", "--tol", "1e-9")
     assert code == 3
     assert "FAIL" in out
+    assert out.splitlines()[-1].endswith("/29 checks passed")
