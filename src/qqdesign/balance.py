@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .discrepancy import _coincidence_matrix, _qualitative_head
+from .discrepancy import _coincidence_matrix, _lattice_kernel, _qualitative_head
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, Design, validate_utype
 
@@ -150,17 +150,21 @@ def balance_form(n: int, p: int, q: int, s: int, sums) -> float:
     """Squared discrepancy of a U(n; s^p 2^q) design from per-size balance sums.
 
     ``sums[k-1]`` is the sum of the balance components over all k-column
-    subsets.  The two-level wrap-around kernel takes the values a (distance
-    0) and b (distance 1/2) of the default qualitative kernel, so every
-    pair product is b^(p+q) (a/b)^(agreements), a polynomial in the
-    per-column agreement indicators and hence in the balance components.
-    Exact rationals throughout; one final float rounding.
+    subsets.  The two-level wrap-around kernel takes the values f0
+    (distance 0) and f1 (distance 1/2); when f0/f1 equals the qualitative
+    ratio a/b, every pair product is b^p f1^q (a/b)^(agreements), a
+    polynomial in the per-column agreement indicators and hence in the
+    balance components.  Exact rationals throughout; one final float
+    rounding.
     """
     a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
+    f0, f1 = Fraction(_lattice_kernel(0, 2)), Fraction(_lattice_kernel(1, 2))
+    if a / b != f0 / f1:
+        raise DomainError(f"the balance form needs a/b = f0/f1 = {f0 / f1}, got {a / b}")
     head = _qualitative_head((s,) * p, a, b)
-    const = head * ((a + b) / 2) ** q - head * Fraction(4, 3) ** q
+    const = head * ((f0 + f1) / 2) ** q - head * Fraction(4, 3) ** q
     acc = sum((a / b - 1) ** k * v for k, v in enumerate(sums, start=1))
-    return float(const + b ** (p + q) / (n * n) * acc)
+    return float(const + b**p * f1**q / (n * n) * acc)
 
 
 def qqd_from_balance(design: Design) -> float:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: eval, bounds, balance, compare, search, reproduce.  Exit
-codes: 0 success, 1 usage or parse error, 2 domain/structure/capacity
+codes: 0 success, 1 usage, parse or file error, 2 domain/structure/capacity
 error, 3 reproduction failure, 4 search finished without reaching the
 lower bound, 5 the search's incrementally tracked objective disagreed
 with its full recomputation (an internal fault).  Values print at six
@@ -27,14 +27,7 @@ from .discrepancy import (
     swd,
     wd_squared,
 )
-from .errors import (
-    CapacityError,
-    DomainError,
-    DriftError,
-    ParseError,
-    QQDesignError,
-    StructureError,
-)
+from .errors import DomainError, DriftError, ParseError, QQDesignError
 from .model import CriterionConfig, DesignSpec
 from .reference import run_checks
 from .search import SearchConfig, search_uniform
@@ -341,21 +334,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, StructureError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ParseError, OSError) as exc:
+        code, message = EXIT_USAGE, str(exc)
     except DriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DRIFT
-    except QQDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        code, message = EXIT_DRIFT, str(exc)
+    except QQDesignError as exc:  # domain, structure and capacity errors
+        code, message = EXIT_DOMAIN, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

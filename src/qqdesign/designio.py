@@ -68,7 +68,7 @@ def _entry_value(entry, s: int, r: int, k: int, qualitative: bool) -> int | floa
         if qualitative:
             raise ParseError(f"row {r}, column {k}: expected an integer, got {entry!r}")
         return entry
-    if not 0 <= entry < s:
+    if not qualitative and not 0 <= entry < s:  # Design checks qualitative levels
         raise DomainError(f"row {r}, column {k}: level {entry} outside 0..{s - 1}")
     return entry if qualitative else level_to_unit(entry, s)
 

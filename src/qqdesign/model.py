@@ -26,6 +26,8 @@ LATTICE_TOL = 1e-9
 
 # full_factorial refuses to enumerate more rows than this
 FULL_FACTORIAL_ROW_CAP = 1_000_000
+# levels are stored as int64, so no level count may exceed this
+LEVEL_COUNT_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class DesignSpec:
             raise DomainError(
                 f"expected {self.p + self.q} level counts, got {len(self.levels)}"
             )
-        if any(s < 1 for s in self.levels):
-            raise DomainError("every level count must be >= 1")
+        if any(not 1 <= s <= LEVEL_COUNT_MAX for s in self.levels):
+            raise DomainError(f"every level count must be in 1..{LEVEL_COUNT_MAX}")
 
     @property
     def m(self) -> int:
@@ -142,7 +144,10 @@ class Design:
     quantitative: np.ndarray
 
     def __post_init__(self) -> None:
-        qual = np.array(self.qualitative, dtype=np.int64).reshape(self.spec.n, self.spec.p)
+        try:
+            qual = np.array(self.qualitative, dtype=np.int64).reshape(self.spec.n, self.spec.p)
+        except OverflowError:
+            raise DomainError("a qualitative entry does not fit in a 64-bit integer") from None
         quant = np.array(self.quantitative, dtype=np.float64).reshape(self.spec.n, self.spec.q)
         for k in range(self.spec.p):
             s = self.spec.levels[k]

@@ -142,6 +142,33 @@ def test_eval_binary_file_is_an_unreadable_file(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 1 0\n99999999999999999999999\n99999999999999999999\n", "level count"),
+        ("1 0 1\n99999999999999999999999\n99999999999999999999\n", "level count"),
+        ("1 1 0\n2\n99999999999999999999\n", "64-bit"),
+        ("1 1 0\n2\n-99999999999999999999\n", "64-bit"),
+    ],
+)
+def test_eval_rejects_integers_beyond_int64(capsys, tmp_path, text, message):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "eval", str(path))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_search_out_into_a_directory_exits_1(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "search", "--n", "4", "--p", "1", "--q", "1", "--levels", "2,2",
+        "--budget", "10", "--restarts", "1", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------- bounds
 
 def test_bounds_4run_spec(capsys):

@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qqdesign import QQDesignError, read_design
@@ -14,12 +14,15 @@ FUZZ = settings(max_examples=100, deadline=None)
 
 TOKENS = st.sampled_from(
     ["0", "1", "2", "3", "4", "-1", "+2", "0.5", "1.0", "1e400", "nan", "x", "#",
-     "2^2", "²", "٣", "99999999999999999999999", ""]
+     "2^2", "²", "٣", "9223372036854775807", "99999999999999999999",
+     "99999999999999999999999", ""]
 )
 SMALL_INTS = st.integers(min_value=-1, max_value=4)
+HUGE_INTS = st.sampled_from([2**63 - 1, 2**63, 10**20, 10**23, -(10**20)])
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | SMALL_INTS | st.floats() | st.sampled_from(["", "1", "x"]),
+    st.none() | st.booleans() | SMALL_INTS | HUGE_INTS | st.floats()
+    | st.sampled_from(["", "1", "x"]),
     lambda inner: st.lists(inner, max_size=4),
     max_leaves=12,
 )
@@ -65,6 +68,8 @@ def _read_typed(path, content) -> None:
 
 @FUZZ
 @given(content=TEXT_DOCUMENTS | JSON_DOCUMENTS | st.binary(max_size=32))
+@example(content="1 1 0\n99999999999999999999999\n99999999999999999999")
+@example(content='{"n": 1, "p": 0, "q": 1, "levels": [100000000000000000000], "rows": [[5]]}')
 def test_read_design_raises_only_typed_errors(tmp_path_factory, content):
     _read_typed(tmp_path_factory.getbasetemp() / "fuzz-design.txt", content)
 
