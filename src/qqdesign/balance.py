@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .discrepancy import _coincidence_matrix, _lattice_kernel, _qualitative_head
+from .discrepancy import _lattice_kernel, _qualitative_head, _row_blocks, _row_weights
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, Design, validate_utype
 
@@ -119,13 +119,17 @@ def _size_sums(design: Design) -> list[Fraction]:
 
     A subset contributes to the pair (i, j) iff the rows agree on all its
     columns, so the subset sum collapses to binomials of the per-pair
-    agreement count; only the uniform reference term still needs the
-    per-size column split.
+    agreement count, histogrammed one row block at a time; only the
+    uniform reference term still needs the per-size column split.
     """
     spec = design.spec
     levels, s1, s2 = _two_type_levels(design)
     n, p, q, m = spec.n, spec.p, spec.q, spec.m
-    agree_hist = np.bincount(_coincidence_matrix(levels).ravel(), minlength=m + 1)
+    counts, no_quant = np.arange(m + 1), np.zeros((n, 0))  # weight k agreements by k
+    agree_hist = sum(
+        np.bincount(_row_weights(levels, no_quant, rows, counts).ravel(), minlength=m + 1)
+        for rows in _row_blocks(n)
+    )
     sums = []
     for k in range(1, m + 1):
         pairs = sum(

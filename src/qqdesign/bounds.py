@@ -122,10 +122,6 @@ class BoundReport:
     lb1: float
     lb2: float | None
 
-    @property
-    def lb2_applicable(self) -> bool:
-        return self.lb2 is not None
-
 
 def _lb2_shape(spec: DesignSpec) -> int | None:
     """The common qualitative level count when the spec matches s^p 2^q, else None."""

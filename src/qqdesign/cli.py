@@ -286,22 +286,8 @@ def _cmd_search(args) -> int:
 def _cmd_reproduce(args) -> int:
     rows = run_checks(tol=args.tol)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "label": r.label,
-                        "expected": r.expected,
-                        "computed": r.computed,
-                        "error": r.error,
-                        "tol": r.tol,
-                        "passed": r.passed,
-                        "note": r.note,
-                    }
-                    for r in rows
-                ]
-            )
-        )
+        keys = ("label", "expected", "computed", "error", "tol", "passed", "note")
+        print(json.dumps([{key: getattr(r, key) for key in keys} for r in rows]))
     else:
         width = max(len(r.label) for r in rows)
         for r in rows:

@@ -13,10 +13,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DomainError, ParseError
-from .model import Design, DesignSpec, level_to_unit, unit_to_level
+from .model import Design, DesignSpec, _lattice_levels, level_to_unit
 
 
 def _parse_int(token: str, where: str) -> int:
@@ -131,12 +129,9 @@ def _quant_tokens(design: Design) -> list[list[str]]:
     spec = design.spec
     cols: list[list[str]] = []
     for j, s in enumerate(spec.quantitative_levels):
-        values = design.quantitative[:, j]
-        try:
-            tokens = [str(unit_to_level(float(v), s)) for v in values]
-        except DomainError:
-            tokens = [repr(float(v)) for v in values]
-        cols.append(tokens)
+        levels = _lattice_levels(design.quantitative[:, j], s)
+        values = levels if levels.min() >= 0 else design.quantitative[:, j]
+        cols.append([repr(v) for v in values.tolist()])
     return cols
 
 

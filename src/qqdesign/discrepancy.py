@@ -13,10 +13,15 @@ where delta_ij counts the qualitative columns on which rows i and j
 agree, the double sum includes i = j, and
 C = -prod_k [(a + (s_k - 1) b)/s_k] * (4/3)^q.
 
-Setting p = 0 recovers the wrap-around discrepancy (WD), q = 0 the
-discrete discrepancy (DD).  For lattice designs the same value is a
-quadratic form y' A y in the frequency vector y, with A a Kronecker
-product of per-factor kernel matrices.
+One routine, ``_row_weights``, builds the kernel products of a block of
+rows against all n rows.  The closed form sums it block by block
+(``np.sum`` per block, ``math.fsum`` across the block partials), so its
+memory is O(n*B) for blocks of B rows; the swap evaluator and the balance
+pattern's agreement histogram use the same routine.  Setting p = 0
+recovers the wrap-around discrepancy (WD), q = 0 the discrete
+discrepancy (DD).  For lattice designs the same value is a quadratic
+form y' A y in the frequency vector y, with A a Kronecker product of
+per-factor kernel matrices.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .model import (
 )
 
 QUADRATIC_FORM_CAP = 10_000  # largest N for which the quadratic form is evaluated
+PAIR_BLOCK = 1 << 18  # pair entries the closed form holds at a time
 
 
 def coincidence_number(design: Design, i: int, j: int) -> int:
@@ -44,15 +50,6 @@ def coincidence_number(design: Design, i: int, j: int) -> int:
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"row index out of range for n={n}: ({i}, {j})")
     return int(np.sum(design.qualitative[i] == design.qualitative[j]))
-
-
-def _coincidence_matrix(qualitative: np.ndarray) -> np.ndarray:
-    n = qualitative.shape[0]
-    delta = np.zeros((n, n), dtype=np.int64)
-    for k in range(qualitative.shape[1]):
-        col = qualitative[:, k]
-        delta += col[:, None] == col[None, :]
-    return delta
 
 
 def _quant_kernel(x, z):
@@ -66,16 +63,34 @@ def _lattice_kernel(d, s):
     return 1.5 - d * (s - d) / s**2
 
 
-def _pair_weights(
-    qualitative: np.ndarray, quantitative: np.ndarray, a: float, b: float
-) -> np.ndarray:
-    """n x n matrix of per-pair kernel products b^p (a/b)^delta prod_k(...)."""
+def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None):
+    """Kernel products (a/b)^delta prod_k f_k of the rows ``rows`` against all n rows.
+
+    b^p is left out, and so is column ``skip`` (0-based, qualitative
+    first) when given.  ``ratio_powers[k]`` is the weight of k agreements;
+    the table arange(p + 1) returns the agreement counts themselves.
+    """
     p = qualitative.shape[1]
-    w = (b**p) * (a / b) ** _coincidence_matrix(qualitative)
+    agree = weights = None
+    for k in range(p):
+        if k != skip:
+            same = qualitative[rows, k, None] == qualitative[:, k]
+            agree = same.astype(np.intp) if agree is None else np.add(agree, same, out=agree)
     for k in range(quantitative.shape[1]):
-        col = quantitative[:, k]
-        w = w * _quant_kernel(col[:, None], col[None, :])
-    return w
+        if p + k != skip:
+            kern = _quant_kernel(quantitative[rows, k, None], quantitative[:, k])
+            weights = kern if weights is None else np.multiply(weights, kern, out=weights)
+    if agree is not None:
+        weights = ratio_powers[agree] if weights is None else weights * ratio_powers[agree]
+    if weights is None:  # the only column is skipped
+        weights = np.ones((qualitative[rows].shape[0], qualitative.shape[0]))
+    return weights
+
+
+def _row_blocks(n: int):
+    """Slices of consecutive rows holding about PAIR_BLOCK pair entries each."""
+    step = max(1, PAIR_BLOCK // n)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def _qualitative_head(s_qual, a, b):
@@ -88,17 +103,26 @@ def _constant_term(s_qual, q: int, a: float, b: float) -> float:
 
 
 def _qqd_squared_arrays(
-    qualitative: np.ndarray,
-    quantitative: np.ndarray,
-    s_qual,
-    config: CriterionConfig,
+    qualitative: np.ndarray, quantitative: np.ndarray, s_qual, config: CriterionConfig
 ) -> float:
-    n = max(qualitative.shape[0], quantitative.shape[0])
-    w = _pair_weights(qualitative, quantitative, config.a, config.b)
-    # fsum keeps the pair accumulation exactly rounded, so the closed form
-    # and the quadratic form agree to ~1e-13 even at n around 10^3
-    total = math.fsum(w.ravel().tolist())
-    return _constant_term(s_qual, quantitative.shape[1], config.a, config.b) + total / n**2
+    n, p = qualitative.shape
+    ratio_powers = (config.a / config.b) ** np.arange(p + 1)
+    # np.sum within a row block and fsum across the block partials keep the
+    # closed form and the quadratic form within ~1e-13 at n around 10^3;
+    # weights that overflow (numpy's power gives inf) are refused below
+    with np.errstate(all="ignore"):
+        total = math.fsum(
+            float(np.sum(_row_weights(qualitative, quantitative, rows, ratio_powers)))
+            for rows in _row_blocks(n)
+        )
+        pairs = float(total * np.float64(config.b) ** p / n**2)
+    value = _constant_term(s_qual, quantitative.shape[1], config.a, config.b) + pairs
+    if not math.isfinite(value):
+        raise DomainError(
+            f"the squared discrepancy is {value} for a={config.a}, b={config.b}: "
+            "the kernel weights overflow"
+        )
+    return value
 
 
 def qqd_squared(design: Design, config: CriterionConfig | None = None) -> float:
@@ -253,11 +277,12 @@ class PairCache:
         delta = (2 b^p / n^2) * sum_{r not in {i, j}}
                 (B_ir - B_jr) * (f(x_j, x_r) - f(x_i, x_r)).
 
-    ``delta`` rebuilds B for rows i and j from the level columns, so a
-    proposal costs O(n*m) and no n x n state is kept; ``apply_swap``
-    commits a swap and adds its change to the tracked value, reusing the
-    change just scored for the same swap.  The initial value is one full
-    reduction; afterwards ``value`` is O(1).  The tracked value collects
+    ``delta`` rebuilds B for rows i and j from the level columns with
+    ``_row_weights``, the closed form's routine, so a proposal costs
+    O(n*m) and no n x n state is kept; ``apply_swap`` commits a swap and
+    adds its change to the tracked value, reusing the change just scored
+    for the same swap.  The initial value is ``qqd_squared``'s, bit for
+    bit; afterwards ``value`` is O(1).  The tracked value collects
     rounding from every commit, so callers that need it exact re-verify
     with ``qqd_squared``.  Single-owner mutable: not for concurrent use.
     """
@@ -269,9 +294,9 @@ class PairCache:
         n, p = self.spec.n, self.spec.p
         self._qual = np.array(design.qualitative)
         self._quant = np.array(design.quantitative)
-        self._value = _constant_term(
-            self.spec.qualitative_levels, self.spec.q, a, b
-        ) + float(np.sum(_pair_weights(self._qual, self._quant, a, b))) / n**2
+        self._value = _qqd_squared_arrays(
+            self._qual, self._quant, self.spec.qualitative_levels, self.config
+        )
         self._ratio = a / b
         self._ratio_powers = self._ratio ** np.arange(p + 1)
         self._scale = 2.0 * b**p / n**2
@@ -320,24 +345,15 @@ class PairCache:
         # rows as a strided view instead of a fancy-indexed copy
         lo, hi = min(row_i, row_j), max(row_i, row_j)
         rows = slice(lo, hi + 1, hi - lo)
-        p = self.spec.p
         # f: the swapped column's kernel against every row r, row hi minus row lo;
         # weights: the pair weights of rows lo and hi without that column
-        weights = 1.0
-        if p:
-            same = self._qual == self._qual[rows, None, :]
-            if column < p:
-                f = (self._ratio - 1.0) * (
-                    same[1, :, column] - same[0, :, column].astype(np.float64)
-                )
-                same[:, :, column] = False
-            weights = self._ratio_powers[same.sum(axis=2)]
-        if self.spec.q:
-            kern = _quant_kernel(self._quant, self._quant[rows, None, :])
-            if column >= p:
-                f = kern[1, :, column - p] - kern[0, :, column - p]
-                kern[:, :, column - p] = 1.0
-            weights = weights * kern.prod(axis=2)
+        if column < self.spec.p:
+            same = col[rows, None] == col
+            f = (self._ratio - 1.0) * (same[1] - same[0].astype(np.float64))
+        else:
+            kern = _quant_kernel(col[rows, None], col)
+            f = kern[1] - kern[0]
+        weights = _row_weights(self._qual, self._quant, rows, self._ratio_powers, column)
         f[lo] = f[hi] = 0.0
         change = self._scale * float(np.dot(weights[0] - weights[1], f))
         self._scored = (column, row_i, row_j, change)

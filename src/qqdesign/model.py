@@ -110,8 +110,10 @@ class CriterionConfig:
     b: float = 1.25
 
     def __post_init__(self) -> None:
-        if not (self.a > self.b > 0.0):
-            raise DomainError(f"kernel weights need a > b > 0, got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.a) and self.a > self.b > 0.0):
+            raise DomainError(
+                f"kernel weights need finite a > b > 0, got a={self.a}, b={self.b}"
+            )
 
 
 DEFAULT_CONFIG = CriterionConfig()
@@ -126,11 +128,20 @@ def level_to_unit(level: int, s: int) -> float:
     return (2 * level + 1) / (2 * s)
 
 
+def _lattice_levels(values, s: int) -> np.ndarray:
+    """Integer levels behind lattice values of an s-level factor; -1 marks an off-lattice value."""
+    values = np.asarray(values, dtype=np.float64)
+    level = np.clip(np.rint(values * s - 0.5), 0, s - 1)
+    on = np.abs(values - (2 * level + 1) / (2.0 * s)) <= LATTICE_TOL
+    # float(s - 1) rounds up to s for level counts beyond 2^53
+    level = np.minimum(np.where(on, level, 0).astype(np.uint64), s - 1)
+    return np.where(on, level.astype(np.int64), -1)
+
+
 def unit_to_level(value: float, s: int) -> int:
     """Recover the integer level behind a lattice value; inverse of level_to_unit."""
-    level = int(round(value * s - 0.5))
-    level = min(max(level, 0), s - 1)
-    if abs(value - (2 * level + 1) / (2 * s)) > LATTICE_TOL:
+    level = int(_lattice_levels([value], s)[0])
+    if level < 0:
         raise DomainError(f"value {value!r} is not a lattice point of an {s}-level factor")
     return level
 
@@ -180,13 +191,14 @@ class Design:
         """Integer-level view of the quantitative columns; raises DomainError off-lattice."""
         out = np.empty((self.spec.n, self.spec.q), dtype=np.int64)
         for k, s in enumerate(self.spec.quantitative_levels):
-            for r in range(self.spec.n):
-                try:
-                    out[r, k] = unit_to_level(float(self.quantitative[r, k]), s)
-                except DomainError as exc:
-                    raise DomainError(
-                        f"row {r}, column {self.spec.p + k}: {exc}"
-                    ) from None
+            out[:, k] = _lattice_levels(self.quantitative[:, k], s)
+            bad = np.nonzero(out[:, k] < 0)[0]
+            if bad.size:
+                r = int(bad[0])
+                raise DomainError(
+                    f"row {r}, column {self.spec.p + k}: value {float(self.quantitative[r, k])!r}"
+                    f" is not a lattice point of an {s}-level factor"
+                )
         return out
 
     def is_lattice(self) -> bool:
@@ -271,12 +283,8 @@ def validate_utype(design: Design) -> UTypeReport:
         if k < spec.p:
             col = design.qualitative[:, k]
         else:
-            j = k - spec.p
-            try:
-                col = np.array(
-                    [unit_to_level(float(v), s) for v in design.quantitative[:, j]]
-                )
-            except DomainError:
+            col = _lattice_levels(design.quantitative[:, k - spec.p], s)
+            if col.min() < 0:
                 defects.append(ColumnDefect(k, "non-lattice quantitative column"))
                 continue
         counts = np.bincount(col, minlength=s)

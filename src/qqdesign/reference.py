@@ -96,23 +96,15 @@ class CheckRow:
     expected: float
     computed: float
     tol: float
-    passed: bool
     note: str = ""
 
     @property
     def error(self) -> float:
         return abs(self.computed - self.expected)
 
-
-def _value_row(label: str, expected: float, computed: float, tol: float, note: str = "") -> CheckRow:
-    return CheckRow(
-        label=label,
-        expected=expected,
-        computed=computed,
-        tol=tol,
-        passed=abs(computed - expected) <= tol,
-        note=note,
-    )
+    @property
+    def passed(self) -> bool:
+        return self.error <= self.tol
 
 
 def run_checks(tol: float | None = None) -> list[CheckRow]:
@@ -125,24 +117,24 @@ def run_checks(tol: float | None = None) -> list[CheckRow]:
         design = load_reference_design(name)
         computed = qqd_squared(design)
         row_tol = large_tol if expected > 1 else value_tol
-        rows.append(_value_row(f"qqd^2 {name}", expected, computed, row_tol))
+        rows.append(CheckRow(f"qqd^2 {name}", expected, computed, row_tol))
 
     for name in MCD_NAMES:
         report = _is_mcd(load_reference_design(name))
         note = "" if report.passed else report.defects[0].message
-        rows.append(_value_row(f"is_mcd {name}", 1.0, float(report.passed), 0.0, note))
+        rows.append(CheckRow(f"is_mcd {name}", 1.0, float(report.passed), 0.0, note))
 
     for name, expected in SWD_EXPECTED.items():
         computed = swd(load_reference_design(name), SWD_MODE)
         rows.append(
-            _value_row(f"swd {name}", expected, computed, value_tol, note=f"mode={SWD_MODE}")
+            CheckRow(f"swd {name}", expected, computed, value_tol, note=f"mode={SWD_MODE}")
         )
 
     juxta_qqd = qqd_squared(load_reference_design("juxtaposed_16run_same")) - qqd_squared(
         load_reference_design("juxtaposed_16run_2")
     )
     rows.append(
-        _value_row(
+        CheckRow(
             "ordering qqd^2: duplicated-column variant is worse",
             1.0, float(juxta_qqd > 0), 0.0, f"difference {juxta_qqd:+.6f}",
         )
@@ -151,14 +143,14 @@ def run_checks(tol: float | None = None) -> list[CheckRow]:
         load_reference_design("juxtaposed_16run_2"), SWD_MODE
     )
     rows.append(
-        _value_row(
+        CheckRow(
             "ordering swd: naive criterion prefers the worse design",
             1.0, float(juxta_swd < 0), 0.0, f"difference {juxta_swd:+.6f}",
         )
     )
 
     rows.append(
-        _value_row(
+        CheckRow(
             "lb2(n=4, p=1, q=2, s=4)",
             LB2_CASE["expected"],
             lb2(LB2_CASE["n"], LB2_CASE["p"], LB2_CASE["q"], LB2_CASE["s"]),
@@ -166,7 +158,7 @@ def run_checks(tol: float | None = None) -> list[CheckRow]:
         )
     )
     rows.append(
-        _value_row(
+        CheckRow(
             "lb1 for U(8, 2^7 4^7)",
             LB1_CASE["expected"],
             lb1(DesignSpec(**LB1_CASE["spec"])),

@@ -29,7 +29,6 @@ import numpy as np
 from .bounds import lb
 from .discrepancy import (
     PairCache,
-    _coincidence_matrix,
     _constant_term,
     _quant_kernel,
     qqd_squared,
@@ -296,7 +295,7 @@ def exhaustive_uniform(spec: DesignSpec, cap: int = 10_000_000) -> ExhaustiveRes
         for col in factor_columns[k]:
             arr = np.asarray(col)
             if k < spec.p:
-                mats.append((config.a / config.b) ** _coincidence_matrix(arr[:, None]))
+                mats.append((config.a / config.b) ** (arr[:, None] == arr[None, :]))
             else:
                 x = (2 * arr + 1) / (2 * s)
                 mats.append(_quant_kernel(x[:, None], x[None, :]))

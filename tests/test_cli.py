@@ -160,6 +160,22 @@ def test_eval_rejects_integers_beyond_int64(capsys, tmp_path, text, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (("--a", "inf", "--b", "1"), "kernel weights need finite"),
+        (("--a", "1e308", "--b", "1e-308"), "kernel weights overflow"),
+        (("--criterion", "dd", "--a", "1e308", "--b", "1e-308"), "kernel weights overflow"),
+    ],
+)
+def test_eval_refuses_non_finite_kernel_weights(capsys, weights, message):
+    code, out, err = run(capsys, "eval", "--json", *weights, data_path("mcd_8run_2"))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_search_out_into_a_directory_exits_1(capsys, tmp_path):
     code, _, err = run(
         capsys, "search", "--n", "4", "--p", "1", "--q", "1", "--levels", "2,2",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from qqdesign import (
     DesignSpec,
     DomainError,
     PairCache,
+    balance_pattern,
+    balance_pattern_rowform,
     coincidence_number,
     dd,
     design_from_levels,
@@ -26,7 +29,8 @@ from qqdesign import (
     swd,
     wd_squared,
 )
-from qqdesign.reference import load_reference_design
+from qqdesign import discrepancy
+from qqdesign.reference import DESIGN_NAMES, load_reference_design
 
 # specs for randomized cross-checks; all have N <= 10^4
 RANDOM_SPECS = [
@@ -106,9 +110,12 @@ def test_diagonal_terms_contribute_three_halves_power():
     # the i = j terms of the double sum contribute (1/n)(3/2)^(p+q)
     design = load_reference_design("mcd_16run_3")
     n, p, q = design.spec.n, design.spec.p, design.spec.q
-    from qqdesign.discrepancy import _constant_term, _pair_weights
+    from qqdesign.discrepancy import _constant_term, _row_weights
 
-    w = _pair_weights(design.qualitative, design.quantitative, 1.5, 1.25)
+    ratio_powers = (1.5 / 1.25) ** np.arange(p + 1)
+    w = 1.25**p * _row_weights(
+        design.qualitative, design.quantitative, slice(None), ratio_powers
+    )
     off_diag = w - np.diag(np.diag(w))
     value_without_diag = (
         _constant_term(design.spec.qualitative_levels, q, 1.5, 1.25)
@@ -117,6 +124,62 @@ def test_diagonal_terms_contribute_three_halves_power():
     assert qqd_squared(design) - value_without_diag == pytest.approx(
         (1 / n) * 1.5 ** (p + q), abs=1e-12
     )
+
+
+def _dense_qqd_squared(design, a=1.5, b=1.25):
+    """The closed form written out: one n x n product, summed with fsum."""
+    spec = design.spec
+    w = np.full((spec.n, spec.n), b**spec.p)
+    for col in design.qualitative.T:
+        w = w * np.where(col[:, None] == col[None, :], a / b, 1.0)
+    for col in design.quantitative.T:
+        d = np.abs(col[:, None] - col[None, :])
+        w = w * (1.5 - d + d * d)
+    head = math.prod((a + (s - 1) * b) / s for s in spec.qualitative_levels)
+    return -head * (4 / 3) ** spec.q + math.fsum(w.ravel().tolist()) / spec.n**2
+
+
+def test_closed_form_over_row_blocks_matches_dense_sum():
+    n = 600
+    step = discrepancy.PAIR_BLOCK // n
+    assert n > step and n % step  # several blocks, the last one short
+    design = random_utype(DesignSpec(n=n, p=2, q=2, levels=(3, 4, 600, 5)), 3)
+    assert abs(qqd_squared(design) - _dense_qqd_squared(design)) < 1e-12
+    config = CriterionConfig(a=2.0, b=0.5)
+    assert abs(qqd_squared(design, config) - _dense_qqd_squared(design, 2.0, 0.5)) < 1e-12
+
+
+def test_closed_form_does_not_depend_on_the_block_size(monkeypatch):
+    design = random_utype(DesignSpec(n=24, p=2, q=2, levels=(4, 4, 2, 2)), 5)
+    value, pattern = qqd_squared(design), balance_pattern_rowform(design)
+    monkeypatch.setattr(discrepancy, "PAIR_BLOCK", 50)  # blocks of two rows
+    assert qqd_squared(design) == pytest.approx(value, abs=1e-15)
+    assert balance_pattern_rowform(design) == pattern
+    assert pattern.aggregate == balance_pattern(design).aggregate
+
+
+def test_closed_form_peak_memory_is_below_one_dense_matrix():
+    n = 2048
+    design = random_utype(DesignSpec(n=n, p=2, q=2, levels=(4, 8, n, 16)), 0)
+    tracemalloc.start()
+    try:
+        qqd_squared(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # one dense n x n float64 array: 32 MB
+
+
+def test_pair_cache_starts_at_the_closed_form_value_bit_for_bit():
+    designs = [load_reference_design(name) for name in DESIGN_NAMES]
+    for seed in range(20):
+        designs.append(random_utype(DesignSpec(n=12, p=2, q=1, levels=(3, 2, 12)), seed))
+        designs.append(random_utype(DesignSpec(n=8, p=0, q=2, levels=(8, 4)), seed))
+        designs.append(random_utype(DesignSpec(n=9, p=1, q=0, levels=(3,)), seed))
+    for design in designs:
+        assert PairCache(design).value() == qqd_squared(design)
+    config = CriterionConfig(a=2.0, b=0.5)
+    assert PairCache(designs[0], config).value() == qqd_squared(designs[0], config)
 
 
 # -------------------------------------------------------------- kernel_matrix

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qqdesign import (
+    CriterionConfig,
     CapacityError,
     Design,
     DesignSpec,
@@ -84,6 +85,36 @@ def test_level_to_unit_out_of_range():
         level_to_unit(-1, 4)
     with pytest.raises(DomainError):
         unit_to_level(0.3, 2)
+    for value in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="not a lattice point"):
+            unit_to_level(value, 2)
+
+
+def test_lattice_decoding_is_exact_at_the_int64_level_count():
+    s = 2**63 - 1
+    values = [[level_to_unit(0, s)], [level_to_unit(s - 1, s)]]
+    design = design_from_raw(DesignSpec(n=2, p=0, q=1, levels=(s,)), [[], []], values)
+    assert design.quantitative_as_levels()[:, 0].tolist() == [0, s - 1]
+    assert unit_to_level(1.0, s) == s - 1
+
+
+def test_quantitative_as_levels_names_the_first_off_lattice_entry():
+    spec = DesignSpec(n=3, p=1, q=2, levels=(3, 3, 3))
+    design = design_from_raw(spec, [[0], [1], [2]], [[0.5, 1 / 6], [0.5, 0.4], [0.3, 5 / 6]])
+    with pytest.raises(DomainError, match=r"row 2, column 1: value 0.3 is not a lattice point"):
+        design.quantitative_as_levels()
+    assert not design.is_lattice()
+    report = validate_utype(design)
+    assert [d.column for d in report.defects] == [1, 2]
+    assert all(d.message == "non-lattice quantitative column" for d in report.defects)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan), (1.0, 1.0)]
+)
+def test_criterion_config_refuses_non_finite_or_unordered_weights(a, b):
+    with pytest.raises(DomainError, match="kernel weights need finite a > b > 0"):
+        CriterionConfig(a=a, b=b)
 
 
 # --------------------------------------------------------------- constructors
