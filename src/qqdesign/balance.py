@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .discrepancy import _lattice_kernel, _qualitative_head, _row_blocks, _row_weights
+from .discrepancy import _lattice_kernel, _qualitative_head, _row_blocks
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, Design, validate_utype
 
@@ -114,22 +114,30 @@ def balance_pattern(design: Design) -> BalancePattern:
     return BalancePattern(aggregate=tuple(aggregate), components=components)
 
 
+def _agreement_histogram(levels: np.ndarray) -> np.ndarray:
+    """Entry k: the number of ordered row pairs agreeing on exactly k columns (exact)."""
+    n, m = levels.shape
+    counts, no_quant = np.arange(m + 1), np.zeros((n, 0))  # weight k agreements by k
+    # each unordered pair is built once, so the pairs i != j count twice
+    return sum(
+        np.bincount(square.ravel(), minlength=m + 1)
+        + 2 * np.bincount(rest.ravel(), minlength=m + 1)
+        for square, rest in _row_blocks(levels, no_quant, counts)
+    )
+
+
 def _size_sums(design: Design) -> list[Fraction]:
     """Exact sum of the components over all k-column subsets (index k-1).
 
     A subset contributes to the pair (i, j) iff the rows agree on all its
     columns, so the subset sum collapses to binomials of the per-pair
-    agreement count, histogrammed one row block at a time; only the
-    uniform reference term still needs the per-size column split.
+    agreement count (``_agreement_histogram``); only the uniform reference
+    term still needs the per-size column split.
     """
     spec = design.spec
     levels, s1, s2 = _two_type_levels(design)
     n, p, q, m = spec.n, spec.p, spec.q, spec.m
-    counts, no_quant = np.arange(m + 1), np.zeros((n, 0))  # weight k agreements by k
-    agree_hist = sum(
-        np.bincount(_row_weights(levels, no_quant, rows, counts).ravel(), minlength=m + 1)
-        for rows in _row_blocks(n)
-    )
+    agree_hist = _agreement_histogram(levels)
     sums = []
     for k in range(1, m + 1):
         pairs = sum(

@@ -14,10 +14,14 @@ agree, the double sum includes i = j, and
 C = -prod_k [(a + (s_k - 1) b)/s_k] * (4/3)^q.
 
 One routine, ``_row_weights``, builds the kernel products of a block of
-rows against all n rows.  The closed form sums it block by block
-(``np.sum`` per block, ``math.fsum`` across the block partials), so its
-memory is O(n*B) for blocks of B rows; the swap evaluator and the balance
-pattern's agreement histogram use the same routine.  Setting p = 0
+rows against a range of rows.  Since the kernel is symmetric in i and j,
+``_row_blocks`` builds each unordered pair once: a block of rows [s, e)
+against rows [s, n), split into its square part (rows [s, e)) and the
+rest.  The closed form is the sum of the square parts plus twice the sum
+of the rests (``np.sum`` per part, ``math.fsum`` across the parts), so
+its memory is O(n*B) for blocks of B rows; the balance pattern's
+agreement histogram uses the same traversal, and the swap evaluator
+takes its two rows from ``_row_weights`` against all n.  Setting p = 0
 recovers the wrap-around discrepancy (WD), q = 0 the discrete
 discrepancy (DD).  For lattice designs the same value is a quadratic
 form y' A y in the frequency vector y, with A a Kronecker product of
@@ -41,7 +45,11 @@ from .model import (
 )
 
 QUADRATIC_FORM_CAP = 10_000  # largest N for which the quadratic form is evaluated
-PAIR_BLOCK = 1 << 18  # pair entries the closed form holds at a time
+# pair entries a row block holds at a time: at 2^15 a float64 temporary is
+# 256 KB, so a block's few live temporaries fit a 2 MB per-core L2 cache;
+# timed over 2^13..2^18 at n = 1024 and 2048 (2-vCPU Xeon), 2^14..2^16 were
+# equally fast and 2^18 about twice as slow
+PAIR_BLOCK = 1 << 15
 
 
 def coincidence_number(design: Design, i: int, j: int) -> int:
@@ -63,8 +71,8 @@ def _lattice_kernel(d, s):
     return 1.5 - d * (s - d) / s**2
 
 
-def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None):
-    """Kernel products (a/b)^delta prod_k f_k of the rows ``rows`` against all n rows.
+def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None, start=0):
+    """Kernel products (a/b)^delta prod_k f_k of the rows ``rows`` against rows start..n-1.
 
     b^p is left out, and so is column ``skip`` (0-based, qualitative
     first) when given.  ``ratio_powers[k]`` is the weight of k agreements;
@@ -74,23 +82,35 @@ def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None):
     agree = weights = None
     for k in range(p):
         if k != skip:
-            same = qualitative[rows, k, None] == qualitative[:, k]
+            same = qualitative[rows, k, None] == qualitative[start:, k]
             agree = same.astype(np.intp) if agree is None else np.add(agree, same, out=agree)
     for k in range(quantitative.shape[1]):
         if p + k != skip:
-            kern = _quant_kernel(quantitative[rows, k, None], quantitative[:, k])
+            kern = _quant_kernel(quantitative[rows, k, None], quantitative[start:, k])
             weights = kern if weights is None else np.multiply(weights, kern, out=weights)
     if agree is not None:
         weights = ratio_powers[agree] if weights is None else weights * ratio_powers[agree]
     if weights is None:  # the only column is skipped
-        weights = np.ones((qualitative[rows].shape[0], qualitative.shape[0]))
+        weights = np.ones((qualitative[rows].shape[0], qualitative.shape[0] - start))
     return weights
 
 
-def _row_blocks(n: int):
-    """Slices of consecutive rows holding about PAIR_BLOCK pair entries each."""
+def _row_blocks(qualitative, quantitative, ratio_powers):
+    """Each unordered row pair once: ``_row_weights`` over row blocks, split at the diagonal.
+
+    For a block of rows [s, e) yields ``(square, rest)``, its kernel
+    products against rows [s, e) and against rows [e, n).  Every pair
+    (i, j) with i < j lies in exactly one ``rest``, so the full double sum
+    over i and j is the sum of the squares plus twice the sum of the rests.
+    A block holds at most PAIR_BLOCK entries, so memory is O(n*B).
+    """
+    n = qualitative.shape[0]
     step = max(1, PAIR_BLOCK // n)
-    return (slice(start, start + step) for start in range(0, n, step))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        weights = _row_weights(qualitative, quantitative, rows, ratio_powers, start=start)
+        size = weights.shape[0]
+        yield weights[:, :size], weights[:, size:]
 
 
 def _qualitative_head(s_qual, a, b):
@@ -107,16 +127,21 @@ def _qqd_squared_arrays(
 ) -> float:
     n, p = qualitative.shape
     ratio_powers = (config.a / config.b) ** np.arange(p + 1)
-    # np.sum within a row block and fsum across the block partials keep the
-    # closed form and the quadratic form within ~1e-13 at n around 10^3;
-    # weights that overflow (numpy's power gives inf) are refused below
+    # np.sum per square part and per rest, and fsum across those partials,
+    # keep the closed form and the quadratic form within ~1e-13 at n around
+    # 10^3; weights that overflow (numpy's power gives inf) are refused below
     with np.errstate(all="ignore"):
-        total = math.fsum(
-            float(np.sum(_row_weights(qualitative, quantitative, rows, ratio_powers)))
-            for rows in _row_blocks(n)
-        )
+        partials = []
+        for square, rest in _row_blocks(qualitative, quantitative, ratio_powers):
+            partials += (float(np.sum(square)), 2.0 * float(np.sum(rest)))
+        total = math.fsum(partials)
         pairs = float(total * np.float64(config.b) ** p / n**2)
     value = _constant_term(s_qual, quantitative.shape[1], config.a, config.b) + pairs
+    return _finite(value, config)
+
+
+def _finite(value: float, config: CriterionConfig) -> float:
+    """``value``, refused with DomainError when the kernel weights overflowed it."""
     if not math.isfinite(value):
         raise DomainError(
             f"the squared discrepancy is {value} for a={config.a}, b={config.b}: "
@@ -258,12 +283,13 @@ def qqd_squared_quadratic(
         )
     y = frequency_vector(design).counts.astype(np.float64)
     z = y.reshape(spec.levels)
-    for k in range(spec.m):
-        A = kernel_matrix(k, spec, config).entries
-        z = np.moveaxis(np.tensordot(A, z, axes=(1, k)), 0, k)
-    value = float(np.dot(y, z.ravel()))
+    with np.errstate(all="ignore"):  # overflow is refused by _finite
+        for k in range(spec.m):
+            A = kernel_matrix(k, spec, config).entries
+            z = np.moveaxis(np.tensordot(A, z, axes=(1, k)), 0, k)
+        value = float(np.dot(y, z.ravel()))
     C = _constant_term(spec.qualitative_levels, spec.q, config.a, config.b)
-    return C + value / spec.n**2
+    return _finite(C + value / spec.n**2, config)
 
 
 class PairCache:

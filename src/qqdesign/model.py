@@ -175,7 +175,7 @@ class Design:
             if bad.size:
                 r = int(bad[0])
                 raise DomainError(
-                    f"quantitative entry {col[r]!r} at row {r}, column {self.spec.p + k} "
+                    f"quantitative entry {float(col[r])!r} at row {r}, column {self.spec.p + k} "
                     "outside [0, 1]"
                 )
         qual.setflags(write=False)
@@ -240,7 +240,9 @@ def design_from_levels(
                 f"quantitative level {col[r]} at row {r}, column {spec.p + k} "
                 f"outside 0..{s - 1}"
             )
-        values[:, k] = (2 * col + 1) / (2 * s)
+        # equals (2*level + 1)/(2*s) for s below 2^52, and unlike that
+        # int64 expression does not wrap from level 2^62 on
+        values[:, k] = (col + 0.5) / s
     return Design(spec, np.asarray(qualitative_levels), values)
 
 

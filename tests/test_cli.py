@@ -176,6 +176,15 @@ def test_eval_refuses_non_finite_kernel_weights(capsys, weights, message):
     assert "Traceback" not in err
 
 
+def test_eval_prints_an_out_of_range_quantitative_entry_as_a_plain_float(capsys, tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("2 1 1\n2 2\n0 1.5\n1 0.25\n")
+    code, out, err = run(capsys, "eval", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: quantitative entry 1.5 at row 0, column 1 outside [0, 1]\n"
+
+
 def test_search_out_into_a_directory_exits_1(capsys, tmp_path):
     code, _, err = run(
         capsys, "search", "--n", "4", "--p", "1", "--q", "1", "--levels", "2,2",

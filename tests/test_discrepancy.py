@@ -29,7 +29,7 @@ from qqdesign import (
     swd,
     wd_squared,
 )
-from qqdesign import discrepancy
+from qqdesign import balance, discrepancy
 from qqdesign.reference import DESIGN_NAMES, load_reference_design
 
 # specs for randomized cross-checks; all have N <= 10^4
@@ -170,6 +170,71 @@ def test_closed_form_peak_memory_is_below_one_dense_matrix():
     assert peak < n * n * 8  # one dense n x n float64 array: 32 MB
 
 
+def test_row_weights_from_a_column_start_match_the_full_rows():
+    ratio_powers = (1.5 / 1.25) ** np.arange(3)
+    mixed = random_utype(DesignSpec(n=24, p=2, q=2, levels=(4, 3, 24, 8)), 2)
+    lone = random_utype(DesignSpec(n=6, p=1, q=0, levels=(3,)), 2)
+    blocks = [(slice(5, 9), 5), (slice(0, 24), 0), (slice(20, 24), 20), (slice(3, 4), 10)]
+    cases = [(mixed, rows, start, skip) for rows, start in blocks for skip in (None, 0, 3)]
+    cases += [(lone, slice(2, 4), 2, None), (lone, slice(2, 4), 2, 0)]  # skip 0: all ones
+    for design, rows, start, skip in cases:
+        qual, quant = design.qualitative, design.quantitative
+        full = discrepancy._row_weights(qual, quant, rows, ratio_powers, skip)
+        part = discrepancy._row_weights(qual, quant, rows, ratio_powers, skip, start)
+        assert part.shape == full[:, start:].shape
+        assert part.tobytes() == full[:, start:].tobytes()
+
+
+def test_closed_form_builds_each_unordered_pair_once(monkeypatch):
+    n = 600
+    step = discrepancy.PAIR_BLOCK // n
+    design = random_utype(DesignSpec(n=n, p=2, q=1, levels=(3, 4, n)), 1)
+    built = []
+    row_weights = discrepancy._row_weights
+
+    def counted(*args, **kwargs):
+        weights = row_weights(*args, **kwargs)
+        built.append(weights.size)
+        return weights
+
+    monkeypatch.setattr(discrepancy, "_row_weights", counted)
+    qqd_squared(design)
+    assert len(built) > 1
+    # block [s, s + step) against rows [s, n): n(n + step)/2 in all when
+    # step divides n, where full rows would build n^2
+    assert sum(built) <= n * (n + 1) // 2 + n * step // 2
+
+
+def test_single_block_closed_form_is_one_sum_bit_for_bit():
+    designs = [
+        load_reference_design("mcd_16run_3"),
+        random_utype(DesignSpec(n=180, p=2, q=1, levels=(3, 4, 180)), 4),
+        random_utype(DesignSpec(n=180, p=0, q=2, levels=(180, 6)), 4),
+    ]
+    for design in designs:
+        spec = design.spec
+        n, p = spec.n, spec.p
+        assert n <= discrepancy.PAIR_BLOCK // n  # one block
+        w = discrepancy._row_weights(
+            design.qualitative, design.quantitative, slice(None), (1.5 / 1.25) ** np.arange(p + 1)
+        )
+        C = discrepancy._constant_term(spec.qualitative_levels, spec.q, 1.5, 1.25)
+        assert qqd_squared(design) == C + float(float(np.sum(w)) * np.float64(1.25) ** p / n**2)
+
+
+def test_agreement_histogram_over_several_blocks_counts_every_ordered_pair():
+    n = 200
+    step = discrepancy.PAIR_BLOCK // n
+    assert n > step and n % step  # several blocks, the last one short
+    design = random_utype(DesignSpec(n=n, p=3, q=2, levels=(4, 4, 4, 2, 2)), 6)
+    levels = design.all_levels()
+    hist = balance._agreement_histogram(levels)
+    assert int(hist.sum()) == n * n
+    agree = (levels[:, None, :] == levels[None, :, :]).sum(axis=2)
+    assert hist.tolist() == np.bincount(agree.ravel(), minlength=6).tolist()
+    assert balance_pattern_rowform(design).aggregate == balance_pattern(design).aggregate
+
+
 def test_pair_cache_starts_at_the_closed_form_value_bit_for_bit():
     designs = [load_reference_design(name) for name in DESIGN_NAMES]
     for seed in range(20):
@@ -228,6 +293,13 @@ def test_quadratic_equals_closed_form_on_reference_designs():
         assert qqd_squared_quadratic(design) == pytest.approx(
             qqd_squared(design), abs=1e-10
         )
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadratic_form_refuses_non_finite_kernel_weights():
+    design = load_reference_design("mcd_16run_3")
+    with pytest.raises(DomainError, match="kernel weights overflow"):
+        qqd_squared_quadratic(design, CriterionConfig(a=1e308, b=1e-308))
 
 
 def test_quadratic_full_factorial_exact_value():

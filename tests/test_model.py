@@ -144,6 +144,17 @@ def test_design_from_levels_reports_location():
         design_from_levels(spec, [[2], [1]], [[0], [1]])
 
 
+@pytest.mark.parametrize("s", [2, 3, 2**53 + 1, 2**62, 2**63 - 1])
+def test_design_from_levels_places_levels_up_to_the_int64_level_count(s):
+    levels = [0, 1, s // 2, s - 2, s - 1]
+    spec = DesignSpec(n=len(levels), p=0, q=1, levels=(s,))
+    design = design_from_levels(spec, [[]] * len(levels), [[x] for x in levels])
+    for x, value in zip(levels, design.quantitative[:, 0].tolist()):
+        assert 0.0 <= value <= 1.0
+        expected = level_to_unit(x, s)
+        assert abs(value - expected) <= math.ulp(expected)
+
+
 def test_design_from_raw_axial_transform():
     r2 = math.sqrt(2)
     transform = lambda x: (x + r2) / (2 * r2)
