@@ -4,8 +4,10 @@ Subcommands: eval, bounds, balance, compare, search, reproduce.  Exit
 codes: 0 success, 1 usage, parse or file error, 2 domain/structure/capacity
 error, 3 reproduction failure, 4 search finished without reaching the
 lower bound, 5 the search's incrementally tracked objective disagreed
-with its full recomputation (an internal fault).  Values print at six
-decimals (banker's rounding); --json emits full precision.
+with its full recomputation (an internal fault).  eval refuses, with exit
+1, a flag its criterion would ignore: --a and --b with wd or swd, and
+--swd-mode with any criterion but swd.  Values print at six decimals
+(banker's rounding); --json emits full precision.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .discrepancy import (
     wd_squared,
 )
 from .errors import DomainError, DriftError, ParseError, QQDesignError
-from .model import CriterionConfig, DesignSpec
+from .model import DEFAULT_CONFIG, CriterionConfig, DesignSpec
 from .reference import run_checks
 from .search import SearchConfig, search_uniform
 
@@ -98,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--criterion", choices=("qqd", "wd", "dd", "swd"), default="qqd"
     )
-    p_eval.add_argument("--a", type=float, default=1.5, help="same-level kernel weight")
-    p_eval.add_argument("--b", type=float, default=1.25, help="different-level kernel weight")
+    # None marks a weight not given, so a criterion that ignores it can refuse it
+    p_eval.add_argument("--a", type=float, default=None, help="same-level kernel weight")
+    p_eval.add_argument("--b", type=float, default=None, help="different-level kernel weight")
     p_eval.add_argument("--swd-mode", choices=SWD_MODES, default=None)
 
     p_bounds = sub.add_parser("bounds", parents=[common], help="lower bounds for a spec")
@@ -133,14 +136,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args) -> int:
+# criterion -> (text label, eval flags it reads, its value).  The lambdas look
+# the library functions up in this module at call time, so rebinding those
+# names here (as the benchmark's tracer does) reaches every call.
+_CRITERIA = {
+    "qqd": ("qqd^2", ("a", "b"), lambda design, config, mode: qqd_squared(design, config)),
+    "wd": ("wd^2", (), lambda design, config, mode: wd_squared(design)),
+    "dd": ("dd", ("a", "b"), lambda design, config, mode: dd(design, config)),
+    "swd": ("swd ({mode})", ("swd_mode",), lambda design, config, mode: swd(design, mode)),
+}
+
+
+def _cmd_eval(args):
+    label, reads, value_of = _CRITERIA[args.criterion]
+    for flag in ("a", "b", "swd_mode"):
+        if getattr(args, flag) is not None and flag not in reads:
+            name = "--" + flag.replace("_", "-")
+            raise ParseError(f"{name} does not apply to --criterion {args.criterion}")
     design = read_design(args.file)
-    config = CriterionConfig(a=args.a, b=args.b)
-    out: dict = {"criterion": args.criterion}
+    config = CriterionConfig(
+        a=DEFAULT_CONFIG.a if args.a is None else args.a,
+        b=DEFAULT_CONFIG.b if args.b is None else args.b,
+    )
+    if "swd_mode" in reads and args.swd_mode is None:
+        raise DomainError("--swd-mode is required with --criterion swd")
+    value = value_of(design, config, args.swd_mode)
+    out: dict = {"criterion": args.criterion, "value": value}
+    lines = [f"{label.format(mode=args.swd_mode)} = {value:.6f}"]
+    if "swd_mode" in reads:
+        out["mode"] = args.swd_mode
     if args.criterion == "qqd":
-        value = qqd_squared(design, config)
-        out["value"] = value
-        lines = [f"qqd^2 = {value:.6f}"]
         if design.is_lattice() and design.spec.N <= QUADRATIC_FORM_CAP:
             quad = qqd_squared_quadratic(design, config)
             out["quadratic_value"] = quad
@@ -150,29 +175,10 @@ def _cmd_eval(args) -> int:
             )
         else:
             lines.append("quadratic form not applicable (non-lattice design or N over cap)")
-    elif args.criterion == "wd":
-        value = wd_squared(design)
-        out["value"] = value
-        lines = [f"wd^2 = {value:.6f}"]
-    elif args.criterion == "dd":
-        value = dd(design, config)
-        out["value"] = value
-        lines = [f"dd = {value:.6f}"]
-    else:
-        if args.swd_mode is None:
-            raise DomainError("--swd-mode is required with --criterion swd")
-        value = swd(design, args.swd_mode)
-        out["value"] = value
-        out["mode"] = args.swd_mode
-        lines = [f"swd ({args.swd_mode}) = {value:.6f}"]
-    if args.json:
-        print(json.dumps(out))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, out, lines
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     spec = _spec_from_args(args)
     report = lb(spec)
     out = {
@@ -191,33 +197,24 @@ def _cmd_bounds(args) -> int:
         ff = full_factorial_qqd(spec)
         out["full_factorial"] = ff
         lines.append(f"full factorial qqd^2 = {ff:.6f} (n is a multiple of N)")
-    if args.json:
-        print(json.dumps(out))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, out, lines
 
 
-def _cmd_balance(args) -> int:
-    design = read_design(args.file)
-    pattern = balance_pattern(design)
-    if args.json:
-        out = {"aggregate": list(pattern.aggregate)}
-        if args.components:
-            out["components"] = {
-                ",".join(map(str, cols)): v for cols, v in pattern.components.items()
-            }
-        print(json.dumps(out))
-        return EXIT_OK
-    for k, value in enumerate(pattern.aggregate, start=1):
-        print(f"B_{k} = {value:.6f}")
+def _cmd_balance(args):
+    pattern = balance_pattern(read_design(args.file))
+    out: dict = {"aggregate": list(pattern.aggregate)}
+    lines = [f"B_{k} = {value:.6f}" for k, value in enumerate(pattern.aggregate, start=1)]
     if args.components:
-        for cols, value in sorted(pattern.components.items()):
-            print(f"  columns {cols}: {value:.6f}")
-    return EXIT_OK
+        out["components"] = {
+            ",".join(map(str, cols)): v for cols, v in pattern.components.items()
+        }
+        lines.extend(
+            f"  columns {cols}: {value:.6f}" for cols, value in sorted(pattern.components.items())
+        )
+    return EXIT_OK, out, lines
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     designs = [(path, read_design(path)) for path in args.files]
     spec = designs[0][1].spec
     for path, design in designs[1:]:
@@ -228,33 +225,23 @@ def _cmd_compare(args) -> int:
         ((qqd_squared(d), path) for path, d in designs), key=lambda t: (t[0], t[1])
     )
     rows = []
+    lines = []
     rank = 0
     previous = None
     for i, (value, path) in enumerate(scored, start=1):
         if previous is None or abs(value - previous) > args.tol:
             rank = i
         previous = value
-        rows.append(
-            {
-                "rank": rank,
-                "file": path,
-                "qqd_squared": value,
-                "gap": None if bound is None else value - bound,
-            }
-        )
-    if args.json:
-        print(json.dumps(rows))
-        return EXIT_OK
-    ties = len({r["rank"] for r in rows}) < len(rows)
-    for r in rows:
-        gap = "      n/a" if r["gap"] is None else f"{r['gap']:9.6f}"
-        print(f"{r['rank']:>4}  {r['qqd_squared']:.6f}  {gap}  {r['file']}")
-    if ties:
-        print("note: equal ranks are ties")
-    return EXIT_OK
+        gap = None if bound is None else value - bound
+        rows.append({"rank": rank, "file": path, "qqd_squared": value, "gap": gap})
+        gap_text = "      n/a" if gap is None else f"{gap:9.6f}"
+        lines.append(f"{rank:>4}  {value:.6f}  {gap_text}  {path}")
+    if len({r["rank"] for r in rows}) < len(rows):
+        lines.append("note: equal ranks are ties")
+    return EXIT_OK, rows, lines
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     spec = _spec_from_args(args)
     config = SearchConfig(budget=args.budget, restarts=args.restarts, seed=args.seed)
     result = search_uniform(spec, config)
@@ -270,38 +257,38 @@ def _cmd_search(args) -> int:
         "stats": {**dataclasses.asdict(result.stats), "accepted": result.stats.accepted},
         "out": args.out,
     }
-    if args.json:
-        print(json.dumps(out))
-    else:
-        print(f"best qqd^2 = {result.best_value:.6f}")
-        print(f"bound      = {result.bound:.6f} ({result.bound_source})")
-        print(f"gap        = {result.gap:.6e}")
-        print(f"terminated by {result.terminated_by}")
-        if args.out:
-            print(f"wrote {args.out}")
+    lines = [
+        f"best qqd^2 = {result.best_value:.6f}",
+        f"bound      = {result.bound:.6f} ({result.bound_source})",
+        f"gap        = {result.gap:.6e}",
+        f"terminated by {result.terminated_by}",
+    ]
+    if args.out:
+        lines.append(f"wrote {args.out}")
     attained = result.terminated_by == "bound" or result.gap <= config.bound_tol
-    return EXIT_OK if attained else EXIT_BOUND_NOT_REACHED
+    return (EXIT_OK if attained else EXIT_BOUND_NOT_REACHED), out, lines
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args):
     rows = run_checks(tol=args.tol)
-    if args.json:
-        keys = ("label", "expected", "computed", "error", "tol", "passed", "note")
-        print(json.dumps([{key: getattr(r, key) for key in keys} for r in rows]))
-    else:
-        width = max(len(r.label) for r in rows)
-        for r in rows:
-            status = "PASS" if r.passed else "FAIL"
-            note = f"  [{r.note}]" if r.note else ""
-            print(
-                f"{status}  {r.label:<{width}}  expected {r.expected:>9.4f}"
-                f"  computed {r.computed:>11.6f}  |err| {r.error:.2e}{note}"
-            )
-        passed = sum(r.passed for r in rows)
-        print(f"{passed}/{len(rows)} checks passed")
-    return EXIT_OK if all(r.passed for r in rows) else EXIT_REPRODUCE
+    keys = ("label", "expected", "computed", "error", "tol", "passed", "note")
+    width = max(len(r.label) for r in rows)
+    lines = []
+    for r in rows:
+        status = "PASS" if r.passed else "FAIL"
+        note = f"  [{r.note}]" if r.note else ""
+        lines.append(
+            f"{status}  {r.label:<{width}}  expected {r.expected:>9.4f}"
+            f"  computed {r.computed:>11.6f}  |err| {r.error:.2e}{note}"
+        )
+    passed = sum(r.passed for r in rows)
+    lines.append(f"{passed}/{len(rows)} checks passed")
+    code = EXIT_OK if passed == len(rows) else EXIT_REPRODUCE
+    return code, [{key: getattr(r, key) for key in keys} for r in rows], lines
 
 
+# Each command returns (exit code, --json payload, text lines) and prints
+# nothing itself; main prints one of the two forms.
 _COMMANDS = {
     "eval": _cmd_eval,
     "bounds": _cmd_bounds,
@@ -311,15 +298,20 @@ _COMMANDS = {
     "reproduce": _cmd_reproduce,
 }
 
+# built once per process: argparse looks sys.stdout and sys.stderr up when it
+# prints, so redirecting them after import still captures its output
+_PARSER = build_parser()
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code, payload, lines = _COMMANDS[args.command](args)
+        print(json.dumps(payload) if args.json else "\n".join(lines))
+        return code
     except (ParseError, OSError) as exc:
         code, message = EXIT_USAGE, str(exc)
     except DriftError as exc:

@@ -124,14 +124,13 @@ def read_design(path) -> Design:
     return loads_design_text(text)
 
 
-def _quant_tokens(design: Design) -> list[list[str]]:
-    """Integer level tokens where a column is lattice-valued, decimals otherwise."""
+def _quant_values(design: Design) -> list[list]:
+    """Per quantitative column: int levels where it is lattice-valued, float values otherwise."""
     spec = design.spec
-    cols: list[list[str]] = []
+    cols: list[list] = []
     for j, s in enumerate(spec.quantitative_levels):
         levels = _lattice_levels(design.quantitative[:, j], s)
-        values = levels if levels.min() >= 0 else design.quantitative[:, j]
-        cols.append([repr(v) for v in values.tolist()])
+        cols.append((levels if levels.min() >= 0 else design.quantitative[:, j]).tolist())
     return cols
 
 
@@ -142,24 +141,21 @@ def dumps_design_text(design: Design, comment: str | None = None) -> str:
         lines.extend(f"# {line}" for line in comment.splitlines())
     lines.append(f"{spec.n} {spec.p} {spec.q}")
     lines.append(" ".join(str(s) for s in spec.levels))
-    quant_cols = _quant_tokens(design)
+    quant_cols = _quant_values(design)
     for r in range(spec.n):
         parts = [str(int(v)) for v in design.qualitative[r]]
-        parts.extend(quant_cols[j][r] for j in range(spec.q))
+        parts.extend(repr(quant_cols[j][r]) for j in range(spec.q))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
 def design_to_json_dict(design: Design) -> dict:
     spec = design.spec
-    quant_cols = _quant_tokens(design)
-    rows = []
-    for r in range(spec.n):
-        row: list = [int(v) for v in design.qualitative[r]]
-        for j in range(spec.q):
-            tok = quant_cols[j][r]
-            row.append(int(tok) if _is_int_token(tok) else float(tok))
-        rows.append(row)
+    quant_cols = _quant_values(design)
+    rows = [
+        [int(v) for v in design.qualitative[r]] + [quant_cols[j][r] for j in range(spec.q)]
+        for r in range(spec.n)
+    ]
     return {
         "n": spec.n,
         "p": spec.p,

@@ -18,7 +18,7 @@ class CapacityError(QQDesignError, RuntimeError):
 
 
 class ParseError(QQDesignError, ValueError):
-    """A design file is malformed; the message locates the problem."""
+    """A design file or a command-line value is malformed; the message locates the problem."""
 
 
 class DriftError(QQDesignError, RuntimeError):

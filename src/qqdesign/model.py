@@ -36,9 +36,7 @@ class DesignSpec:
 
     The first ``p`` entries of ``levels`` are the qualitative level
     counts, the remaining ``q`` the quantitative ones.  ``N`` is the
-    number of level combinations; ``t`` is ``p`` plus the number of
-    odd-level quantitative factors (the split used by the analytic
-    bounds).
+    number of level combinations.
     """
 
     n: int
@@ -69,10 +67,6 @@ class DesignSpec:
     def N(self) -> int:
         """Number of level combinations (exact integer arithmetic)."""
         return math.prod(self.levels)
-
-    @property
-    def t(self) -> int:
-        return self.p + sum(1 for s in self.quantitative_levels if s % 2 == 1)
 
     @property
     def qualitative_levels(self) -> tuple[int, ...]:
@@ -119,20 +113,29 @@ class CriterionConfig:
 DEFAULT_CONFIG = CriterionConfig()
 
 
+def _unit(level, s: int):
+    """(2*level + 1)/(2*s) for a level, or an array of levels, of an s-level factor.
+
+    Bit-identical to that expression for s up to 2^52, and unlike it in
+    int64 does not wrap from level 2^62 on.
+    """
+    return (level + 0.5) / s
+
+
 def level_to_unit(level: int, s: int) -> float:
     """Place ``level`` of an s-level factor at (2*level + 1)/(2*s) in (0, 1)."""
     if s < 1:
         raise DomainError(f"level count must be >= 1, got {s}")
     if not 0 <= level < s:
         raise DomainError(f"level {level} out of range for {s}-level factor")
-    return (2 * level + 1) / (2 * s)
+    return _unit(level, s)
 
 
 def _lattice_levels(values, s: int) -> np.ndarray:
     """Integer levels behind lattice values of an s-level factor; -1 marks an off-lattice value."""
     values = np.asarray(values, dtype=np.float64)
     level = np.clip(np.rint(values * s - 0.5), 0, s - 1)
-    on = np.abs(values - (2 * level + 1) / (2.0 * s)) <= LATTICE_TOL
+    on = np.abs(values - _unit(level, s)) <= LATTICE_TOL
     # float(s - 1) rounds up to s for level counts beyond 2^53
     level = np.minimum(np.where(on, level, 0).astype(np.uint64), s - 1)
     return np.where(on, level.astype(np.int64), -1)
@@ -240,9 +243,7 @@ def design_from_levels(
                 f"quantitative level {col[r]} at row {r}, column {spec.p + k} "
                 f"outside 0..{s - 1}"
             )
-        # equals (2*level + 1)/(2*s) for s below 2^52, and unlike that
-        # int64 expression does not wrap from level 2^62 on
-        values[:, k] = (col + 0.5) / s
+        values[:, k] = _unit(col, s)
     return Design(spec, np.asarray(qualitative_levels), values)
 
 

@@ -113,35 +113,32 @@ def run_checks(tol: float | None = None) -> list[CheckRow]:
     large_tol = LARGE_VALUE_TOL if tol is None else tol
     rows: list[CheckRow] = []
 
+    designs = {name: load_reference_design(name) for name in DESIGN_NAMES}
+    qqd = {name: qqd_squared(designs[name]) for name in QQD_EXPECTED}
+    swd_values = {name: swd(designs[name], SWD_MODE) for name in SWD_EXPECTED}
+
     for name, expected in QQD_EXPECTED.items():
-        design = load_reference_design(name)
-        computed = qqd_squared(design)
         row_tol = large_tol if expected > 1 else value_tol
-        rows.append(CheckRow(f"qqd^2 {name}", expected, computed, row_tol))
+        rows.append(CheckRow(f"qqd^2 {name}", expected, qqd[name], row_tol))
 
     for name in MCD_NAMES:
-        report = _is_mcd(load_reference_design(name))
+        report = _is_mcd(designs[name])
         note = "" if report.passed else report.defects[0].message
         rows.append(CheckRow(f"is_mcd {name}", 1.0, float(report.passed), 0.0, note))
 
     for name, expected in SWD_EXPECTED.items():
-        computed = swd(load_reference_design(name), SWD_MODE)
         rows.append(
-            CheckRow(f"swd {name}", expected, computed, value_tol, note=f"mode={SWD_MODE}")
+            CheckRow(f"swd {name}", expected, swd_values[name], value_tol, note=f"mode={SWD_MODE}")
         )
 
-    juxta_qqd = qqd_squared(load_reference_design("juxtaposed_16run_same")) - qqd_squared(
-        load_reference_design("juxtaposed_16run_2")
-    )
+    juxta_qqd = qqd["juxtaposed_16run_same"] - qqd["juxtaposed_16run_2"]
     rows.append(
         CheckRow(
             "ordering qqd^2: duplicated-column variant is worse",
             1.0, float(juxta_qqd > 0), 0.0, f"difference {juxta_qqd:+.6f}",
         )
     )
-    juxta_swd = swd(load_reference_design("juxtaposed_16run_same"), SWD_MODE) - swd(
-        load_reference_design("juxtaposed_16run_2"), SWD_MODE
-    )
+    juxta_swd = swd_values["juxtaposed_16run_same"] - swd_values["juxtaposed_16run_2"]
     rows.append(
         CheckRow(
             "ordering swd: naive criterion prefers the worse design",

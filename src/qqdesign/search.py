@@ -34,7 +34,7 @@ from .discrepancy import (
     qqd_squared,
 )
 from .errors import CapacityError, DomainError, DriftError
-from .model import DEFAULT_CONFIG, Design, DesignSpec, design_from_levels
+from .model import DEFAULT_CONFIG, Design, DesignSpec, _unit, design_from_levels
 
 
 def _balanced_column(spec_n: int, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -297,7 +297,7 @@ def exhaustive_uniform(spec: DesignSpec, cap: int = 10_000_000) -> ExhaustiveRes
             if k < spec.p:
                 mats.append((config.a / config.b) ** (arr[:, None] == arr[None, :]))
             else:
-                x = (2 * arr + 1) / (2 * s)
+                x = _unit(arr, s)
                 mats.append(_quant_kernel(x[:, None], x[None, :]))
         factor_weights.append(mats)
 

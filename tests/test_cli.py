@@ -63,6 +63,23 @@ def test_eval_swd_requires_mode_and_reports_value(capsys):
     assert abs(float(out.split("=")[1]) - 1.1055) < 5e-5
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--criterion", "wd", "--a", "9", "--b", "1"), "--a"),
+        (("--criterion", "wd", "--b", "1"), "--b"),
+        (("--criterion", "swd", "--swd-mode", "wd", "--a", "9", "--b", "1"), "--a"),
+        (("--criterion", "qqd", "--swd-mode", "wd"), "--swd-mode"),
+        (("--criterion", "dd", "--swd-mode", "wd"), "--swd-mode"),
+    ],
+)
+def test_eval_refuses_flags_its_criterion_ignores(capsys, flags, named):
+    code, out, err = run(capsys, "eval", data_path("juxtaposed_16run_2"), *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {named} does not apply to --criterion {flags[1]}\n"
+
+
 def test_eval_non_lattice_design_skips_quadratic(capsys):
     code, out, _ = run(capsys, "eval", data_path("ccd_full_1"))
     assert code == 0
@@ -450,8 +467,51 @@ def test_reproduce_json(capsys):
     assert all(r["passed"] for r in rows)
 
 
+def test_reproduce_loads_and_evaluates_each_reference_design_once(capsys, monkeypatch):
+    import qqdesign.reference as reference
+
+    calls = {"load_reference_design": 0, "qqd_squared": 0, "swd": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(reference, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(reference, name, counted)
+    code, _, _ = run(capsys, "reproduce", "--json")
+    assert code == 0
+    assert calls == {"load_reference_design": 18, "qqd_squared": 18, "swd": 2}
+
+
 def test_reproduce_fails_under_impossible_tolerance(capsys):
     code, out, _ = run(capsys, "reproduce", "--tol", "1e-9")
     assert code == 3
     assert "FAIL" in out
     assert out.splitlines()[-1].endswith("/29 checks passed")
+
+
+# ------------------------------------------------------------------------- main
+
+def test_main_builds_no_parser_after_import(capsys, monkeypatch, tmp_path):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    spec = ("--n", "4", "--p", "1", "--q", "2", "--levels", "4,2,2")
+    design = data_path("bound_attaining_4run")
+    codes = [
+        run(capsys, "eval", design)[0],
+        run(capsys, "bounds", *spec)[0],
+        run(capsys, "balance", design)[0],
+        run(capsys, "compare", design, design)[0],
+        run(capsys, "search", *spec, "--budget", "10", "--out", str(tmp_path / "d.txt"))[0],
+        run(capsys, "reproduce")[0],
+        run(capsys, "bounds", "--no-such-flag")[0],
+    ]
+    assert codes == [0, 0, 0, 0, 0, 0, 1]
+    assert built == []

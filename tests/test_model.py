@@ -31,8 +31,6 @@ def test_spec_derived_fields():
     assert spec.N == 128
     assert spec.qualitative_levels == (2,)
     assert spec.quantitative_levels == (8, 8)
-    assert spec.t == 1  # both quantitative factors even
-    assert DesignSpec(n=9, p=1, q=2, levels=(3, 3, 9)).t == 3
 
 
 def test_spec_product_is_exact_for_huge_level_counts():
