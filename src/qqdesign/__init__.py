@@ -23,7 +23,6 @@ from .designio import (
     write_design,
 )
 from .discrepancy import (
-    KernelFactor,
     PairCache,
     coincidence_number,
     dd,
@@ -43,12 +42,11 @@ from .errors import (
 )
 from .model import (
     DEFAULT_CONFIG,
+    CheckReport,
     CriterionConfig,
+    Defect,
     Design,
     DesignSpec,
-    FrequencyVector,
-    McdReport,
-    UTypeReport,
     design_from_levels,
     design_from_raw,
     frequency_vector,
@@ -75,16 +73,15 @@ __all__ = [
     "BalancePattern",
     "BoundReport",
     "CapacityError",
+    "CheckReport",
     "CriterionConfig",
     "DEFAULT_CONFIG",
+    "Defect",
     "Design",
     "DesignSpec",
     "DomainError",
     "DriftError",
     "ExhaustiveResult",
-    "FrequencyVector",
-    "KernelFactor",
-    "McdReport",
     "PairCache",
     "ParseError",
     "QQDesignError",
@@ -92,7 +89,6 @@ __all__ = [
     "SearchResult",
     "SearchStats",
     "StructureError",
-    "UTypeReport",
     "balance_component",
     "balance_pattern",
     "balance_pattern_rowform",

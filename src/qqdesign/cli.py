@@ -32,7 +32,7 @@ from .discrepancy import (
 from .errors import DomainError, DriftError, ParseError, QQDesignError
 from .model import DEFAULT_CONFIG, CriterionConfig, DesignSpec
 from .reference import run_checks
-from .search import SearchConfig, search_uniform
+from .search import BOUND_TOL, SearchConfig, search_uniform
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,7 +159,7 @@ def _cmd_eval(args):
         b=DEFAULT_CONFIG.b if args.b is None else args.b,
     )
     if "swd_mode" in reads and args.swd_mode is None:
-        raise DomainError("--swd-mode is required with --criterion swd")
+        raise ParseError("--swd-mode is required with --criterion swd")
     value = value_of(design, config, args.swd_mode)
     out: dict = {"criterion": args.criterion, "value": value}
     lines = [f"{label.format(mode=args.swd_mode)} = {value:.6f}"]
@@ -265,7 +265,7 @@ def _cmd_search(args):
     ]
     if args.out:
         lines.append(f"wrote {args.out}")
-    attained = result.terminated_by == "bound" or result.gap <= config.bound_tol
+    attained = result.terminated_by == "bound" or result.gap <= BOUND_TOL
     return (EXIT_OK if attained else EXIT_BOUND_NOT_REACHED), out, lines
 
 
@@ -309,6 +309,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            if value == []:  # some argparse versions parse "--levels=--" to []
+                raise ParseError(f"argument --{name.replace('_', '-')}: expected one argument")
         code, payload, lines = _COMMANDS[args.command](args)
         print(json.dumps(payload) if args.json else "\n".join(lines))
         return code

@@ -31,7 +31,6 @@ per-factor kernel matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,28 +228,16 @@ def swd(design: Design, mode: str) -> float:
     return math.fsum(total)
 
 
-@dataclass(frozen=True)
-class KernelFactor:
-    """Per-factor kernel matrix used by the quadratic form.
+def kernel_matrix(
+    k: int, spec: DesignSpec, config: CriterionConfig | None = None
+) -> np.ndarray:
+    """s x s kernel matrix of factor ``k`` (0-based, qualitative factors first).
 
     Qualitative: entries a on the diagonal, b off it.  Quantitative with s
     levels: entry (i, j) is 3/2 - |i-j| (s - |i-j|) / s^2, the wrap-around
     kernel evaluated at lattice points.  Rows sum to a + b(s-1) and
     4s/3 + 1/(6s) respectively.
     """
-
-    s: int
-    kind: str  # "qualitative" | "quantitative"
-    entries: np.ndarray
-
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-
-def kernel_matrix(
-    k: int, spec: DesignSpec, config: CriterionConfig | None = None
-) -> KernelFactor:
-    """Kernel matrix of factor ``k`` (0-based, qualitative factors first)."""
     config = config or DEFAULT_CONFIG
     if not 0 <= k < spec.m:
         raise DomainError(f"factor index {k} out of range for {spec.m} factors")
@@ -258,34 +245,31 @@ def kernel_matrix(
     if k < spec.p:
         entries = np.full((s, s), config.b)
         np.fill_diagonal(entries, config.a)
-        return KernelFactor(s=s, kind="qualitative", entries=entries)
+        return entries
     i = np.arange(s)
-    entries = _lattice_kernel(np.abs(i[:, None] - i[None, :]), s)
-    return KernelFactor(s=s, kind="quantitative", entries=entries)
+    return _lattice_kernel(np.abs(i[:, None] - i[None, :]), s)
 
 
-def qqd_squared_quadratic(
-    design: Design,
-    config: CriterionConfig | None = None,
-    cap: int = QUADRATIC_FORM_CAP,
-) -> float:
+def qqd_squared_quadratic(design: Design, config: CriterionConfig | None = None) -> float:
     """Squared discrepancy as the quadratic form C + (1/n^2) y' A y.
 
     ``y`` is the frequency vector and A the Kronecker product of the
     per-factor kernel matrices; A is applied factor by factor, never
-    materialized.  Requires a lattice-valued design and N <= ``cap``.
+    materialized.  Requires a lattice-valued design and
+    N <= ``QUADRATIC_FORM_CAP``.
     """
     config = config or DEFAULT_CONFIG
     spec = design.spec
-    if spec.N > cap:
+    if spec.N > QUADRATIC_FORM_CAP:
         raise CapacityError(
-            f"N={spec.N} exceeds the quadratic-form cap {cap}; use qqd_squared instead"
+            f"N={spec.N} exceeds the quadratic-form cap {QUADRATIC_FORM_CAP}; "
+            "use qqd_squared instead"
         )
-    y = frequency_vector(design).counts.astype(np.float64)
+    y = frequency_vector(design).astype(np.float64)
     z = y.reshape(spec.levels)
     with np.errstate(all="ignore"):  # overflow is refused by _finite
         for k in range(spec.m):
-            A = kernel_matrix(k, spec, config).entries
+            A = kernel_matrix(k, spec, config)
             z = np.moveaxis(np.tensordot(A, z, axes=(1, k)), 0, k)
         value = float(np.dot(y, z.ravel()))
     C = _constant_term(spec.qualitative_levels, spec.q, config.a, config.b)

@@ -253,34 +253,41 @@ def design_from_raw(spec: DesignSpec, qualitative_levels, quantitative_values) -
 
 
 @dataclass(frozen=True)
-class ColumnDefect:
-    column: int
+class Defect:
+    """One finding of a structure check; the fields that do not apply are None."""
+
     message: str
+    column: int | None = None
+    level: int | None = None
+    factor: int | None = None
 
 
 @dataclass(frozen=True)
-class UTypeReport:
-    """Outcome of the column-balance check: defects are reported, never raised."""
+class CheckReport:
+    """Outcome of a structure check: defects are reported, never raised."""
 
-    passed: bool
-    defects: tuple[ColumnDefect, ...]
+    defects: tuple[Defect, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.defects
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def validate_utype(design: Design) -> UTypeReport:
+def validate_utype(design: Design) -> CheckReport:
     """Check that every column takes each of its levels exactly n/s times.
 
     Quantitative columns must be lattice-valued to be checkable; a
-    non-lattice column is reported as a defect.
+    non-lattice column is a defect, an unbalanced one names its first off level.
     """
     spec = design.spec
-    defects: list[ColumnDefect] = []
+    defects: list[Defect] = []
     for k, s in enumerate(spec.levels):
         if spec.n % s != 0:
             defects.append(
-                ColumnDefect(k, f"level count {s} does not divide run count {spec.n}")
+                Defect(f"level count {s} does not divide run count {spec.n}", column=k)
             )
             continue
         if k < spec.p:
@@ -288,48 +295,29 @@ def validate_utype(design: Design) -> UTypeReport:
         else:
             col = _lattice_levels(design.quantitative[:, k - spec.p], s)
             if col.min() < 0:
-                defects.append(ColumnDefect(k, "non-lattice quantitative column"))
+                defects.append(Defect("non-lattice quantitative column", column=k))
                 continue
         counts = np.bincount(col, minlength=s)
         want = spec.n // s
         off = np.nonzero(counts != want)[0]
         if off.size:
             lev = int(off[0])
-            defects.append(
-                ColumnDefect(
-                    k,
-                    f"level {lev} occurs {int(counts[lev])} times, expected {want}",
-                )
-            )
-    return UTypeReport(passed=not defects, defects=tuple(defects))
+            message = f"level {lev} occurs {int(counts[lev])} times, expected {want}"
+            defects.append(Defect(message, column=k, level=lev))
+    return CheckReport(tuple(defects))
 
 
-@dataclass(frozen=True)
-class McdDefect:
-    factor: int | None
-    level: int | None
-    column: int | None
-    message: str
-
-
-@dataclass(frozen=True)
-class McdReport:
-    passed: bool
-    defects: tuple[McdDefect, ...]
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def is_mcd(design: Design) -> McdReport:
+def is_mcd(design: Design) -> CheckReport:
     """Check the marginally coupled structure.
 
     Requires a spec with p >= 1 qualitative factors whose level counts
     divide n and q >= 1 quantitative factors declared with n levels each
-    (structure errors otherwise).  Passes iff the quantitative part is a
-    Latin hypercube and, for every level of every qualitative factor, the
-    rows at that level fill the n/s coarse cells (s consecutive levels
-    each) exactly once per quantitative column.
+    (structure errors otherwise).  Passes iff ``validate_utype`` does, so
+    the quantitative part is a Latin hypercube, and, for every level of
+    every qualitative factor, the rows at that level fill the n/s coarse
+    cells (s consecutive levels each) exactly once per quantitative
+    column.  Balance defects come first, in column order; an unbalanced
+    qualitative factor's slices are not checked.
     """
     spec = design.spec
     if spec.p < 1 or spec.q < 1:
@@ -349,64 +337,35 @@ def is_mcd(design: Design) -> McdReport:
     except DomainError as exc:
         raise StructureError(f"quantitative columns must be lattice-valued: {exc}") from None
 
-    defects: list[McdDefect] = []
-    for j in range(spec.q):
-        counts = np.bincount(quant[:, j], minlength=spec.n)
-        if np.any(counts != 1):
-            lev = int(np.nonzero(counts != 1)[0][0])
-            defects.append(
-                McdDefect(
-                    None,
-                    None,
-                    spec.p + j,
-                    f"not a Latin hypercube column: level {lev} occurs {int(counts[lev])} times",
-                )
-            )
+    defects = [
+        Defect("qualitative column is not balanced", level=d.level, factor=d.column)
+        if d.column < spec.p
+        else Defect(f"not a Latin hypercube column: {d.message}", column=d.column)
+        for d in validate_utype(design).defects
+    ]
+    unbalanced = {d.factor for d in defects}
     for k, s in enumerate(spec.qualitative_levels):
-        col = design.qualitative[:, k]
-        counts = np.bincount(col, minlength=s)
-        if np.any(counts != spec.n // s):
-            lev = int(np.nonzero(counts != spec.n // s)[0][0])
-            defects.append(
-                McdDefect(k, int(lev), None, "qualitative column is not balanced")
-            )
+        if k in unbalanced:
             continue
+        col = design.qualitative[:, k]
         for lev in range(s):
             rows = col == lev
             for j in range(spec.q):
                 bins = quant[rows, j] // s  # n/s cells of s consecutive levels
                 if not np.array_equal(np.sort(bins), np.arange(spec.n // s)):
-                    defects.append(
-                        McdDefect(
-                            k,
-                            lev,
-                            spec.p + j,
-                            "slice does not form a smaller Latin hypercube",
-                        )
-                    )
-    return McdReport(passed=not defects, defects=tuple(defects))
+                    message = "slice does not form a smaller Latin hypercube"
+                    defects.append(Defect(message, column=spec.p + j, level=lev, factor=k))
+    return CheckReport(tuple(defects))
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Counts of level combinations, ordered lexicographically (first factor slowest)."""
-
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-
-def frequency_vector(design: Design) -> FrequencyVector:
-    """Count how often each level combination occurs; entries sum to n."""
+def frequency_vector(design: Design) -> np.ndarray:
+    """Read-only int64 counts of the level combinations (first factor slowest), summing to n."""
     spec = design.spec
     levels = design.all_levels()
     flat = np.ravel_multi_index(tuple(levels.T), dims=spec.levels)
-    counts = np.bincount(flat, minlength=spec.N)
-    return FrequencyVector(counts=counts.astype(np.int64), total=spec.n)
+    counts = np.bincount(flat, minlength=spec.N).astype(np.int64)
+    counts.setflags(write=False)
+    return counts
 
 
 def full_factorial(spec: DesignSpec, repetitions: int = 1) -> Design:

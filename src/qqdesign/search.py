@@ -11,7 +11,7 @@ squared qualitative-quantitative discrepancy; the incrementally tracked
 value of the winner is re-verified by a full recomputation at the end,
 and a disagreement raises ``DriftError``.  The combined analytic lower
 bound doubles as an early-stopping certificate: a design within
-``bound_tol`` of the bound is provably uniform.
+``BOUND_TOL`` of the bound is provably uniform.
 
 All randomness flows from numpy's PCG64 generator seeded from the
 configured seed, so identical inputs give bit-identical results on every
@@ -21,7 +21,7 @@ platform.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -66,7 +66,6 @@ class SearchConfig:
     threshold_schedule: tuple[float, ...] | None = None
     seed: int = 0
     stop_at_bound: bool = True
-    bound_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.budget < 0:
@@ -106,7 +105,7 @@ class SearchStats:
         return self.improving + self.equal + self.worsening
 
     def __add__(self, other: SearchStats) -> SearchStats:
-        return SearchStats(*(x + y for x, y in zip(astuple(self), astuple(other))))
+        return SearchStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def _run_restart(
     best_value = value
     best_design = design
     trace = [(0, value)]
-    if config.stop_at_bound and best_value <= bound + config.bound_tol:
+    if config.stop_at_bound and best_value <= bound + BOUND_TOL:
         return best_value, best_design, trace, "bound", SearchStats()
     if spec.n < 2:
         return best_value, best_design, trace, "schedule", SearchStats()
@@ -178,13 +177,15 @@ def _run_restart(
                 best_value = value
                 best_design = cache.design
                 trace.append((iteration, value))
-                if config.stop_at_bound and value <= bound + config.bound_tol:
+                if config.stop_at_bound and value <= bound + BOUND_TOL:
                     terminated = "bound"
                     break
     stats = SearchStats(iteration, noops, improving, equal, worsening, rejected)
     return best_value, best_design, trace, terminated or "schedule", stats
 
 
+# a value this close to the lower bound counts as attaining it
+BOUND_TOL = 1e-9
 # largest accepted gap between the tracked and the recomputed best value
 DRIFT_TOL = 1e-10
 

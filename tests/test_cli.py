@@ -48,7 +48,7 @@ def test_eval_dd_on_full_factorial(capsys, tmp_path):
 
 def test_eval_swd_requires_mode_and_reports_value(capsys):
     code, _, err = run(capsys, "eval", data_path("juxtaposed_16run_2"), "--criterion", "swd")
-    assert code == 2
+    assert code == 1
     assert "--swd-mode" in err
     code, out, _ = run(
         capsys,
@@ -257,6 +257,22 @@ def test_bounds_unreadable_levels_are_a_usage_error(capsys, levels):
     assert code == 1
     assert "--levels" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bounds", "--n", "12", "--p", "0", "--q", "0", "--levels=--"], "--levels"),
+        (["eval", data_path("mcd_8run_1"), "--a=--"], "--a"),
+        (["eval", data_path("mcd_8run_1"), "--criterion", "swd", "--swd-mode=--"], "--swd-mode"),
+        (["search", "--n", "4", "--p", "1", "--q", "1", "--levels", "2,2", "--out=--"], "--out"),
+    ],
+)
+def test_option_value_of_two_dashes_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument {flag}: expected one argument\n"
 
 
 def test_bounds_has_no_tol_flag(capsys):

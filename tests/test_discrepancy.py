@@ -252,13 +252,13 @@ def test_pair_cache_starts_at_the_closed_form_value_bit_for_bit():
 def test_kernel_matrix_two_level_factors_coincide():
     spec = DesignSpec(n=4, p=1, q=1, levels=(2, 2))
     expected = np.array([[1.5, 1.25], [1.25, 1.5]])
-    assert np.allclose(kernel_matrix(0, spec).entries, expected, atol=1e-15)
-    assert np.allclose(kernel_matrix(1, spec).entries, expected, atol=1e-15)
+    assert np.allclose(kernel_matrix(0, spec), expected, atol=1e-15)
+    assert np.allclose(kernel_matrix(1, spec), expected, atol=1e-15)
 
 
 def test_kernel_matrix_four_level_quantitative_entry():
     spec = DesignSpec(n=4, p=0, q=1, levels=(4,))
-    entries = kernel_matrix(0, spec).entries
+    entries = kernel_matrix(0, spec)
     assert entries[0, 2] == pytest.approx(1.25, abs=1e-15)  # distance 2: 3/2 - 2*2/16
     assert entries[0, 1] == pytest.approx(1.5 - 3 / 16, abs=1e-15)
 
@@ -266,8 +266,8 @@ def test_kernel_matrix_four_level_quantitative_entry():
 def test_kernel_matrix_respects_general_weights():
     spec = DesignSpec(n=6, p=1, q=0, levels=(3,))
     factor = kernel_matrix(0, spec, CriterionConfig(a=2.0, b=0.5))
-    assert factor.entries[0, 0] == 2.0
-    assert factor.entries[0, 1] == 0.5
+    assert factor[0, 0] == 2.0
+    assert factor[0, 1] == 0.5
 
 
 def test_kernel_matrix_index_error():
@@ -281,8 +281,8 @@ def test_kernel_row_sums():
         spec = DesignSpec(n=s, p=1, q=1, levels=(s, s))
         qual = kernel_matrix(0, spec)
         quant = kernel_matrix(1, spec)
-        assert np.allclose(qual.row_sums(), 1.5 + 1.25 * (s - 1), atol=1e-12)
-        assert np.allclose(quant.row_sums(), 4 * s / 3 + 1 / (6 * s), atol=1e-12)
+        assert np.allclose(qual.sum(axis=1), 1.5 + 1.25 * (s - 1), atol=1e-12)
+        assert np.allclose(quant.sum(axis=1), 4 * s / 3 + 1 / (6 * s), atol=1e-12)
 
 
 # ----------------------------------------------------- qqd_squared_quadratic
@@ -314,8 +314,8 @@ def test_quadratic_matches_explicit_kronecker_product():
     spec = design.spec
     A = np.ones((1, 1))
     for k in range(spec.m):
-        A = np.kron(A, kernel_matrix(k, spec).entries)
-    y = frequency_vector(design).counts.astype(float)
+        A = np.kron(A, kernel_matrix(k, spec))
+    y = frequency_vector(design).astype(float)
     C = -(21 / 16) * (4 / 3) ** 2
     direct = C + y @ A @ y / spec.n**2
     assert qqd_squared_quadratic(design) == pytest.approx(direct, abs=1e-13)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from qqdesign import (
+    CheckReport,
     CriterionConfig,
     CapacityError,
+    Defect,
     Design,
     DesignSpec,
     DomainError,
@@ -237,6 +239,25 @@ def test_is_mcd_broken_slice():
     assert report.defects[0].factor == 0
 
 
+def test_is_mcd_unbalanced_qualitative_column_skips_its_slices():
+    # mcd_8run_1 with row 4 moved from level 1 to level 0: 5 zeros, 3 ones
+    design = load_reference_design("mcd_8run_1")
+    qual = design.qualitative.copy()
+    qual[4, 0] = 0
+    report = is_mcd(Design(design.spec, qual, design.quantitative))
+    assert not report.passed
+    assert [(d.factor, d.level, d.column) for d in report.defects] == [(0, 0, None)]
+    assert report.defects[0].message == "qualitative column is not balanced"
+
+
+def test_check_report_passed_is_derived_from_its_defects():
+    report = CheckReport(())
+    assert report.passed and bool(report)
+    report = CheckReport((Defect("level 0 occurs 3 times, expected 2", column=0, level=0),))
+    assert not report.passed and not report
+    assert report.defects[0].factor is None
+
+
 def test_is_mcd_structure_errors():
     spec = DesignSpec(n=4, p=1, q=0, levels=(2,))
     design = design_from_levels(spec, [[0], [0], [1], [1]], np.zeros((4, 0)))
@@ -257,22 +278,22 @@ def test_is_mcd_structure_errors():
 def test_frequency_vector_full_factorial_is_all_ones():
     spec = DesignSpec(n=1, p=1, q=1, levels=(2, 2))
     fv = frequency_vector(full_factorial(spec))
-    assert np.array_equal(fv.counts, np.ones(4, dtype=int))
-    assert fv.total == 4
+    assert np.array_equal(fv, np.ones(4, dtype=int))
+    assert fv.sum() == 4
 
 
 def test_frequency_vector_repetition_is_constant():
     for levels, p, c in [((2, 2), 1, 2), ((2, 3), 1, 3), ((2, 2, 4), 2, 2)]:
         spec = DesignSpec(n=1, p=p, q=len(levels) - p, levels=levels)
         fv = frequency_vector(full_factorial(spec, c))
-        assert np.array_equal(fv.counts, np.full(spec.N, c))
+        assert np.array_equal(fv, np.full(spec.N, c))
 
 
 def test_frequency_vector_four_run_design_counts():
     fv = frequency_vector(load_reference_design("bound_attaining_4run"))
-    assert fv.counts.sum() == 4
-    assert np.count_nonzero(fv.counts == 1) == 4
-    assert np.count_nonzero(fv.counts == 0) == 12
+    assert fv.sum() == 4
+    assert np.count_nonzero(fv == 1) == 4
+    assert np.count_nonzero(fv == 0) == 12
 
 
 def test_frequency_vector_row_permutation_invariant():
@@ -283,8 +304,15 @@ def test_frequency_vector_row_permutation_invariant():
         design.spec, design.qualitative[perm], design.quantitative[perm]
     )
     assert np.array_equal(
-        frequency_vector(design).counts, frequency_vector(shuffled).counts
+        frequency_vector(design), frequency_vector(shuffled)
     )
+
+
+def test_frequency_vector_is_read_only():
+    fv = frequency_vector(load_reference_design("bound_attaining_4run"))
+    assert fv.dtype == np.int64
+    with pytest.raises(ValueError):
+        fv[0] = 7
 
 
 def test_frequency_vector_rejects_non_lattice():
@@ -295,7 +323,7 @@ def test_frequency_vector_rejects_non_lattice():
 def test_frequency_vector_lexicographic_order_first_factor_slowest():
     spec = DesignSpec(n=2, p=1, q=1, levels=(2, 3))
     design = design_from_levels(spec, [[1], [1]], [[0], [2]])
-    counts = frequency_vector(design).counts
+    counts = frequency_vector(design)
     # index = qualitative * 3 + quantitative
     assert counts[3] == 1 and counts[5] == 1 and counts.sum() == 2
 
