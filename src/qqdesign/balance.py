@@ -2,20 +2,24 @@
 
 For a design whose p qualitative factors share s1 levels and whose q
 quantitative factors share s2 levels, the balance component of a column
-subset is the sum of squared deviations of its level-combination counts
-from perfect uniformity; it vanishes exactly when the subset forms an
-orthogonal array of full strength.  The balance pattern averages the
-components over all subsets of each size.
+subset S is the sum of squared deviations of its level-combination counts
+from perfect uniformity; it vanishes exactly when S forms an orthogonal
+array of full strength.  The balance pattern averages the components over
+all subsets of each size.
 
-Two routes give the per-size sums: enumerating every column subset
-(``balance_pattern``, which also lists the components, capped at
-``SUBSET_FACTOR_CAP`` factors) and the histogram of pairwise row
-agreement counts (``balance_pattern_rowform``, no cap).  Counts
-accumulate as exact integers and only the final normalization is
-floating point, so the two routes agree exactly.  ``balance_form`` turns
-the per-size sums into the squared discrepancy; ``qqd_from_balance``
-feeds it the row-form sums and ``bounds.lb2`` feeds it lower bounds on
-them.
+The sum of squared counts of S is the number of ordered row pairs that
+agree on every column of S, so both routes count row pairs instead of
+level combinations.  ``balance_pattern`` (which also lists the
+components, capped at ``SUBSET_FACTOR_CAP`` factors) histograms each
+pair's m-bit agreement mask and sums the histogram over supersets, which
+gives every subset's pair count at once.  ``balance_pattern_rowform`` (no
+cap) histograms the number of agreeing columns per pair and sums the
+binomials of those counts.  Counts accumulate as exact integers and only
+the final normalization is floating point, so the two routes agree
+exactly; ``balance_component`` counts one subset's level combinations
+directly.  ``balance_form`` turns the per-size sums into the squared
+discrepancy; ``qqd_from_balance`` feeds it the row-form sums and
+``bounds.lb2`` feeds it lower bounds on them.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .discrepancy import _lattice_kernel, _qualitative_head, _row_blocks
+from .discrepancy import PAIR_BLOCK, _lattice_kernel, _qualitative_head, _row_blocks
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, Design, validate_utype
 
-SUBSET_FACTOR_CAP = 24  # subset enumeration is 2^(p+q); refuse beyond this
+# the listing holds a 2^(p+q) int64 table of pair counts (128 MB at 24 factors)
+# and one Python entry per subset (227 MB at 20 factors); refuse beyond this
+SUBSET_FACTOR_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -95,23 +101,60 @@ def balance_component(design: Design, columns) -> float:
 
 
 def balance_pattern(design: Design) -> BalancePattern:
-    """Balance pattern by direct enumeration of all column subsets."""
+    """Balance pattern with every subset's component, from one pass over the row pairs.
+
+    The component of subset S is (pairs agreeing on S) - n^2/cells(S), with
+    the pair counts from ``_subset_agreements``; each is rounded once from
+    the exact rational, and ``components`` lists the subsets by size, then
+    in ``combinations`` order.
+    """
     spec = design.spec
     if spec.m > SUBSET_FACTOR_CAP:
         raise CapacityError(
             f"subset enumeration over {spec.m} factors exceeds cap {SUBSET_FACTOR_CAP}"
         )
     levels, s1, s2 = _two_type_levels(design)
+    n, p, q, m = spec.n, spec.p, spec.q, spec.m
+    agreeing = _subset_agreements(levels).tolist()
+    bits, qual_bits = [1 << c for c in range(m)], (1 << p) - 1
     components: dict[tuple[int, ...], float] = {}
     aggregate = []
-    for k in range(1, spec.m + 1):
-        acc = Fraction(0)
-        for cols in combinations(range(spec.m), k):
-            comp = _component_exact(levels, cols, spec.p, s1, s2, spec.n)
-            components[cols] = float(comp)
-            acc += comp
-        aggregate.append(float(acc / math.comb(spec.m, k)))
+    for k in range(1, m + 1):
+        cells = [s1**k1 * s2 ** (k - k1) for k1 in range(k + 1)]
+        total = 0
+        for cols, col_bits in zip(combinations(range(m), k), combinations(bits, k)):
+            mask = sum(col_bits)
+            pairs, cell_count = agreeing[mask], cells[(mask & qual_bits).bit_count()]
+            components[cols] = (pairs * cell_count - n * n) / cell_count  # int / int rounds once
+            total += pairs
+        reference = _reference_sum(n, p, q, s1, s2, k)
+        aggregate.append(float((total - reference) / math.comb(m, k)))
     return BalancePattern(aggregate=tuple(aggregate), components=components)
+
+
+def _subset_agreements(levels: np.ndarray) -> np.ndarray:
+    """Entry S (bit c for column c): the number of ordered row pairs agreeing on all of S (exact).
+
+    Each unordered pair is visited once, in row blocks of at most
+    PAIR_BLOCK entries as in ``_row_blocks``, and its agreement mask is
+    histogrammed; summing the histogram over supersets (the zeta
+    transform, one pass per column) gives every subset's count.
+    """
+    n, m = levels.shape
+    table = np.zeros(1 << m, dtype=np.int64)
+    step = max(1, PAIR_BLOCK // n)
+    for start in range(0, n, step):
+        block = levels[start : start + step]
+        masks = np.zeros((block.shape[0], n - start), dtype=np.intp)
+        for c in range(m):
+            masks |= np.left_shift(block[:, c, None] == levels[start:, c], c, dtype=np.intp)
+        size = block.shape[0]  # the pairs i != j count twice
+        table += np.bincount(masks[:, :size].ravel(), minlength=1 << m)
+        table += 2 * np.bincount(masks[:, size:].ravel(), minlength=1 << m)
+    for c in range(m):
+        halves = table.reshape(-1, 2, 1 << c)
+        halves[:, 0] += halves[:, 1]  # a mask with bit c also agrees on S without c
+    return table
 
 
 def _agreement_histogram(levels: np.ndarray) -> np.ndarray:
@@ -143,12 +186,16 @@ def _size_sums(design: Design) -> list[Fraction]:
         pairs = sum(
             int(agree_hist[a]) * math.comb(a, k) for a in range(k, m + 1)
         )
-        reference = sum(
-            math.comb(p, k1) * math.comb(q, k - k1) * Fraction(n * n, s1**k1 * s2 ** (k - k1))
-            for k1 in range(max(0, k - q), min(p, k) + 1)
-        )
-        sums.append(pairs - reference)
+        sums.append(pairs - _reference_sum(n, p, q, s1, s2, k))
     return sums
+
+
+def _reference_sum(n: int, p: int, q: int, s1: int, s2: int, k: int) -> Fraction:
+    """Sum of n^2/cells over all k-column subsets: the uniform part of the size-k sum."""
+    return sum(
+        math.comb(p, k1) * math.comb(q, k - k1) * Fraction(n * n, s1**k1 * s2 ** (k - k1))
+        for k1 in range(max(0, k - q), min(p, k) + 1)
+    )
 
 
 def balance_pattern_rowform(design: Design) -> BalancePattern:

@@ -297,14 +297,23 @@ def validate_utype(design: Design) -> CheckReport:
             if col.min() < 0:
                 defects.append(Defect("non-lattice quantitative column", column=k))
                 continue
-        counts = np.bincount(col, minlength=s)
-        want = spec.n // s
-        off = np.nonzero(counts != want)[0]
-        if off.size:
-            lev = int(off[0])
-            message = f"level {lev} occurs {int(counts[lev])} times, expected {want}"
-            defects.append(Defect(message, column=k, level=lev))
+        defects += _balance_defects(col, s, k)
     return CheckReport(tuple(defects))
+
+
+def _balance_defects(col: np.ndarray, s: int, k: int) -> list[Defect]:
+    """Balance defects of column k, given as integer levels: [] or its first off level.
+
+    A balanced column takes each of its s levels len(col)/s times.
+    """
+    counts = np.bincount(col, minlength=s)
+    want = col.shape[0] // s
+    off = np.nonzero(counts != want)[0]
+    if not off.size:
+        return []
+    lev = int(off[0])
+    message = f"level {lev} occurs {int(counts[lev])} times, expected {want}"
+    return [Defect(message, column=k, level=lev)]
 
 
 def is_mcd(design: Design) -> CheckReport:
@@ -337,11 +346,15 @@ def is_mcd(design: Design) -> CheckReport:
     except DomainError as exc:
         raise StructureError(f"quantitative columns must be lattice-valued: {exc}") from None
 
+    # every level count divides n and every column is on the lattice, so
+    # validate_utype's only possible defects are these balance defects
+    columns = np.hstack([design.qualitative, quant]).T
     defects = [
         Defect("qualitative column is not balanced", level=d.level, factor=d.column)
         if d.column < spec.p
         else Defect(f"not a Latin hypercube column: {d.message}", column=d.column)
-        for d in validate_utype(design).defects
+        for k, (col, s) in enumerate(zip(columns, spec.levels))
+        for d in _balance_defects(col, s, k)
     ]
     unbalanced = {d.factor for d in defects}
     for k, s in enumerate(spec.qualitative_levels):

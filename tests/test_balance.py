@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqdesign import (
     DesignSpec,
@@ -116,6 +121,52 @@ def test_pattern_components_match_direct_components():
     pattern = balance_pattern(design)
     for cols, value in pattern.components.items():
         assert value == balance_component(design, cols)
+
+
+@st.composite
+def _two_type_utype_designs(draw):
+    """U-type designs with s1 qualitative levels (1..4), s2 quantitative levels (2..4)."""
+    m = draw(st.integers(1, 7))
+    p = draw(st.integers(0, m))
+    s1, s2 = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    unit = math.lcm(s1 if p else 1, s2 if m > p else 1)
+    n = unit * draw(st.integers(1, 24 // unit))
+    spec = DesignSpec(n=n, p=p, q=m - p, levels=(s1,) * p + (s2,) * (m - p))
+    return random_utype(spec, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(design=_two_type_utype_designs())
+def test_pattern_components_and_aggregates_match_direct_counts(design):
+    pattern = balance_pattern(design)
+    assert len(pattern.components) == 2**design.spec.m - 1
+    for cols, value in pattern.components.items():
+        assert value == balance_component(design, cols)
+    assert pattern.aggregate == balance_pattern_rowform(design).aggregate
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DesignSpec(n=64, p=3, q=9, levels=(2,) * 12),
+        DesignSpec(n=4, p=1, q=0, levels=(2,)),
+        DesignSpec(n=12, p=2, q=2, levels=(2, 2, 3, 3)),
+    ],
+)
+def test_pattern_does_not_count_level_combinations_per_subset(monkeypatch, spec):
+    import qqdesign.balance as balance_module
+
+    def refuse(*args):
+        raise AssertionError("balance_pattern must not count each subset's combinations")
+
+    design = random_utype(spec, 3)
+    monkeypatch.setattr(balance_module, "_component_exact", refuse)
+    pattern = balance_pattern(design)
+    assert len(pattern.components) == 2**spec.m - 1
+    assert list(pattern.components) == [
+        cols for k in range(1, spec.m + 1) for cols in itertools.combinations(range(spec.m), k)
+    ]
+    assert pattern.aggregate == balance_pattern_rowform(design).aggregate
 
 
 def test_oa_strength_two_detection():

@@ -308,6 +308,16 @@ def test_balance_text_with_components(capsys):
     assert "B_1" in out and "columns" in out
 
 
+def test_balance_json_components_payload_and_key_order(capsys):
+    code, out, _ = run(capsys, "balance", data_path("ccd_factorial_3"), "--json", "--components")
+    assert code == 0
+    # byte for byte, so the components keep their order: by size, then lexicographic
+    assert out == (
+        '{"aggregate": [0.0, 1.3333333333333333, 2.0], "components": {"0": 0.0, "1": 0.0, '
+        '"2": 0.0, "0,1": 4.0, "0,2": 0.0, "1,2": 0.0, "0,1,2": 2.0}}\n'
+    )
+
+
 def test_balance_rejects_mixed_level_types(capsys):
     code, _, err = run(capsys, "balance", data_path("mcd_16run_1"))
     assert code == 0  # 2-level qualitative, 16-level quantitative: still two-type
