@@ -36,9 +36,9 @@ from .discrepancy import PAIR_BLOCK, _lattice_kernel, _qualitative_head, _row_bl
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, Design, validate_utype
 
-# the listing holds a 2^(p+q) int64 table of pair counts (128 MB at 24 factors)
-# and one Python entry per subset (227 MB at 20 factors); refuse beyond this
-SUBSET_FACTOR_CAP = 24
+# the listing holds one Python entry per subset (about 230 MB at 20 factors)
+# besides a 2^(p+q) int64 table of pair counts (8 MB); refuse beyond this
+SUBSET_FACTOR_CAP = 20
 
 
 @dataclass(frozen=True)

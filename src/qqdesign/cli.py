@@ -17,7 +17,7 @@ import dataclasses
 import json
 import sys
 
-from .balance import balance_pattern
+from .balance import balance_pattern, balance_pattern_rowform
 from .bounds import full_factorial_qqd, lb
 from .designio import read_design, write_design
 from .discrepancy import (
@@ -136,19 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# criterion -> (text label, eval flags it reads, its value).  The lambdas look
-# the library functions up in this module at call time, so rebinding those
-# names here (as the benchmark's tracer does) reaches every call.
+# criterion -> (text label, eval flags it reads, route, its value).  The route
+# is "closed" for the closed-form pair sum and "slices" for the sum over the
+# qualitative slices.  The lambdas look the library functions up in this
+# module at call time, so rebinding those names here (as the benchmark's
+# tracer does) reaches every call.
 _CRITERIA = {
-    "qqd": ("qqd^2", ("a", "b"), lambda design, config, mode: qqd_squared(design, config)),
-    "wd": ("wd^2", (), lambda design, config, mode: wd_squared(design)),
-    "dd": ("dd", ("a", "b"), lambda design, config, mode: dd(design, config)),
-    "swd": ("swd ({mode})", ("swd_mode",), lambda design, config, mode: swd(design, mode)),
+    "qqd": ("qqd^2", ("a", "b"), "closed", lambda d, config, mode: qqd_squared(d, config)),
+    "wd": ("wd^2", (), "closed", lambda d, config, mode: wd_squared(d)),
+    "dd": ("dd", ("a", "b"), "closed", lambda d, config, mode: dd(d, config)),
+    "swd": ("swd ({mode})", ("swd_mode",), "slices", lambda d, config, mode: swd(d, mode)),
 }
 
 
 def _cmd_eval(args):
-    label, reads, value_of = _CRITERIA[args.criterion]
+    label, reads, route, value_of = _CRITERIA[args.criterion]
     for flag in ("a", "b", "swd_mode"):
         if getattr(args, flag) is not None and flag not in reads:
             name = "--" + flag.replace("_", "-")
@@ -162,7 +164,7 @@ def _cmd_eval(args):
         raise ParseError("--swd-mode is required with --criterion swd")
     value = value_of(design, config, args.swd_mode)
     out: dict = {"criterion": args.criterion, "value": value}
-    lines = [f"{label.format(mode=args.swd_mode)} = {value:.6f}"]
+    lines = [f"{route} route: {label.format(mode=args.swd_mode)} = {value:.6f}"]
     if "swd_mode" in reads:
         out["mode"] = args.swd_mode
     if args.criterion == "qqd":
@@ -175,6 +177,7 @@ def _cmd_eval(args):
             )
         else:
             lines.append("quadratic form not applicable (non-lattice design or N over cap)")
+    out["route"] = route
     return EXIT_OK, out, lines
 
 
@@ -201,7 +204,9 @@ def _cmd_bounds(args):
 
 
 def _cmd_balance(args):
-    pattern = balance_pattern(read_design(args.file))
+    # only the listing needs the subset form; the row form has no factor cap
+    form = balance_pattern if args.components else balance_pattern_rowform
+    pattern = form(read_design(args.file))
     out: dict = {"aggregate": list(pattern.aggregate)}
     lines = [f"B_{k} = {value:.6f}" for k, value in enumerate(pattern.aggregate, start=1)]
     if args.components:

@@ -312,13 +312,19 @@ class PairCache:
         self._scale = 2.0 * b**p / n**2
         self._scored: tuple[int, int, int, float] | None = None
         self._design = design
+        # live views of the level columns, qualitative first: read, never write
+        self.columns = [*self._qual.T, *self._quant.T]
 
     @property
     def design(self) -> Design:
         """The design the evaluator currently represents."""
         if self._design is None:
-            self._design = Design(self.spec, self._qual.copy(), self._quant.copy())
+            self._design = Design(self.spec, *self.levels())
         return self._design
+
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the current qualitative levels and quantitative values."""
+        return self._qual.copy(), self._quant.copy()
 
     def value(self) -> float:
         """Current squared discrepancy as tracked through the committed swaps."""
@@ -331,9 +337,7 @@ class PairCache:
         n = spec.n
         if not (0 <= row_i < n and 0 <= row_j < n):
             raise DomainError(f"row index out of range for n={n}: ({row_i}, {row_j})")
-        if column < spec.p:
-            return self._qual[:, column]
-        return self._quant[:, column - spec.p]
+        return self.columns[column]
 
     def is_noop(self, column: int, row_i: int, row_j: int) -> bool:
         """True when the two entries are equal, so the swap changes nothing."""

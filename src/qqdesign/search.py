@@ -13,9 +13,14 @@ and a disagreement raises ``DriftError``.  The combined analytic lower
 bound doubles as an early-stopping certificate: a design within
 ``BOUND_TOL`` of the bound is provably uniform.
 
-All randomness flows from numpy's PCG64 generator seeded from the
-configured seed, so identical inputs give bit-identical results on every
-platform.
+All randomness flows from numpy's PCG64 generator: each restart draws
+from its own child of the configured seed's sequence, so identical
+inputs give bit-identical results on every platform.  A threshold step
+draws all of its proposals with one call, as integer codes uniform on
+range(m * n * (n - 1)); ``_decode`` splits a code with two divmods into a
+column and an ordered pair of distinct rows, so each column and each
+ordered pair is equally likely.  Draws left over when a restart stops at
+the bound are discarded.
 """
 
 from __future__ import annotations
@@ -124,8 +129,20 @@ def _default_schedule(initial_gap: float) -> tuple[float, ...]:
     top = 0.05 * max(initial_gap, 0.0)
     if top <= 0.0:
         return (0.0,) * 20
-    ladder = np.geomspace(top, top * 1e-3, 19)
-    return tuple(float(t) for t in ladder) + (0.0,)
+    # 19 geometric steps from top down to top / 1000, then 0
+    return tuple(top * 10.0 ** (-k / 6) for k in range(19)) + (0.0,)
+
+
+def _decode(codes, n: int):
+    """Columns, rows i and rows j != i of an array of codes in range(m * n * (n - 1)).
+
+    Every (column, i, j) with i != j comes from exactly one code, so
+    uniform codes give a uniform column and a uniform ordered pair of
+    distinct rows.
+    """
+    column, pair = divmod(codes, n * (n - 1))
+    row_i, row_j = divmod(pair, n - 1)
+    return column, row_i, row_j + (row_j >= row_i)
 
 
 def _run_restart(
@@ -138,35 +155,37 @@ def _run_restart(
     cache = PairCache(design, DEFAULT_CONFIG)
     value = cache.value()
     best_value = value
-    best_design = design
     trace = [(0, value)]
     if config.stop_at_bound and best_value <= bound + BOUND_TOL:
-        return best_value, best_design, trace, "bound", SearchStats()
-    if spec.n < 2:
-        return best_value, best_design, trace, "schedule", SearchStats()
+        return best_value, design, trace, "bound", SearchStats()
+    n = spec.n
+    if n < 2:
+        return best_value, design, trace, "schedule", SearchStats()
 
     schedule = config.threshold_schedule or _default_schedule(value - bound)
     chunk = max(1, config.budget // len(schedule))
+    codes_per_draw = spec.m * n * (n - 1)
+    columns, delta, apply_swap = cache.columns, cache.delta, cache.apply_swap
+    best_levels = None
     iteration = noops = improving = equal = worsening = rejected = 0
-    terminated = "budget" if config.budget == 0 else None
+    terminated = None
     for threshold in schedule:
-        if terminated:
+        steps = min(chunk, config.budget - iteration)
+        if steps <= 0:
+            terminated = "budget"
             break
-        for _ in range(chunk):
-            if iteration >= config.budget:
-                terminated = "budget"
-                break
+        draws = _decode(rng.integers(codes_per_draw, size=steps), n)
+        for column, row_i, row_j in zip(*(d.tolist() for d in draws)):
             iteration += 1
-            column = int(rng.integers(spec.m))
-            row_i, row_j = (int(r) for r in rng.choice(spec.n, size=2, replace=False))
-            if cache.is_noop(column, row_i, row_j):
+            col = columns[column]
+            if col[row_i] == col[row_j]:
                 noops += 1
                 continue
-            change = cache.delta(column, row_i, row_j)
+            change = delta(column, row_i, row_j)
             if change > threshold:
                 rejected += 1
                 continue
-            value = cache.apply_swap(column, row_i, row_j)
+            value = apply_swap(column, row_i, row_j)
             if change > 0.0:
                 worsening += 1
             elif change == 0.0:
@@ -175,13 +194,17 @@ def _run_restart(
                 improving += 1
             if value < best_value:
                 best_value = value
-                best_design = cache.design
+                best_levels = cache.levels()
                 trace.append((iteration, value))
                 if config.stop_at_bound and value <= bound + BOUND_TOL:
                     terminated = "bound"
                     break
+        if terminated:
+            break
+    if best_levels is not None:
+        design = Design(spec, *best_levels)
     stats = SearchStats(iteration, noops, improving, equal, worsening, rejected)
-    return best_value, best_design, trace, terminated or "schedule", stats
+    return best_value, design, trace, terminated or "schedule", stats
 
 
 # a value this close to the lower bound counts as attaining it

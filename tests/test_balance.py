@@ -228,6 +228,19 @@ def test_subset_enumeration_capacity_cap():
         balance_pattern(design)
 
 
+def test_subset_listing_refuses_21_factors_before_counting(monkeypatch):
+    import qqdesign.balance as balance_module
+    from qqdesign import CapacityError
+
+    def refuse(*args):
+        raise AssertionError("the cap must refuse before any pair is counted")
+
+    monkeypatch.setattr(balance_module, "_subset_agreements", refuse)
+    design = random_utype(DesignSpec(n=2, p=11, q=10, levels=(2,) * 21), 0)
+    with pytest.raises(CapacityError, match="21 factors exceeds cap 20"):
+        balance_pattern(design)
+
+
 def test_balance_form_has_no_factor_cap(monkeypatch):
     import qqdesign.balance as balance_module
 

@@ -64,6 +64,26 @@ def test_eval_swd_requires_mode_and_reports_value(capsys):
 
 
 @pytest.mark.parametrize(
+    "design, flags, route",
+    [
+        ("mcd_8run_2", (), "closed"),
+        ("mcd_8run_2", ("--criterion", "wd"), "closed"),
+        ("mcd_8run_2", ("--criterion", "dd"), "closed"),
+        ("juxtaposed_16run_2", ("--criterion", "swd", "--swd-mode", "wd"), "slices"),
+    ],
+)
+def test_eval_names_the_route_of_its_value(capsys, design, flags, route):
+    code, out, _ = run(capsys, "eval", data_path(design), "--json", *flags)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[:2] == ["criterion", "value"]
+    assert list(payload)[-1] == "route" and payload["route"] == route
+    code, out, _ = run(capsys, "eval", data_path(design), *flags)
+    assert code == 0
+    assert out.startswith(f"{route} route: ")
+
+
+@pytest.mark.parametrize(
     "flags, named",
     [
         (("--criterion", "wd", "--a", "9", "--b", "1"), "--a"),
@@ -316,6 +336,24 @@ def test_balance_json_components_payload_and_key_order(capsys):
         '{"aggregate": [0.0, 1.3333333333333333, 2.0], "components": {"0": 0.0, "1": 0.0, '
         '"2": 0.0, "0,1": 4.0, "0,2": 0.0, "1,2": 0.0, "0,1,2": 2.0}}\n'
     )
+
+
+def test_balance_aggregate_comes_from_the_row_form_beyond_the_subset_cap(
+    capsys, monkeypatch, tmp_path
+):
+    import qqdesign.balance as balance_module
+    from qqdesign import DesignSpec, balance_pattern_rowform, random_utype, write_design
+
+    def refuse(*args):
+        raise AssertionError("balance without --components must not list subsets")
+
+    monkeypatch.setattr(balance_module, "_subset_agreements", refuse)
+    design = random_utype(DesignSpec(n=2, p=11, q=11, levels=(2,) * 22), 3)
+    path = tmp_path / "wide.txt"
+    write_design(design, str(path))
+    code, out, _ = run(capsys, "balance", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"aggregate": list(balance_pattern_rowform(design).aggregate)}
 
 
 def test_balance_rejects_mixed_level_types(capsys):

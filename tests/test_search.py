@@ -169,6 +169,60 @@ def test_search_explicit_schedule_runs():
     assert result.terminated_by in ("schedule", "budget")
 
 
+# U(6; 2.3): the exhaustive optimum (0.02546) lies above the bound (0.02004),
+# so no search on it can stop at the bound
+SPEC_UNREACHABLE = DesignSpec(n=6, p=1, q=1, levels=(2, 3))
+
+
+@pytest.mark.parametrize("stop_at_bound", [True, False])
+@pytest.mark.parametrize(
+    "budget, schedule, proposals, terminated_by",
+    [
+        (0, None, 0, "budget"),
+        (5, None, 5, "budget"),  # 20 default steps: one proposal per step
+        (203, None, 200, "schedule"),  # 10 per step; the 3 left over go unused
+        (300, (0.01, 0.0), 300, "schedule"),
+        (3, (0.01, 0.0), 2, "schedule"),
+        (1, (0.01, 0.0), 1, "budget"),
+    ],
+)
+def test_search_termination_and_stats_follow_the_budget_rules(
+    budget, schedule, proposals, terminated_by, stop_at_bound
+):
+    config = SearchConfig(
+        budget=budget, restarts=2, seed=7, threshold_schedule=schedule,
+        stop_at_bound=stop_at_bound,
+    )
+    result = search_uniform(SPEC_UNREACHABLE, config)
+    assert result.terminated_by == terminated_by
+    assert result.stats.proposals == 2 * proposals
+    iterations = [i for i, _ in result.trace]
+    assert iterations[0] == 0
+    assert all(x < y for x, y in zip(iterations, iterations[1:]))
+    assert iterations[-1] <= proposals
+
+
+def test_search_stopped_at_the_bound_counts_proposals_up_to_the_hit():
+    config = SearchConfig(budget=10_000, restarts=1, seed=1)
+    result = search_uniform(SPEC_4RUN, config)
+    assert result.terminated_by == "bound"
+    assert result.stats.proposals == result.trace[-1][0]
+    config = SearchConfig(budget=203, restarts=1, seed=1, stop_at_bound=False)
+    result = search_uniform(SPEC_4RUN, config)
+    assert (result.terminated_by, result.stats.proposals) == ("schedule", 200)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("m", [1, 3])
+def test_proposal_decode_covers_every_column_and_ordered_row_pair_once(n, m):
+    from qqdesign.search import _decode
+
+    codes = np.arange(m * n * (n - 1))
+    decoded = list(zip(*(d.tolist() for d in _decode(codes, n))))
+    expected = [(c, i, j) for c in range(m) for i in range(n) for j in range(n) if i != j]
+    assert sorted(decoded) == expected
+
+
 # ------------------------------------------------------------- exhaustive oracle
 
 def test_exhaustive_two_level_pair():
