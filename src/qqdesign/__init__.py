@@ -48,7 +48,6 @@ from .model import (
     Design,
     DesignSpec,
     design_from_levels,
-    design_from_raw,
     frequency_vector,
     full_factorial,
     is_mcd,
@@ -97,7 +96,6 @@ __all__ = [
     "dd",
     "design_from_json_dict",
     "design_from_levels",
-    "design_from_raw",
     "design_to_json_dict",
     "dumps_design_text",
     "exhaustive_uniform",

@@ -59,6 +59,8 @@ def lb_symmetric(n: int, p: int, q: int, s1: int, s2: int) -> float:
     Written out directly (odd/even branch on s2) rather than delegating to
     lb1, so the two can cross-check each other.
     """
+    if n < 1 or p < 0 or q < 0 or p + q < 1 or s1 < 1 or s2 < 1:
+        raise DomainError("lb_symmetric needs n >= 1, s1, s2 >= 1 and at least one factor")
     if p > 0 and n % s1 != 0:
         raise DomainError(f"not U-type feasible: {s1} does not divide n={n}")
     if q > 0 and n % s2 != 0:

@@ -134,11 +134,9 @@ def _quant_values(design: Design) -> list[list]:
     return cols
 
 
-def dumps_design_text(design: Design, comment: str | None = None) -> str:
+def dumps_design_text(design: Design) -> str:
     spec = design.spec
     lines = []
-    if comment:
-        lines.extend(f"# {line}" for line in comment.splitlines())
     lines.append(f"{spec.n} {spec.p} {spec.q}")
     lines.append(" ".join(str(s) for s in spec.levels))
     quant_cols = _quant_values(design)
@@ -165,10 +163,10 @@ def design_to_json_dict(design: Design) -> dict:
     }
 
 
-def write_design(design: Design, path, comment: str | None = None) -> None:
+def write_design(design: Design, path) -> None:
     """Write the text format, or the JSON mirror for a '.json' path."""
     path = Path(path)
     if path.suffix.lower() == ".json":
         path.write_text(json.dumps(design_to_json_dict(design), indent=1) + "\n")
     else:
-        path.write_text(dumps_design_text(design, comment))
+        path.write_text(dumps_design_text(design))

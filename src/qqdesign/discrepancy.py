@@ -298,29 +298,21 @@ class PairCache:
     """
 
     def __init__(self, design: Design, config: CriterionConfig | None = None):
-        self.config = config or DEFAULT_CONFIG
+        config = config or DEFAULT_CONFIG
         self.spec = design.spec
-        a, b = self.config.a, self.config.b
+        a, b = config.a, config.b
         n, p = self.spec.n, self.spec.p
         self._qual = np.array(design.qualitative)
         self._quant = np.array(design.quantitative)
         self._value = _qqd_squared_arrays(
-            self._qual, self._quant, self.spec.qualitative_levels, self.config
+            self._qual, self._quant, self.spec.qualitative_levels, config
         )
         self._ratio = a / b
         self._ratio_powers = self._ratio ** np.arange(p + 1)
         self._scale = 2.0 * b**p / n**2
         self._scored: tuple[int, int, int, float] | None = None
-        self._design = design
         # live views of the level columns, qualitative first: read, never write
         self.columns = [*self._qual.T, *self._quant.T]
-
-    @property
-    def design(self) -> Design:
-        """The design the evaluator currently represents."""
-        if self._design is None:
-            self._design = Design(self.spec, *self.levels())
-        return self._design
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the current qualitative levels and quantitative values."""
@@ -338,11 +330,6 @@ class PairCache:
         if not (0 <= row_i < n and 0 <= row_j < n):
             raise DomainError(f"row index out of range for n={n}: ({row_i}, {row_j})")
         return self.columns[column]
-
-    def is_noop(self, column: int, row_i: int, row_j: int) -> bool:
-        """True when the two entries are equal, so the swap changes nothing."""
-        col = self._column(column, row_i, row_j)
-        return bool(col[row_i] == col[row_j])
 
     def delta(self, column: int, row_i: int, row_j: int) -> float:
         """Change in the squared discrepancy if the two entries were swapped.
@@ -391,5 +378,4 @@ class PairCache:
         self._scored = None
         col[row_i], col[row_j] = col[row_j], col[row_i]
         self._value += change
-        self._design = None
         return self._value

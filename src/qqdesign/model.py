@@ -126,6 +126,8 @@ def level_to_unit(level: int, s: int) -> float:
     """Place ``level`` of an s-level factor at (2*level + 1)/(2*s) in (0, 1)."""
     if s < 1:
         raise DomainError(f"level count must be >= 1, got {s}")
+    if not isinstance(level, (int, np.integer)):
+        raise DomainError(f"level must be an integer, got {level!r}")
     if not 0 <= level < s:
         raise DomainError(f"level {level} out of range for {s}-level factor")
     return _unit(level, s)
@@ -143,6 +145,8 @@ def _lattice_levels(values, s: int) -> np.ndarray:
 
 def unit_to_level(value: float, s: int) -> int:
     """Recover the integer level behind a lattice value; inverse of level_to_unit."""
+    if s < 1:
+        raise DomainError(f"level count must be >= 1, got {s}")
     level = int(_lattice_levels([value], s)[0])
     if level < 0:
         raise DomainError(f"value {value!r} is not a lattice point of an {s}-level factor")
@@ -185,10 +189,6 @@ class Design:
         quant.setflags(write=False)
         object.__setattr__(self, "qualitative", qual)
         object.__setattr__(self, "quantitative", quant)
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
 
     def quantitative_as_levels(self) -> np.ndarray:
         """Integer-level view of the quantitative columns; raises DomainError off-lattice."""
@@ -245,11 +245,6 @@ def design_from_levels(
             )
         values[:, k] = _unit(col, s)
     return Design(spec, np.asarray(qualitative_levels), values)
-
-
-def design_from_raw(spec: DesignSpec, qualitative_levels, quantitative_values) -> Design:
-    """Build a design storing quantitative values verbatim (no lattice requirement)."""
-    return Design(spec, np.asarray(qualitative_levels), np.asarray(quantitative_values))
 
 
 @dataclass(frozen=True)

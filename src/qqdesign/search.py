@@ -49,6 +49,8 @@ def _balanced_column(spec_n: int, s: int, rng: np.random.Generator) -> np.ndarra
 def random_utype(spec: DesignSpec, seed) -> Design:
     """Uniformly random balanced columns; deterministic for a given seed."""
     spec.require_utype_feasible()
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cols = [_balanced_column(spec.n, s, rng) for s in spec.levels]
     levels = np.column_stack(cols)
@@ -77,6 +79,8 @@ class SearchConfig:
             raise DomainError(f"budget must be >= 0, got {self.budget}")
         if self.restarts < 1:
             raise DomainError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.threshold_schedule is not None:
             sched = tuple(float(t) for t in self.threshold_schedule)
             if not sched or sched[-1] != 0.0:
@@ -226,18 +230,19 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
     config = config or SearchConfig()
     spec.require_utype_feasible()
     report = lb(spec)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    # one child per restart as it starts: a search that stops early spawns no more
+    seeds = np.random.SeedSequence(config.seed)
     best = None
     stats = SearchStats()
-    for child in seeds:
-        rng = np.random.Generator(np.random.PCG64(child))
+    for _ in range(config.restarts):
+        rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))
         value, design, trace, terminated, restart_stats = _run_restart(
             spec, config, rng, report.value
         )
         stats = stats + restart_stats
         if best is None or value < best[0]:
             best = (value, design, trace, terminated)
-        if terminated == "bound" and config.stop_at_bound:
+        if terminated == "bound":
             break
     value, design, trace, terminated = best
     recomputed = qqd_squared(design)
@@ -298,7 +303,11 @@ class ExhaustiveResult:
     count: int  # optima within 1e-12 * max(1, |optimum|) of the minimum
 
 
-def exhaustive_uniform(spec: DesignSpec, cap: int = 10_000_000) -> ExhaustiveResult:
+# exhaustive_uniform refuses to enumerate more U-type designs than this
+EXHAUSTIVE_CAP = 10_000_000
+
+
+def exhaustive_uniform(spec: DesignSpec) -> ExhaustiveResult:
     """Exact minimum of the squared discrepancy over every U-type design.
 
     Raw enumeration over all column combinations (no canonicalization, so
@@ -307,8 +316,8 @@ def exhaustive_uniform(spec: DesignSpec, cap: int = 10_000_000) -> ExhaustiveRes
     design an elementwise product and a sum.
     """
     total = count_utype_designs(spec)
-    if total > cap:
-        raise CapacityError(f"{total} U-type designs exceed the enumeration cap {cap}")
+    if total > EXHAUSTIVE_CAP:
+        raise CapacityError(f"{total} U-type designs exceed the enumeration cap {EXHAUSTIVE_CAP}")
 
     config = DEFAULT_CONFIG
     n = spec.n

@@ -10,12 +10,12 @@ from fractions import Fraction
 import numpy as np
 
 from qqdesign import (
+    Design,
     DesignSpec,
     SearchConfig,
     balance_pattern,
     balance_pattern_rowform,
     design_from_levels,
-    design_from_raw,
     exhaustive_uniform,
     frequency_vector,
     full_factorial,
@@ -255,7 +255,7 @@ def test_criterion_9_kernel_invariants():
     for name in ("mcd_8run_2", "juxtaposed_16run_2", "bound_attaining_4run"):
         design = load_reference_design(name)
         base = qqd_squared(design)
-        reflected = design_from_raw(
+        reflected = Design(
             design.spec, design.qualitative, 1.0 - design.quantitative
         )
         levels = design.quantitative_as_levels()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qqdesign import (
+    DEFAULT_CONFIG,
     DesignSpec,
     DomainError,
     balance_component,
@@ -18,6 +20,7 @@ from qqdesign import (
     qqd_squared,
     random_utype,
 )
+from qqdesign.discrepancy import _lattice_kernel
 from qqdesign.reference import load_reference_design
 
 # U(n, s^p 2^q) specs for the randomized balance-form suites
@@ -211,6 +214,14 @@ def test_balance_form_matches_closed_form_on_random_designs():
     for seed in range(50):
         design = random_utype(spec, seed)
         assert abs(qqd_from_balance(design) - qqd_squared(design)) < 1e-12
+
+
+def test_balance_form_kernel_ratio_equals_the_qualitative_ratio():
+    # the balance form writes every pair product as a power of a/b, which
+    # needs the two-level wrap-around kernel to have the same ratio
+    a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
+    f0, f1 = Fraction(_lattice_kernel(0, 2)), Fraction(_lattice_kernel(1, 2))
+    assert a / b == f0 / f1 == Fraction(6, 5)
 
 
 def test_balance_form_rejects_wide_quantitative_levels():

@@ -110,6 +110,15 @@ def test_lb_symmetric_equals_lb1_on_random_tuples():
         checked += 1
 
 
+@pytest.mark.parametrize(
+    "n, p, q, s1, s2",
+    [(0, 1, 1, 2, 2), (4, 1, 1, 0, 2), (4, 1, 1, 2, 0), (4, -1, 1, 2, 2), (4, 0, 0, 2, 2)],
+)
+def test_lb_symmetric_refuses_inputs_outside_its_domain(n, p, q, s1, s2):
+    with pytest.raises(DomainError, match="lb_symmetric needs"):
+        lb_symmetric(n, p, q, s1, s2)
+
+
 # -------------------------------------------------------------------------- lb2
 
 def test_lb2_reference_value_exact():

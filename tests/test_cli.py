@@ -471,6 +471,16 @@ def test_search_json_reports_proposal_stats(capsys):
     assert stats["accepted"] == stats["improving"] + stats["equal"] + stats["worsening"]
 
 
+def test_search_negative_seed_exits_2_in_one_line(capsys):
+    code, out, err = run(
+        capsys, "search", "--n", "4", "--p", "1", "--q", "2", "--levels", "4,2,2",
+        "--seed", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_search_drift_exit_code_without_traceback(capsys, monkeypatch):
     import qqdesign.search as search_module
 

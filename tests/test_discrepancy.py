@@ -19,7 +19,6 @@ from qqdesign import (
     coincidence_number,
     dd,
     design_from_levels,
-    design_from_raw,
     frequency_vector,
     full_factorial,
     kernel_matrix,
@@ -353,7 +352,7 @@ def test_wd_squared_identical_points():
 
 def test_wd_squared_reflection_invariant():
     design = load_reference_design("mcd_8run_2")
-    reflected = design_from_raw(
+    reflected = Design(
         design.spec, design.qualitative, 1.0 - design.quantitative
     )
     assert wd_squared(reflected) == pytest.approx(wd_squared(design), abs=1e-13)
@@ -401,7 +400,7 @@ def test_reduction_consistency():
     for spec in RANDOM_SPECS:
         design = random_utype(spec, 99)
         if spec.q:
-            quant_view = design_from_raw(
+            quant_view = Design(
                 DesignSpec(n=spec.n, p=0, q=spec.q, levels=spec.quantitative_levels),
                 np.zeros((spec.n, 0)),
                 design.quantitative,
@@ -484,7 +483,7 @@ def test_swap_and_swap_back_restores_design_exactly():
     assert back == -forward  # same terms, negated, summed in the same order
     value = cache.apply_swap(1, 2, 9)
     assert value == pytest.approx(before, abs=1e-15)
-    assert cache.design == design
+    assert Design(cache.spec, *cache.levels()) == design
     # unscored commits compute their own change, never reuse a stale one
     cache.apply_swap(1, 2, 9)
     assert cache.apply_swap(1, 2, 9) == pytest.approx(before, abs=1e-15)
@@ -495,10 +494,10 @@ def test_swap_within_constant_column_changes_nothing():
     design = design_from_levels(spec, [[0]] * 4, [[0], [1], [0], [1]])
     cache = PairCache(design)
     before = cache.value()
-    assert cache.is_noop(0, 0, 3)
+    assert cache.columns[0][0] == cache.columns[0][3]
     assert cache.delta(0, 0, 3) == 0.0
     assert cache.apply_swap(0, 0, 3) == before
-    assert cache.design is design
+    assert Design(cache.spec, *cache.levels()) == design
 
 
 def test_swap_equal_rows_is_noop():
@@ -521,13 +520,13 @@ def test_swap_matches_full_recompute_on_random_designs():
             change = cache.delta(col, i, j)
             value = cache.apply_swap(col, i, j)
             assert value == before + change
-            assert value == pytest.approx(qqd_squared(cache.design), abs=1e-10)
+            assert value == pytest.approx(qqd_squared(Design(cache.spec, *cache.levels())), abs=1e-10)
 
 
 def test_swap_rejects_out_of_range_indices():
     cache = PairCache(load_reference_design("mcd_8run_1"))
     for args in [(3, 0, 1), (-1, 0, 1), (0, 0, 8), (1, -1, 2)]:
-        for method in (cache.delta, cache.apply_swap, cache.is_noop):
+        for method in (cache.delta, cache.apply_swap):
             with pytest.raises(DomainError, match="out of range"):
                 method(*args)
 
@@ -539,7 +538,7 @@ def test_pair_cache_supports_general_weights():
     assert cache.value() == pytest.approx(qqd_squared(design, config), abs=1e-12)
     for col, i, j in [(0, 0, 1), (1, 0, 3), (2, 1, 2)]:
         change = cache.delta(col, i, j)
-        after = qqd_squared(_swapped(cache.design, col, i, j), config)
+        after = qqd_squared(_swapped(Design(cache.spec, *cache.levels()), col, i, j), config)
         assert change == pytest.approx(after - cache.value(), abs=1e-12)
         cache.apply_swap(col, i, j)
 
@@ -598,9 +597,9 @@ def test_delta_matches_recompute_property(spec, seed, weights, data):
     change = cache.delta(col, i, j)
     # scoring mutates nothing
     assert cache.value() == before
-    assert cache.design == design
+    assert Design(cache.spec, *cache.levels()) == design
     after = _swapped(design, col, i, j)
-    if cache.is_noop(col, i, j):
+    if cache.columns[col][i] == cache.columns[col][j]:
         assert change == 0.0
         assert after == design
     expected = qqd_squared(after, config) - qqd_squared(design, config)
@@ -615,11 +614,11 @@ def test_tracked_value_does_not_drift_over_long_runs():
     while commits < 5000:
         col = int(rng.integers(spec.m))
         i, j = (int(v) for v in rng.integers(spec.n, size=2))
-        if cache.is_noop(col, i, j):
+        if cache.columns[col][i] == cache.columns[col][j]:
             continue
         cache.apply_swap(col, i, j)
         commits += 1
-        assert abs(cache.value() - qqd_squared(cache.design)) <= 1e-12
+        assert abs(cache.value() - qqd_squared(Design(cache.spec, *cache.levels()))) <= 1e-12
 
 
 # ------------------------------------------------------------------ symmetry
@@ -643,7 +642,7 @@ def test_qualitative_relabel_invariance():
 def test_quantitative_reflection_invariance():
     for name in ("mcd_8run_2", "juxtaposed_16run_2", "ccd_full_2"):
         design = load_reference_design(name)
-        reflected = design_from_raw(
+        reflected = Design(
             design.spec, design.qualitative, 1.0 - design.quantitative
         )
         assert qqd_squared(reflected) == pytest.approx(qqd_squared(design), abs=1e-12)

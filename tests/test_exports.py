@@ -8,6 +8,6 @@ def test_every_exported_name_resolves_once():
 
 
 def test_removed_wrappers_are_not_exported():
-    for name in ("KernelFactor", "FrequencyVector", "UTypeReport", "McdReport"):
+    for name in ("KernelFactor", "FrequencyVector", "UTypeReport", "McdReport", "design_from_raw"):
         assert name not in qqdesign.__all__
         assert not hasattr(qqdesign, name)

@@ -88,3 +88,28 @@ def test_bounds_levels_end_in_a_documented_exit_code(levels, p, q):
         )
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+@FUZZ
+@given(
+    n=st.integers(min_value=-2, max_value=16),
+    p=st.integers(min_value=0, max_value=2),
+    q=st.integers(min_value=0, max_value=2),
+    levels=st.lists(st.integers(min_value=-1, max_value=16), min_size=4, max_size=4),
+    budget=st.integers(min_value=-2, max_value=50),
+    restarts=st.integers(min_value=-1, max_value=3),
+    seed=st.integers(min_value=-10, max_value=2**40),
+)
+@example(n=4, p=1, q=1, levels=[2, 2, 2, 2], budget=10, restarts=1, seed=-1)
+def test_search_flags_end_in_a_documented_exit_code(n, p, q, levels, budget, restarts, seed):
+    argv = [
+        "search", "--n", str(n), "--p", str(p), "--q", str(q),
+        # one level count per factor, so that most specs get past the parser
+        f"--levels={','.join(map(str, levels[: p + q]))}",
+        "--budget", str(budget), "--restarts", str(restarts), "--seed", str(seed),
+    ]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2, 4)
+    assert "Traceback" not in stderr.getvalue()

@@ -13,7 +13,6 @@ from qqdesign import (
     DomainError,
     StructureError,
     design_from_levels,
-    design_from_raw,
     frequency_vector,
     full_factorial,
     is_mcd,
@@ -90,17 +89,24 @@ def test_level_to_unit_out_of_range():
             unit_to_level(value, 2)
 
 
+def test_level_conversions_refuse_an_empty_factor_or_a_fractional_level():
+    with pytest.raises(DomainError, match="level count must be >= 1"):
+        unit_to_level(0.5, 0)
+    with pytest.raises(DomainError, match="level must be an integer"):
+        level_to_unit(2.5, 4)
+
+
 def test_lattice_decoding_is_exact_at_the_int64_level_count():
     s = 2**63 - 1
     values = [[level_to_unit(0, s)], [level_to_unit(s - 1, s)]]
-    design = design_from_raw(DesignSpec(n=2, p=0, q=1, levels=(s,)), [[], []], values)
+    design = Design(DesignSpec(n=2, p=0, q=1, levels=(s,)), [[], []], values)
     assert design.quantitative_as_levels()[:, 0].tolist() == [0, s - 1]
     assert unit_to_level(1.0, s) == s - 1
 
 
 def test_quantitative_as_levels_names_the_first_off_lattice_entry():
     spec = DesignSpec(n=3, p=1, q=2, levels=(3, 3, 3))
-    design = design_from_raw(spec, [[0], [1], [2]], [[0.5, 1 / 6], [0.5, 0.4], [0.3, 5 / 6]])
+    design = Design(spec, [[0], [1], [2]], [[0.5, 1 / 6], [0.5, 0.4], [0.3, 5 / 6]])
     with pytest.raises(DomainError, match=r"row 2, column 1: value 0.3 is not a lattice point"):
         design.quantitative_as_levels()
     assert not design.is_lattice()
@@ -159,7 +165,7 @@ def test_design_from_raw_axial_transform():
     r2 = math.sqrt(2)
     transform = lambda x: (x + r2) / (2 * r2)
     spec = DesignSpec(n=3, p=0, q=1, levels=(5,))
-    design = design_from_raw(spec, np.zeros((3, 0)), [[transform(r2)], [transform(0)], [transform(-1)]])
+    design = Design(spec, np.zeros((3, 0)), [[transform(r2)], [transform(0)], [transform(-1)]])
     assert design.quantitative[0, 0] == 1.0
     assert design.quantitative[1, 0] == 0.5
     assert design.quantitative[2, 0] == pytest.approx((r2 - 1) / (2 * r2), abs=1e-15)
@@ -168,7 +174,7 @@ def test_design_from_raw_axial_transform():
 def test_design_from_raw_rejects_out_of_interval():
     spec = DesignSpec(n=1, p=0, q=1, levels=(2,))
     with pytest.raises(DomainError, match="row 0"):
-        design_from_raw(spec, np.zeros((1, 0)), [[1.2]])
+        Design(spec, np.zeros((1, 0)), [[1.2]])
 
 
 def test_design_arrays_are_immutable():
@@ -268,7 +274,7 @@ def test_is_mcd_structure_errors():
     with pytest.raises(StructureError, match="needs n=4 levels"):
         is_mcd(design)
     spec = DesignSpec(n=4, p=1, q=1, levels=(3, 4))
-    design = design_from_raw(spec, [[0], [1], [2], [2]], [[0.125], [0.375], [0.625], [0.875]])
+    design = Design(spec, [[0], [1], [2], [2]], [[0.125], [0.375], [0.625], [0.875]])
     with pytest.raises(StructureError, match="does not divide"):
         is_mcd(design)
 

@@ -42,6 +42,12 @@ def test_random_utype_rejects_infeasible_spec():
         random_utype(DesignSpec(n=5, p=1, q=1, levels=(2, 5)), 0)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+def test_random_utype_rejects_negative_seed(seed):
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        random_utype(SPEC_PAIR, seed)
+
+
 def test_random_utype_covers_all_balanced_column_pairs():
     spec = DesignSpec(n=4, p=1, q=1, levels=(2, 2))
     seen = set()
@@ -149,11 +155,34 @@ def test_search_rejects_infeasible_spec():
         search_uniform(DesignSpec(n=6, p=1, q=1, levels=(4, 2)))
 
 
+@pytest.mark.parametrize(
+    "spec, restarts, ran",
+    [(SPEC_4RUN, 1000, 1), (DesignSpec(n=6, p=1, q=1, levels=(2, 3)), 3, 3)],
+)
+def test_search_spawns_each_restart_seed_as_the_restart_starts(monkeypatch, spec, restarts, ran):
+    sizes, keys = [], []
+
+    class SpawnSpy(np.random.SeedSequence):
+        def spawn(self, n_children):
+            sizes.append(n_children)
+            children = super().spawn(n_children)
+            keys.extend(child.spawn_key for child in children)
+            return children
+
+    monkeypatch.setattr(np.random, "SeedSequence", SpawnSpy)
+    search_uniform(spec, SearchConfig(budget=200, restarts=restarts, seed=1))
+    assert sizes == [1] * ran
+    # the children spawn(ran) would give at once, so the streams are unchanged
+    assert keys == [(k,) for k in range(ran)]
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(budget=-1)
     with pytest.raises(DomainError):
         SearchConfig(restarts=0)
+    with pytest.raises(DomainError):
+        SearchConfig(seed=-1)
     with pytest.raises(DomainError):
         SearchConfig(threshold_schedule=(0.1, 0.2, 0.0))
     with pytest.raises(DomainError):
@@ -249,7 +278,7 @@ def test_exhaustive_4run_spec_attains_lb2():
 def test_exhaustive_capacity_error():
     spec = DesignSpec(n=16, p=1, q=2, levels=(2, 16, 16))
     with pytest.raises(CapacityError):
-        exhaustive_uniform(spec, cap=1000)
+        exhaustive_uniform(spec)
 
 
 def test_oracle_sandwich():
