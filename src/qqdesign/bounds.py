@@ -23,8 +23,11 @@ from fractions import Fraction
 
 from .balance import balance_form
 from .discrepancy import _constant_term, _lattice_kernel, _qualitative_head
-from .errors import DomainError
-from .model import DEFAULT_CONFIG, DesignSpec
+from .errors import CapacityError, DomainError
+from .model import DEFAULT_CONFIG, DesignSpec, _require_int
+
+# lb1 loops over the s/2 + 1 lattice distances of s quantitative levels (~0.2 s at the cap)
+LB1_LEVEL_CAP = 1 << 20
 
 
 def lb1(spec: DesignSpec) -> float:
@@ -34,6 +37,9 @@ def lb1(spec: DesignSpec) -> float:
     powers per factor and plain products lose precision multiplicatively.
     """
     spec.require_utype_feasible()
+    top = max(spec.quantitative_levels, default=1)
+    if top > LB1_LEVEL_CAP:
+        raise CapacityError(f"quantitative level count {top} exceeds lb1's cap {LB1_LEVEL_CAP}")
     n, p, q = spec.n, spec.p, spec.q
     a, b = DEFAULT_CONFIG.a, DEFAULT_CONFIG.b
     C = _constant_term(spec.qualitative_levels, q, a, b)
@@ -59,6 +65,7 @@ def lb_symmetric(n: int, p: int, q: int, s1: int, s2: int) -> float:
     Written out directly (odd/even branch on s2) rather than delegating to
     lb1, so the two can cross-check each other.
     """
+    _require_int("lb_symmetric argument", n, p, q, s1, s2)
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s1 < 1 or s2 < 1:
         raise DomainError("lb_symmetric needs n >= 1, s1, s2 >= 1 and at least one factor")
     if p > 0 and n % s1 != 0:
@@ -91,6 +98,7 @@ def lb2(n: int, p: int, q: int, s: int) -> float:
     are taken in exact integer arithmetic (the moduli outgrow 64 bits
     quickly) and ``balance_form`` rounds the exact value once.
     """
+    _require_int("lb2 argument", n, p, q, s)
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s < 1:
         raise DomainError("lb2 needs n >= 1, s >= 1 and at least one factor")
     sums = []

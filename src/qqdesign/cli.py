@@ -5,9 +5,8 @@ codes: 0 success, 1 usage, parse or file error, 2 domain/structure/capacity
 error, 3 reproduction failure, 4 search finished without reaching the
 lower bound, 5 the search's incrementally tracked objective disagreed
 with its full recomputation (an internal fault).  eval refuses, with exit
-1, a flag its criterion would ignore: --a and --b with wd or swd, and
---swd-mode with any criterion but swd.  Values print at six decimals
-(banker's rounding); --json emits full precision.
+1, a flag its criterion would ignore: --a and --b with wd or swd.  Values
+print at six decimals (banker's rounding); --json emits full precision.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .bounds import full_factorial_qqd, lb
 from .designio import read_design, write_design
 from .discrepancy import (
     QUADRATIC_FORM_CAP,
-    SWD_MODES,
     dd,
     qqd_squared,
     qqd_squared_quadratic,
@@ -103,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     # None marks a weight not given, so a criterion that ignores it can refuse it
     p_eval.add_argument("--a", type=float, default=None, help="same-level kernel weight")
     p_eval.add_argument("--b", type=float, default=None, help="different-level kernel weight")
-    p_eval.add_argument("--swd-mode", choices=SWD_MODES, default=None)
 
     p_bounds = sub.add_parser("bounds", parents=[common], help="lower bounds for a spec")
     _add_spec_flags(p_bounds)
@@ -142,31 +139,26 @@ def build_parser() -> argparse.ArgumentParser:
 # module at call time, so rebinding those names here (as the benchmark's
 # tracer does) reaches every call.
 _CRITERIA = {
-    "qqd": ("qqd^2", ("a", "b"), "closed", lambda d, config, mode: qqd_squared(d, config)),
-    "wd": ("wd^2", (), "closed", lambda d, config, mode: wd_squared(d)),
-    "dd": ("dd", ("a", "b"), "closed", lambda d, config, mode: dd(d, config)),
-    "swd": ("swd ({mode})", ("swd_mode",), "slices", lambda d, config, mode: swd(d, mode)),
+    "qqd": ("qqd^2", ("a", "b"), "closed", lambda d, config: qqd_squared(d, config)),
+    "wd": ("wd^2", (), "closed", lambda d, config: wd_squared(d)),
+    "dd": ("dd", ("a", "b"), "closed", lambda d, config: dd(d, config)),
+    "swd": ("swd", (), "slices", lambda d, config: swd(d)),
 }
 
 
 def _cmd_eval(args):
     label, reads, route, value_of = _CRITERIA[args.criterion]
-    for flag in ("a", "b", "swd_mode"):
+    for flag in ("a", "b"):
         if getattr(args, flag) is not None and flag not in reads:
-            name = "--" + flag.replace("_", "-")
-            raise ParseError(f"{name} does not apply to --criterion {args.criterion}")
+            raise ParseError(f"--{flag} does not apply to --criterion {args.criterion}")
     design = read_design(args.file)
     config = CriterionConfig(
         a=DEFAULT_CONFIG.a if args.a is None else args.a,
         b=DEFAULT_CONFIG.b if args.b is None else args.b,
     )
-    if "swd_mode" in reads and args.swd_mode is None:
-        raise ParseError("--swd-mode is required with --criterion swd")
-    value = value_of(design, config, args.swd_mode)
+    value = value_of(design, config)
     out: dict = {"criterion": args.criterion, "value": value}
-    lines = [f"{route} route: {label.format(mode=args.swd_mode)} = {value:.6f}"]
-    if "swd_mode" in reads:
-        out["mode"] = args.swd_mode
+    lines = [f"{route} route: {label} = {value:.6f}"]
     if args.criterion == "qqd":
         if design.is_lattice() and design.spec.N <= QUADRATIC_FORM_CAP:
             quad = qqd_squared_quadratic(design, config)

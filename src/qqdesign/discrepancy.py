@@ -125,11 +125,11 @@ def _qqd_squared_arrays(
     qualitative: np.ndarray, quantitative: np.ndarray, s_qual, config: CriterionConfig
 ) -> float:
     n, p = qualitative.shape
-    ratio_powers = (config.a / config.b) ** np.arange(p + 1)
     # np.sum per square part and per rest, and fsum across those partials,
     # keep the closed form and the quadratic form within ~1e-13 at n around
     # 10^3; weights that overflow (numpy's power gives inf) are refused below
     with np.errstate(all="ignore"):
+        ratio_powers = (config.a / config.b) ** np.arange(p + 1)
         partials = []
         for square, rest in _row_blocks(qualitative, quantitative, ratio_powers):
             partials += (float(np.sum(square)), 2.0 * float(np.sum(rest)))
@@ -194,19 +194,14 @@ def _rescaled_quantitative(design: Design) -> np.ndarray:
     return out
 
 
-SWD_MODES = ("wd", "wd_squared")
-
-
-def swd(design: Design, mode: str) -> float:
+def swd(design: Design) -> float:
     """Sum of slice WD values: one slice per level of each qualitative factor.
 
     Each slice is the quantitative sub-design of the rows at one level of
     one qualitative factor, evaluated after the columns of the full design
-    are rescaled to span [0, 1] exactly.  ``mode`` selects whether the
-    summands are WD values ("wd") or squared ones ("wd_squared").
+    are rescaled to span [0, 1] exactly.  The summands are WD values, the
+    square roots of the slices' squared discrepancies.
     """
-    if mode not in SWD_MODES:
-        raise DomainError(f"swd mode must be one of {SWD_MODES}, got {mode!r}")
     spec = design.spec
     if spec.p == 0 or spec.q == 0:
         raise DomainError("swd needs at least one factor of each type")
@@ -224,7 +219,7 @@ def swd(design: Design, mode: str) -> float:
             value = _qqd_squared_arrays(
                 np.zeros((sub.shape[0], 0), dtype=np.int64), sub, (), DEFAULT_CONFIG
             )
-            total.append(math.sqrt(value) if mode == "wd" else value)
+            total.append(math.sqrt(value))
     return math.fsum(total)
 
 

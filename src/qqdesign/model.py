@@ -30,6 +30,15 @@ FULL_FACTORIAL_ROW_CAP = 1_000_000
 LEVEL_COUNT_MAX = int(np.iinfo(np.int64).max)
 
 
+def _require_int(name: str, *values, low: int | None = None) -> None:
+    """DomainError unless every value is an integer (not a bool) and, given ``low``, >= low."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise DomainError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Run count and factor structure of a design class.
@@ -45,9 +54,10 @@ class DesignSpec:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_int("run count", self.n, low=1)
+        _require_int("factor count", self.p, self.q)
+        _require_int("level count", *self.levels)
         object.__setattr__(self, "levels", tuple(int(s) for s in self.levels))
-        if self.n < 1:
-            raise DomainError(f"run count must be >= 1, got {self.n}")
         if self.p < 0 or self.q < 0:
             raise DomainError("factor counts must be non-negative")
         if self.p + self.q < 1:

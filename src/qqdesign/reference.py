@@ -69,8 +69,6 @@ QQD_EXPECTED = {
 
 MCD_NAMES = ("mcd_8run_1", "mcd_8run_2", "mcd_16run_1", "mcd_16run_2", "mcd_16run_3")
 
-#: the paper's SWD sums slice WD values, not squared ones
-SWD_MODE = "wd"
 SWD_EXPECTED = {
     "juxtaposed_16run_2": 1.1055,
     "juxtaposed_16run_same": 1.0999,
@@ -115,7 +113,7 @@ def run_checks(tol: float | None = None) -> list[CheckRow]:
 
     designs = {name: load_reference_design(name) for name in DESIGN_NAMES}
     qqd = {name: qqd_squared(designs[name]) for name in QQD_EXPECTED}
-    swd_values = {name: swd(designs[name], SWD_MODE) for name in SWD_EXPECTED}
+    swd_values = {name: swd(designs[name]) for name in SWD_EXPECTED}
 
     for name, expected in QQD_EXPECTED.items():
         row_tol = large_tol if expected > 1 else value_tol
@@ -127,9 +125,7 @@ def run_checks(tol: float | None = None) -> list[CheckRow]:
         rows.append(CheckRow(f"is_mcd {name}", 1.0, float(report.passed), 0.0, note))
 
     for name, expected in SWD_EXPECTED.items():
-        rows.append(
-            CheckRow(f"swd {name}", expected, swd_values[name], value_tol, note=f"mode={SWD_MODE}")
-        )
+        rows.append(CheckRow(f"swd {name}", expected, swd_values[name], value_tol))
 
     juxta_qqd = qqd["juxtaposed_16run_same"] - qqd["juxtaposed_16run_2"]
     rows.append(

@@ -21,6 +21,9 @@ range(m * n * (n - 1)); ``_decode`` splits a code with two divmods into a
 column and an ordered pair of distinct rows, so each column and each
 ordered pair is equally likely.  Draws left over when a restart stops at
 the bound are discarded.
+
+The oracle ``exhaustive_uniform`` scores every U-type design exactly: one row
+of last-factor candidates per matrix-vector product of ``kernel_matrix`` weights.
 """
 
 from __future__ import annotations
@@ -32,14 +35,9 @@ from itertools import product
 import numpy as np
 
 from .bounds import lb
-from .discrepancy import (
-    PairCache,
-    _constant_term,
-    _quant_kernel,
-    qqd_squared,
-)
+from .discrepancy import PairCache, _constant_term, kernel_matrix, qqd_squared
 from .errors import CapacityError, DomainError, DriftError
-from .model import DEFAULT_CONFIG, Design, DesignSpec, _unit, design_from_levels
+from .model import DEFAULT_CONFIG, Design, DesignSpec, _require_int, design_from_levels
 
 
 def _balanced_column(spec_n: int, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -49,9 +47,10 @@ def _balanced_column(spec_n: int, s: int, rng: np.random.Generator) -> np.ndarra
 def random_utype(spec: DesignSpec, seed) -> Design:
     """Uniformly random balanced columns; deterministic for a given seed."""
     spec.require_utype_feasible()
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed
+    if not isinstance(seed, np.random.Generator):
+        _require_int("seed", seed, low=0)
+        rng = np.random.default_rng(seed)
     cols = [_balanced_column(spec.n, s, rng) for s in spec.levels]
     levels = np.column_stack(cols)
     return design_from_levels(spec, levels[:, : spec.p], levels[:, spec.p :])
@@ -75,12 +74,9 @@ class SearchConfig:
     stop_at_bound: bool = True
 
     def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise DomainError(f"budget must be >= 0, got {self.budget}")
-        if self.restarts < 1:
-            raise DomainError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        _require_int("budget", self.budget, low=0)
+        _require_int("restarts", self.restarts, low=1)
+        _require_int("seed", self.seed, low=0)
         if self.threshold_schedule is not None:
             sched = tuple(float(t) for t in self.threshold_schedule)
             if not sched or sched[-1] != 0.0:
@@ -264,36 +260,21 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
 
 def _distinct_balanced_columns(n: int, s: int) -> list[tuple[int, ...]]:
     """All distinct permutations of the balanced level multiset, lexicographic."""
-    reps = n // s
-    out: list[tuple[int, ...]] = []
-    column: list[int] = []
-    remaining = [reps] * s
+    columns: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        columns = [c + (lev,) for c in columns for lev in range(s) if c.count(lev) < n // s]
+    return columns
 
-    def grow() -> None:
-        if len(column) == n:
-            out.append(tuple(column))
-            return
-        for lev in range(s):
-            if remaining[lev]:
-                remaining[lev] -= 1
-                column.append(lev)
-                grow()
-                column.pop()
-                remaining[lev] += 1
 
-    grow()
-    return out
+def _column_count(n: int, s: int) -> int:
+    """Number of distinct balanced columns of an s-level factor: n! / ((n/s)!)^s."""
+    return math.factorial(n) // math.factorial(n // s) ** s
 
 
 def count_utype_designs(spec: DesignSpec) -> int:
     """Exact size of the U-type design space (columns chosen independently)."""
     spec.require_utype_feasible()
-    total = 1
-    for s in spec.levels:
-        reps = spec.n // s
-        count = math.factorial(spec.n) // math.factorial(reps) ** s
-        total *= count
-    return total
+    return math.prod(_column_count(spec.n, s) for s in spec.levels)
 
 
 @dataclass(frozen=True)
@@ -303,56 +284,49 @@ class ExhaustiveResult:
     count: int  # optima within 1e-12 * max(1, |optimum|) of the minimum
 
 
-# exhaustive_uniform refuses to enumerate more U-type designs than this
+# exhaustive_uniform refuses to enumerate more U-type designs than this,
 EXHAUSTIVE_CAP = 10_000_000
+# and to tabulate more pair weights (n^2 float64 per candidate column, 512 MB)
+EXHAUSTIVE_WEIGHT_CAP = 1 << 26
 
 
 def exhaustive_uniform(spec: DesignSpec) -> ExhaustiveResult:
     """Exact minimum of the squared discrepancy over every U-type design.
 
     Raw enumeration over all column combinations (no canonicalization, so
-    the optimum count is over the full space).  Per-factor kernel
-    contributions are precomputed per candidate column, which makes each
-    design an elementwise product and a sum.
+    the optimum count is over the full space), batched as the module says.
     """
     total = count_utype_designs(spec)
     if total > EXHAUSTIVE_CAP:
         raise CapacityError(f"{total} U-type designs exceed the enumeration cap {EXHAUSTIVE_CAP}")
-
-    config = DEFAULT_CONFIG
     n = spec.n
-    factor_columns = [_distinct_balanced_columns(n, s) for s in spec.levels]
-    factor_weights = []
-    for k, s in enumerate(spec.levels):
-        mats = []
-        for col in factor_columns[k]:
-            arr = np.asarray(col)
-            if k < spec.p:
-                mats.append((config.a / config.b) ** (arr[:, None] == arr[None, :]))
-            else:
-                x = _unit(arr, s)
-                mats.append(_quant_kernel(x[:, None], x[None, :]))
-        factor_weights.append(mats)
+    entries = sum(_column_count(n, s) for s in spec.levels) * n * n
+    if entries > EXHAUSTIVE_WEIGHT_CAP:
+        raise CapacityError(f"{entries} pair weights exceed the table cap {EXHAUSTIVE_WEIGHT_CAP}")
 
-    C = _constant_term(spec.qualitative_levels, spec.q, config.a, config.b)
-    scale = config.b**spec.p / n**2
-    best = math.inf
-    best_choice = None
-    count = 0
-    base = np.ones((n, n))
-    for choice in product(*(range(len(cols)) for cols in factor_columns)):
-        w = base
-        for k, c in enumerate(choice):
-            w = w * factor_weights[k][c]
-        value = C + scale * math.fsum(w.ravel().tolist())
-        if value < best - 1e-12 * max(1.0, abs(value)):
-            best = value
-            best_choice = choice
-            count = 1
-        elif abs(value - best) <= 1e-12 * max(1.0, abs(best)):
-            count += 1
-    levels = np.column_stack(
-        [factor_columns[k][c] for k, c in enumerate(best_choice)]
-    )
+    factor_columns = [np.array(_distinct_balanced_columns(n, s)) for s in spec.levels]
+    weights = [
+        kernel_matrix(k, spec)[cols[:, :, None], cols[:, None, :]].reshape(len(cols), n * n)
+        for k, cols in enumerate(factor_columns)
+    ]
+    # the batched factor; every other one-candidate factor folds into a constant base
+    last = max((k for k, w in enumerate(weights) if len(w) > 1), default=spec.m - 1)
+    others = [k for k in range(spec.m) if k != last]
+    free = [k for k in others if len(weights[k]) > 1]
+    base = math.prod((weights[k][0] for k in others if k not in free), start=np.ones(n * n))
+    C = _constant_term(spec.qualitative_levels, spec.q, DEFAULT_CONFIG.a, DEFAULT_CONFIG.b)
+    best, count, picks = math.inf, 0, {}
+    for choice in product(*(range(len(weights[k])) for k in free)):
+        prefix = base
+        for k, c in zip(free, choice):
+            prefix = prefix * weights[k][c]
+        values = C + weights[last] @ prefix / n**2
+        # the sequential tie rule, per row: a new best resets the count
+        low = float(values.min())
+        if low < best - 1e-12 * max(1.0, abs(low)):
+            first = int(np.argmax(values <= low + 1e-12 * max(1.0, abs(low))))
+            best, count, picks = float(values[first]), 0, dict([*zip(free, choice), (last, first)])
+        count += int(np.count_nonzero(np.abs(values - best) <= 1e-12 * max(1.0, abs(best))))
+    levels = np.column_stack([cols[picks.get(k, 0)] for k, cols in enumerate(factor_columns)])
     design = design_from_levels(spec, levels[:, : spec.p], levels[:, spec.p :])
     return ExhaustiveResult(optimum=best, design=design, count=count)

@@ -99,19 +99,14 @@ def test_criterion_3_juxtaposition_and_swd():
     values_ok = (
         abs(q1 - 0.0822) < 5e-5 and abs(q2 - 0.0545) < 5e-5 and abs(qsame - 0.0813) < 5e-5
     )
-    matching = [
-        mode
-        for mode in ("wd", "wd_squared")
-        if abs(swd(d2, mode) - 1.1055) < 5e-5 and abs(swd(dsame, mode) - 1.0999) < 5e-5
-    ]
-    exactly_one = len(matching) == 1
-    mode = matching[0] if matching else "wd"
-    ordering_ok = qsame > q2 and swd(dsame, mode) < swd(d2, mode)
-    ok = values_ok and exactly_one and ordering_ok
+    s2, ssame = swd(d2), swd(dsame)
+    swd_ok = abs(s2 - 1.1055) < 5e-5 and abs(ssame - 1.0999) < 5e-5
+    ordering_ok = qsame > q2 and ssame < s2
+    ok = values_ok and swd_ok and ordering_ok
     _report(
         3,
         ok,
-        f"qqd^2 {q1:.4f}/{q2:.4f}/{qsame:.4f}; swd mode match {matching}; "
+        f"qqd^2 {q1:.4f}/{q2:.4f}/{qsame:.4f}; swd {s2:.4f}/{ssame:.4f}; "
         f"orderings {'hold' if ordering_ok else 'violated'}",
     )
 

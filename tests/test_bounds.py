@@ -119,6 +119,14 @@ def test_lb_symmetric_refuses_inputs_outside_its_domain(n, p, q, s1, s2):
         lb_symmetric(n, p, q, s1, s2)
 
 
+@pytest.mark.parametrize(
+    "args", [(4.0, 1, 1, 2, 2), (4, 1.0, 1, 2, 2), (4, 1, 1, 2.5, 2), (4, 1, 1, 2, True)]
+)
+def test_lb_symmetric_refuses_non_integer_arguments(args):
+    with pytest.raises(DomainError, match="lb_symmetric argument must be an integer"):
+        lb_symmetric(*args)
+
+
 # -------------------------------------------------------------------------- lb2
 
 def test_lb2_reference_value_exact():
@@ -144,6 +152,13 @@ def test_lb2_handles_wide_designs_exactly():
     # moduli overflow 64-bit integers; exact arithmetic must survive
     value = lb2(6, 30, 30, 3)
     assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("args", [(4, 1, 1, 2.5), (4, 1.0, 1, 2), (4.0, 1, 1, 2), (4, 1, True, 2)])
+def test_lb2_refuses_non_integer_arguments(args):
+    with pytest.raises(DomainError, match="lb2 argument must be an integer"):
+        lb2(*args)
+    assert lb2(np.int64(4), 1, 1, np.int64(2)) == lb2(4, 1, 1, 2)  # numpy integers are fine
 
 
 # --------------------------------------------------------------------------- lb

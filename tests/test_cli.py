@@ -47,20 +47,14 @@ def test_eval_dd_on_full_factorial(capsys, tmp_path):
 
 
 def test_eval_swd_requires_mode_and_reports_value(capsys):
-    code, _, err = run(capsys, "eval", data_path("juxtaposed_16run_2"), "--criterion", "swd")
-    assert code == 1
-    assert "--swd-mode" in err
-    code, out, _ = run(
-        capsys,
-        "eval",
-        data_path("juxtaposed_16run_2"),
-        "--criterion",
-        "swd",
-        "--swd-mode",
-        "wd",
-    )
+    code, out, _ = run(capsys, "eval", data_path("juxtaposed_16run_2"), "--criterion", "swd")
     assert code == 0
     assert abs(float(out.split("=")[1]) - 1.1055) < 5e-5
+    code, _, err = run(
+        capsys, "eval", data_path("juxtaposed_16run_2"), "--criterion", "swd", "--swd-mode", "wd"
+    )
+    assert code == 1
+    assert "unrecognized arguments: --swd-mode" in err
 
 
 @pytest.mark.parametrize(
@@ -69,7 +63,7 @@ def test_eval_swd_requires_mode_and_reports_value(capsys):
         ("mcd_8run_2", (), "closed"),
         ("mcd_8run_2", ("--criterion", "wd"), "closed"),
         ("mcd_8run_2", ("--criterion", "dd"), "closed"),
-        ("juxtaposed_16run_2", ("--criterion", "swd", "--swd-mode", "wd"), "slices"),
+        ("juxtaposed_16run_2", ("--criterion", "swd"), "slices"),
     ],
 )
 def test_eval_names_the_route_of_its_value(capsys, design, flags, route):
@@ -88,9 +82,7 @@ def test_eval_names_the_route_of_its_value(capsys, design, flags, route):
     [
         (("--criterion", "wd", "--a", "9", "--b", "1"), "--a"),
         (("--criterion", "wd", "--b", "1"), "--b"),
-        (("--criterion", "swd", "--swd-mode", "wd", "--a", "9", "--b", "1"), "--a"),
-        (("--criterion", "qqd", "--swd-mode", "wd"), "--swd-mode"),
-        (("--criterion", "dd", "--swd-mode", "wd"), "--swd-mode"),
+        (("--criterion", "swd", "--a", "9", "--b", "1"), "--a"),
     ],
 )
 def test_eval_refuses_flags_its_criterion_ignores(capsys, flags, named):
@@ -203,14 +195,18 @@ def test_eval_rejects_integers_beyond_int64(capsys, tmp_path, text, message):
         (("--a", "inf", "--b", "1"), "kernel weights need finite"),
         (("--a", "1e308", "--b", "1e-308"), "kernel weights overflow"),
         (("--criterion", "dd", "--a", "1e308", "--b", "1e-308"), "kernel weights overflow"),
+        # (a/b)^2 overflows numpy's power: no warning may precede the error
+        (("--a", "1e300", "--b", "1"), "kernel weights overflow"),
     ],
 )
 def test_eval_refuses_non_finite_kernel_weights(capsys, weights, message):
-    code, out, err = run(capsys, "eval", "--json", *weights, data_path("mcd_8run_2"))
+    # two qualitative factors, so the table of (a/b)^k reaches k = 2
+    code, out, err = run(capsys, "eval", "--json", *weights, data_path("juxtaposed_16run_2"))
     assert code == 2
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_eval_prints_an_out_of_range_quantitative_entry_as_a_plain_float(capsys, tmp_path):
@@ -284,7 +280,6 @@ def test_bounds_unreadable_levels_are_a_usage_error(capsys, levels):
     [
         (["bounds", "--n", "12", "--p", "0", "--q", "0", "--levels=--"], "--levels"),
         (["eval", data_path("mcd_8run_1"), "--a=--"], "--a"),
-        (["eval", data_path("mcd_8run_1"), "--criterion", "swd", "--swd-mode=--"], "--swd-mode"),
         (["search", "--n", "4", "--p", "1", "--q", "1", "--levels", "2,2", "--out=--"], "--out"),
     ],
 )
@@ -293,6 +288,14 @@ def test_option_value_of_two_dashes_is_a_usage_error(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err == f"error: argument {flag}: expected one argument\n"
+
+
+def test_bounds_refuses_a_level_count_over_lb1s_cap_at_once(capsys):
+    s = str(2**40)
+    code, out, err = run(capsys, "bounds", "--n", s, "--p", "1", "--q", "1", "--levels", f"{s},{s}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: quantitative level count {s} exceeds lb1's cap {2**20}\n"
 
 
 def test_bounds_has_no_tol_flag(capsys):
@@ -530,7 +533,6 @@ def test_reproduce_all_pass(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) >= 20
     assert all(l.startswith("PASS") for l in lines)
-    assert "mode=wd" in out
 
 
 def test_reproduce_json(capsys):

@@ -295,6 +295,17 @@ def test_quadratic_equals_closed_form_on_reference_designs():
 
 
 @pytest.mark.filterwarnings("error")
+def test_closed_form_refuses_overflowing_agreement_weights():
+    # two qualitative factors: (a/b)^2 = 1e600 overflows, with no warning
+    design = load_reference_design("juxtaposed_16run_2")
+    config = CriterionConfig(a=1e300, b=1.0)
+    with pytest.raises(DomainError, match="kernel weights overflow"):
+        qqd_squared(design, config)
+    with pytest.raises(DomainError, match="kernel weights overflow"):
+        PairCache(design, config)
+
+
+@pytest.mark.filterwarnings("error")
 def test_quadratic_form_refuses_non_finite_kernel_weights():
     design = load_reference_design("mcd_16run_3")
     with pytest.raises(DomainError, match="kernel weights overflow"):
@@ -420,10 +431,10 @@ def test_reduction_consistency():
 # ------------------------------------------------------------------------ swd
 
 def test_swd_reference_values():
-    assert swd(load_reference_design("juxtaposed_16run_2"), "wd") == pytest.approx(
+    assert swd(load_reference_design("juxtaposed_16run_2")) == pytest.approx(
         1.1055, abs=5e-5
     )
-    assert swd(load_reference_design("juxtaposed_16run_same"), "wd") == pytest.approx(
+    assert swd(load_reference_design("juxtaposed_16run_same")) == pytest.approx(
         1.0999, abs=5e-5
     )
 
@@ -437,28 +448,21 @@ def test_swd_additivity_over_identical_slices():
     slice_design = design_from_levels(
         DesignSpec(n=2, p=1, q=1, levels=(1, 2)), [[0], [0]], [[0], [1]]
     )
-    one = swd(slice_design, "wd")  # single factor, single level: one slice
-    assert swd(design, "wd") == pytest.approx(3 * one, abs=1e-12)
-
-
-def test_swd_modes_differ():
-    design = load_reference_design("juxtaposed_16run_2")
-    assert swd(design, "wd") != swd(design, "wd_squared")
+    one = swd(slice_design)  # single factor, single level: one slice
+    assert swd(design) == pytest.approx(3 * one, abs=1e-12)
 
 
 def test_swd_empty_level_class():
     spec = DesignSpec(n=4, p=1, q=1, levels=(4, 2))
     design = design_from_levels(spec, [[0], [0], [1], [1]], [[0], [1], [0], [1]])
     with pytest.raises(DomainError, match="level 2"):
-        swd(design, "wd")
+        swd(design)
 
 
 def test_swd_requires_both_factor_types():
     spec = DesignSpec(n=2, p=0, q=1, levels=(2,))
     with pytest.raises(DomainError):
-        swd(design_from_levels(spec, np.zeros((2, 0)), [[0], [1]]), "wd")
-    with pytest.raises(DomainError, match="mode"):
-        swd(load_reference_design("juxtaposed_16run_2"), "squared")
+        swd(design_from_levels(spec, np.zeros((2, 0)), [[0], [1]]))
 
 
 # ------------------------------------------------------------ swap evaluator

@@ -55,6 +55,23 @@ def test_spec_rejects_bad_parameters(kwargs):
         DesignSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n=4.0, p=1, q=1, levels=(2, 2)),
+        dict(n=4, p=1.0, q=1, levels=(2, 2)),
+        dict(n=4, p=1, q=True, levels=(2, 2)),
+        dict(n=4, p=1, q=1, levels=(2.5, 2)),
+        dict(n=4, p=1, q=1, levels=(2, np.float64(2))),
+    ],
+)
+def test_spec_refuses_non_integer_counts(kwargs):
+    with pytest.raises(DomainError, match="must be an integer"):
+        DesignSpec(**kwargs)
+    spec = DesignSpec(n=np.int64(4), p=1, q=1, levels=(np.int64(2), 2))  # numpy integers are fine
+    assert spec.levels == (2, 2)
+
+
 # ------------------------------------------------------------- level_to_unit
 
 def test_level_to_unit_two_level_values():

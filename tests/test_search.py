@@ -1,8 +1,12 @@
+import math
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+import qqdesign.search as search
 from qqdesign import (
     CapacityError,
     DesignSpec,
@@ -11,6 +15,7 @@ from qqdesign import (
     SearchConfig,
     SearchStats,
     count_utype_designs,
+    design_from_levels,
     exhaustive_uniform,
     frequency_vector,
     full_factorial_qqd,
@@ -21,6 +26,7 @@ from qqdesign import (
     search_uniform,
     validate_utype,
 )
+from qqdesign.search import EXHAUSTIVE_CAP, EXHAUSTIVE_WEIGHT_CAP, _distinct_balanced_columns
 
 SPEC_4RUN = DesignSpec(n=4, p=1, q=2, levels=(4, 2, 2))
 SPEC_PAIR = DesignSpec(n=8, p=1, q=2, levels=(2, 8, 8))
@@ -45,6 +51,12 @@ def test_random_utype_rejects_infeasible_spec():
 @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
 def test_random_utype_rejects_negative_seed(seed):
     with pytest.raises(DomainError, match="seed must be >= 0"):
+        random_utype(SPEC_PAIR, seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1.5, 2.0, True, None])
+def test_random_utype_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(DomainError, match="seed must be an integer"):
         random_utype(SPEC_PAIR, seed)
 
 
@@ -190,6 +202,16 @@ def test_search_config_validation():
     SearchConfig(threshold_schedule=(0.1, 0.05, 0.0))  # fine
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(budget=2.5), dict(budget=True), dict(restarts=2.0), dict(seed=1.5), dict(seed=False)],
+)
+def test_search_config_refuses_non_integer_counts(kwargs):
+    with pytest.raises(DomainError, match=f"{next(iter(kwargs))} must be an integer"):
+        SearchConfig(**kwargs)
+    SearchConfig(**{name: np.int64(2) for name in kwargs})  # numpy integers are fine
+
+
 def test_search_explicit_schedule_runs():
     config = SearchConfig(
         budget=300, restarts=1, seed=3, threshold_schedule=(0.01, 0.0), stop_at_bound=False
@@ -309,3 +331,70 @@ def test_exhaustive_optimum_never_beats_bound_on_tiny_spaces():
         assert result.optimum >= lb(spec).value - 1e-10
         if spec.n % spec.N == 0:
             assert result.optimum == pytest.approx(full_factorial_qqd(spec), abs=1e-10)
+
+
+def _brute_force(spec):
+    """Score every U-type design with qqd_squared under the oracle's sequential tie rule."""
+    best, first, count = math.inf, None, 0
+    for columns in product(*(_distinct_balanced_columns(spec.n, s) for s in spec.levels)):
+        levels = np.column_stack(columns)
+        design = design_from_levels(spec, levels[:, : spec.p], levels[:, spec.p :])
+        value = qqd_squared(design)
+        if value < best - 1e-12 * max(1.0, abs(value)):
+            best, first, count = value, design, 1
+        elif abs(value - best) <= 1e-12 * max(1.0, abs(best)):
+            count += 1
+    return best, first, count
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DesignSpec(n=4, p=1, q=1, levels=(2, 2)),
+        DesignSpec(n=6, p=1, q=1, levels=(2, 3)),
+        DesignSpec(n=4, p=2, q=1, levels=(2, 2, 4)),
+        DesignSpec(n=4, p=1, q=2, levels=(2, 2, 1)),  # a one-level last factor
+    ],
+)
+def test_exhaustive_matches_brute_force_over_qqd_squared(spec):
+    best, first, count = _brute_force(spec)
+    result = exhaustive_uniform(spec)
+    assert result.optimum == pytest.approx(best, abs=1e-12)
+    assert result.count == count
+    assert result.design == first
+
+
+@pytest.mark.parametrize(
+    "spec, optimum, count",
+    [
+        (DesignSpec(n=8, p=1, q=2, levels=(2, 2, 2)), lb2(8, 1, 2, 2), 40_320),
+        (DesignSpec(n=6, p=2, q=2, levels=(2, 2, 3, 3)), 0.11223636831275696, 25_920),
+    ],
+)
+def test_exhaustive_pinned_optima(spec, optimum, count):
+    result = exhaustive_uniform(spec)
+    assert result.optimum == pytest.approx(optimum, abs=1e-12)
+    assert result.count == count
+
+
+def test_exhaustive_keeps_no_array_per_design():
+    # 2 * 20 + 2 * 90 candidate columns, 36 pair weights each: about 63 KB
+    spec = DesignSpec(n=6, p=2, q=2, levels=(2, 2, 3, 3))
+    tracemalloc.start()
+    try:
+        exhaustive_uniform(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_exhaustive_refuses_weight_tables_over_the_cap_before_listing(monkeypatch):
+    def unlisted(n, s):
+        raise AssertionError("candidate columns listed")
+
+    monkeypatch.setattr(search, "_distinct_balanced_columns", unlisted)
+    spec = DesignSpec(n=12, p=1, q=0, levels=(6,))
+    assert count_utype_designs(spec) <= EXHAUSTIVE_CAP  # 7,484,400 designs
+    with pytest.raises(CapacityError, match=f"exceed the table cap {EXHAUSTIVE_WEIGHT_CAP}"):
+        exhaustive_uniform(spec)
