@@ -1,25 +1,26 @@
-"""Balance patterns of two-level-type U-type designs.
+"""Balance patterns of two-level-type U-type designs, and the balance form.
 
 For a design whose p qualitative factors share s1 levels and whose q
-quantitative factors share s2 levels, the balance component of a column
-subset S is the sum of squared deviations of its level-combination counts
-from perfect uniformity; it vanishes exactly when S forms an orthogonal
-array of full strength.  The balance pattern averages the components over
-all subsets of each size.
+quantitative factors share s2 levels (``_two_type_shape``), the balance
+component of a column subset S is the sum of squared deviations of its
+level-combination counts from perfect uniformity; it vanishes exactly
+when S forms an orthogonal array of full strength.  The balance pattern
+averages the components over all subsets of each size.
 
 The sum of squared counts of S is the number of ordered row pairs that
-agree on every column of S, so both routes count row pairs instead of
-level combinations.  ``balance_pattern`` (which also lists the
-components, capped at ``SUBSET_FACTOR_CAP`` factors) histograms each
-pair's m-bit agreement mask and sums the histogram over supersets, which
-gives every subset's pair count at once.  ``balance_pattern_rowform`` (no
-cap) histograms the number of agreeing columns per pair and sums the
-binomials of those counts.  Counts accumulate as exact integers and only
-the final normalization is floating point, so the two routes agree
-exactly; ``balance_component`` counts one subset's level combinations
-directly.  ``balance_form`` turns the per-size sums into the squared
-discrepancy; ``qqd_from_balance`` feeds it the row-form sums and
-``bounds.lb2`` feeds it lower bounds on them.
+agree on every column of S, so both routes read one exact histogram of
+row pairs, ``discrepancy._agreement_histogram``.  ``balance_pattern``
+(which also lists the components, capped at ``SUBSET_FACTOR_CAP``
+factors) histograms each pair's agreement mask and sums over supersets;
+``balance_pattern_rowform`` (no cap) histograms the number of agreeing
+columns and sums binomials of those counts.  Only the final normalization
+is floating point, so the two routes agree exactly; ``balance_component``
+counts one subset's level combinations directly.  ``balance_form`` turns
+per-size sums into the squared discrepancy, with the exact full-factorial
+value as its constant; ``qqd_from_balance`` feeds it the row-form sums
+and ``bounds.lb2`` residue bounds on them.  ``_split_sum`` sums a term of
+the cell count over the qualitative/quantitative splits of each size, for
+the uniform reference term here and for lb2's residues.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .discrepancy import PAIR_BLOCK, _lattice_kernel, _qualitative_head, _row_blocks
+from .discrepancy import _agreement_histogram, _lattice_kernel, _qualitative_head
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, Design, validate_utype
 
@@ -55,25 +56,32 @@ class BalancePattern:
     components: dict[tuple[int, ...], float] | None = None
 
 
+def _two_type_shape(spec) -> tuple[int, int] | None:
+    """(s1, s2) when the qualitative factors share s1 levels and the quantitative s2, else None.
+
+    A type without factors reads 2, which never enters a cell count.
+    """
+    qual, quant = set(spec.qualitative_levels) or {2}, set(spec.quantitative_levels) or {2}
+    return (qual.pop(), quant.pop()) if len(qual) == len(quant) == 1 else None
+
+
 def _two_type_levels(design: Design) -> tuple[np.ndarray, int, int]:
     """Integer levels plus the common (s1, s2); rejects unsuitable designs."""
     spec = design.spec
-    qual_set = set(spec.qualitative_levels)
-    quant_set = set(spec.quantitative_levels)
-    if len(qual_set) > 1 or len(quant_set) > 1:
+    shape = _two_type_shape(spec)
+    if shape is None:
         raise DomainError(
             "balance pattern needs one common level count per factor type, "
-            f"got qualitative {sorted(qual_set)} and quantitative {sorted(quant_set)}"
+            f"got qualitative {sorted(set(spec.qualitative_levels))} "
+            f"and quantitative {sorted(set(spec.quantitative_levels))}"
         )
-    s1 = qual_set.pop() if qual_set else 1
-    s2 = quant_set.pop() if quant_set else 1
     report = validate_utype(design)
     if not report.passed:
         first = report.defects[0]
         raise DomainError(
             f"balance pattern needs a U-type design; column {first.column}: {first.message}"
         )
-    return design.all_levels(), s1, s2
+    return design.all_levels(), *shape
 
 
 def _component_exact(
@@ -127,7 +135,7 @@ def balance_pattern(design: Design) -> BalancePattern:
             pairs, cell_count = agreeing[mask], cells[(mask & qual_bits).bit_count()]
             components[cols] = (pairs * cell_count - n * n) / cell_count  # int / int rounds once
             total += pairs
-        reference = _reference_sum(n, p, q, s1, s2, k)
+        reference = _split_sum(p, q, s1, s2, k, lambda cells: Fraction(n * n, cells))
         aggregate.append(float((total - reference) / math.comb(m, k)))
     return BalancePattern(aggregate=tuple(aggregate), components=components)
 
@@ -135,65 +143,42 @@ def balance_pattern(design: Design) -> BalancePattern:
 def _subset_agreements(levels: np.ndarray) -> np.ndarray:
     """Entry S (bit c for column c): the number of ordered row pairs agreeing on all of S (exact).
 
-    Each unordered pair is visited once, in row blocks of at most
-    PAIR_BLOCK entries as in ``_row_blocks``, and its agreement mask is
-    histogrammed; summing the histogram over supersets (the zeta
-    transform, one pass per column) gives every subset's count.
+    The pairs' agreement-mask histogram summed over supersets (the zeta transform).
     """
-    n, m = levels.shape
-    table = np.zeros(1 << m, dtype=np.int64)
-    step = max(1, PAIR_BLOCK // n)
-    for start in range(0, n, step):
-        block = levels[start : start + step]
-        masks = np.zeros((block.shape[0], n - start), dtype=np.intp)
-        for c in range(m):
-            masks |= np.left_shift(block[:, c, None] == levels[start:, c], c, dtype=np.intp)
-        size = block.shape[0]  # the pairs i != j count twice
-        table += np.bincount(masks[:, :size].ravel(), minlength=1 << m)
-        table += 2 * np.bincount(masks[:, size:].ravel(), minlength=1 << m)
-    for c in range(m):
+    table = _agreement_histogram(levels, masks=True)
+    for c in range(levels.shape[1]):
         halves = table.reshape(-1, 2, 1 << c)
         halves[:, 0] += halves[:, 1]  # a mask with bit c also agrees on S without c
     return table
 
 
-def _agreement_histogram(levels: np.ndarray) -> np.ndarray:
-    """Entry k: the number of ordered row pairs agreeing on exactly k columns (exact)."""
-    n, m = levels.shape
-    counts, no_quant = np.arange(m + 1), np.zeros((n, 0))  # weight k agreements by k
-    # each unordered pair is built once, so the pairs i != j count twice
-    return sum(
-        np.bincount(square.ravel(), minlength=m + 1)
-        + 2 * np.bincount(rest.ravel(), minlength=m + 1)
-        for square, rest in _row_blocks(levels, no_quant, counts)
-    )
-
-
 def _size_sums(design: Design) -> list[Fraction]:
     """Exact sum of the components over all k-column subsets (index k-1).
 
-    A subset contributes to the pair (i, j) iff the rows agree on all its
-    columns, so the subset sum collapses to binomials of the per-pair
-    agreement count (``_agreement_histogram``); only the uniform reference
-    term still needs the per-size column split.
+    A subset counts the pair (i, j) iff the rows agree on all its columns,
+    so the pair counts collapse to binomials of the per-pair agreement
+    count; only the uniform reference term needs the column split.
     """
     spec = design.spec
     levels, s1, s2 = _two_type_levels(design)
     n, p, q, m = spec.n, spec.p, spec.q, spec.m
-    agree_hist = _agreement_histogram(levels)
-    sums = []
-    for k in range(1, m + 1):
-        pairs = sum(
-            int(agree_hist[a]) * math.comb(a, k) for a in range(k, m + 1)
-        )
-        sums.append(pairs - _reference_sum(n, p, q, s1, s2, k))
-    return sums
+    # the pairs agree on few distinct counts, and C(a, k) is 0 for a < k
+    hist = [(a, h) for a, h in enumerate(_agreement_histogram(levels, masks=False).tolist()) if h]
+    return [
+        sum(h * math.comb(a, k) for a, h in hist)
+        - _split_sum(p, q, s1, s2, k, lambda cells: Fraction(n * n, cells))
+        for k in range(1, m + 1)
+    ]
 
 
-def _reference_sum(n: int, p: int, q: int, s1: int, s2: int, k: int) -> Fraction:
-    """Sum of n^2/cells over all k-column subsets: the uniform part of the size-k sum."""
+def _split_sum(p: int, q: int, s1: int, s2: int, k: int, term) -> Fraction:
+    """Exact sum of ``term(cells)`` over all k-column subsets.
+
+    C(p, k1) C(q, k - k1) subsets have k1 qualitative columns and
+    cells = s1^k1 s2^(k - k1) level combinations.
+    """
     return sum(
-        math.comb(p, k1) * math.comb(q, k - k1) * Fraction(n * n, s1**k1 * s2 ** (k - k1))
+        math.comb(p, k1) * math.comb(q, k - k1) * term(s1**k1 * s2 ** (k - k1))
         for k1 in range(max(0, k - q), min(p, k) + 1)
     )
 
@@ -205,6 +190,25 @@ def balance_pattern_rowform(design: Design) -> BalancePattern:
     return BalancePattern(aggregate=tuple(float(v) for v in aggregate), components=None)
 
 
+def _full_factorial(s_qual, s_quant) -> Fraction:
+    """Exact squared discrepancy of any repetition of the full factorial on these level counts.
+
+    The pair sum is the product of the kernels' row means: (a + (s - 1) b)/s
+    per qualitative factor (the head), (8 s^2 + 1)/(6 s^2) per quantitative.
+    """
+    head = _qualitative_head(s_qual, Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b))
+    tail = math.prod(Fraction(8 * s * s + 1, 6 * s * s) for s in s_quant)
+    return head * (tail - Fraction(4, 3) ** len(s_quant))
+
+
+def _to_float(value: Fraction) -> float:
+    """The exact ``value`` rounded once; DomainError when it overflows a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("the exact value overflows a float") from None
+
+
 def balance_form(n: int, p: int, q: int, s: int, sums) -> float:
     """Squared discrepancy of a U(n; s^p 2^q) design from per-size balance sums.
 
@@ -213,15 +217,14 @@ def balance_form(n: int, p: int, q: int, s: int, sums) -> float:
     (distance 0) and f1 (distance 1/2); f0/f1 equals the qualitative
     ratio a/b of DEFAULT_CONFIG (both 6/5), so every pair product is
     b^p f1^q (a/b)^(agreements), a polynomial in the per-column agreement
-    indicators and hence in the balance components.  Exact rationals
-    throughout; one final float rounding.
+    indicators and hence in the balance components.  With every component
+    zero the value is the full factorial's, the constant term here.  Exact
+    rationals throughout; one final float rounding.
     """
     a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
-    f0, f1 = Fraction(_lattice_kernel(0, 2)), Fraction(_lattice_kernel(1, 2))
-    head = _qualitative_head((s,) * p, a, b)
-    const = head * ((f0 + f1) / 2) ** q - head * Fraction(4, 3) ** q
+    f1 = Fraction(_lattice_kernel(1, 2))
     acc = sum((a / b - 1) ** k * v for k, v in enumerate(sums, start=1))
-    return float(const + b**p * f1**q / (n * n) * acc)
+    return _to_float(_full_factorial((s,) * p, (2,) * q) + b**p * f1**q / (n * n) * acc)
 
 
 def qqd_from_balance(design: Design) -> float:
@@ -239,5 +242,5 @@ def qqd_from_balance(design: Design) -> float:
                 "the balance form needs 2-level quantitative factors "
                 f"(factor {spec.p + j} has {s})"
             )
-    s1 = spec.qualitative_levels[0] if spec.p else 1
-    return balance_form(spec.n, spec.p, spec.q, s1, _size_sums(design))
+    sums = _size_sums(design)  # refuses mixed qualitative level counts
+    return balance_form(spec.n, spec.p, spec.q, _two_type_shape(spec)[0], sums)

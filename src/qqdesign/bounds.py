@@ -5,14 +5,15 @@ U-type spec: over all designs with balanced columns, the multiset of
 off-diagonal pair products is fixed, so by the arithmetic-geometric mean
 inequality the pair sum is minimized when all products equal their
 geometric mean.  The balance-pattern bound (lb2) applies to specs of the
-form s^p 2^q: it bounds each balance component by the residue of n modulo
-the cell count and passes those bounds to ``balance.balance_form``.
-``lb`` reports the larger applicable bound with its provenance.
+form s^p 2^q: it is ``balance.balance_form`` at residue sums, each balance
+component bounded by the residue of n modulo the cell count.  ``lb``
+reports the larger applicable bound with its provenance.
 
-The kernel (the weights a and b, the constant term and the wrap-around
-values at lattice distances) comes from ``discrepancy`` and
-``DEFAULT_CONFIG``.  ``lb_symmetric`` alone writes its constants out, so
-that it stays an independent check on ``lb1``.
+``balance`` owns the exact arithmetic that lb2, ``lb`` and
+``full_factorial_qqd`` share: the shape test, the per-size split sum, the
+full-factorial value and its one rounding.  lb1's kernel comes from
+``discrepancy`` and ``DEFAULT_CONFIG``; ``lb_symmetric`` alone writes its
+constants out, so that it stays an independent check on ``lb1``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balance import balance_form
-from .discrepancy import _constant_term, _lattice_kernel, _qualitative_head
+from .balance import _full_factorial, _split_sum, _to_float, _two_type_shape, balance_form
+from .discrepancy import _constant_term, _lattice_kernel
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, DesignSpec, _require_int
 
@@ -35,6 +36,7 @@ def lb1(spec: DesignSpec) -> float:
 
     Evaluated in the log domain: the bound multiplies ~s_k fractional
     powers per factor and plain products lose precision multiplicatively.
+    A bound that overflows a float is refused with DomainError.
     """
     spec.require_utype_feasible()
     top = max(spec.quantitative_levels, default=1)
@@ -42,21 +44,28 @@ def lb1(spec: DesignSpec) -> float:
         raise CapacityError(f"quantitative level count {top} exceeds lb1's cap {LB1_LEVEL_CAP}")
     n, p, q = spec.n, spec.p, spec.q
     a, b = DEFAULT_CONFIG.a, DEFAULT_CONFIG.b
-    C = _constant_term(spec.qualitative_levels, q, a, b)
-    # a row paired with itself: weight a per qualitative factor, the
-    # wrap-around kernel at distance 0 per quantitative one
-    diag = a**p * _lattice_kernel(0, 1) ** q
-    if n == 1:
-        # single-point design: the double sum is the lone diagonal term
-        return C + diag
-    logs = [(n - s) / (s * (n - 1)) * math.log(a / b) for s in spec.qualitative_levels]
-    for s in spec.quantitative_levels:
-        for d in range(s // 2 + 1):
-            # s times the share of off-diagonal pairs at lattice distance d/s
-            weight = n - s if d == 0 else n if 2 * d == s else 2 * n
-            logs.append(weight / (s * (n - 1)) * math.log(_lattice_kernel(d, s)))
-    geo = math.exp(math.fsum(logs))
-    return C + (1 / n) * diag + ((n - 1) / n) * b**p * geo
+    try:
+        C = _constant_term(spec.qualitative_levels, q, a, b)
+        # a row paired with itself: weight a per qualitative factor, the
+        # wrap-around kernel at distance 0 per quantitative one
+        diag = a**p * _lattice_kernel(0, 1) ** q
+        if n == 1:
+            # single-point design: the double sum is the lone diagonal term
+            value = C + diag
+        else:
+            logs = [(n - s) / (s * (n - 1)) * math.log(a / b) for s in spec.qualitative_levels]
+            for s in spec.quantitative_levels:
+                for d in range(s // 2 + 1):
+                    # s times the share of off-diagonal pairs at lattice distance d/s
+                    weight = n - s if d == 0 else n if 2 * d == s else 2 * n
+                    logs.append(weight / (s * (n - 1)) * math.log(_lattice_kernel(d, s)))
+            geo = math.exp(math.fsum(logs))
+            value = C + (1 / n) * diag + ((n - 1) / n) * b**p * geo
+    except OverflowError:  # a float power or exp raises where products give inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"lb1 overflows a float at p={p}, q={q}")
+    return value
 
 
 def lb_symmetric(n: int, p: int, q: int, s1: int, s2: int) -> float:
@@ -96,25 +105,16 @@ def lb2(n: int, p: int, q: int, s: int) -> float:
     A k1 + k2 column subset has at least r (1 - r / cells) as its
     component, with cells = s^k1 * 2^k2 and r = n mod cells.  Residuals
     are taken in exact integer arithmetic (the moduli outgrow 64 bits
-    quickly) and ``balance_form`` rounds the exact value once.
+    quickly), summed per size by ``balance._split_sum``, and
+    ``balance_form`` rounds the exact value once.
     """
     _require_int("lb2 argument", n, p, q, s)
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s < 1:
         raise DomainError("lb2 needs n >= 1, s >= 1 and at least one factor")
-    sums = []
-    for k in range(1, p + q + 1):
-        inner = Fraction(0)
-        for k1 in range(max(0, k - q), min(p, k) + 1):
-            k2 = k - k1
-            cells = s**k1 * 2**k2
-            r = n % cells
-            inner += (
-                math.comb(p, k1)
-                * math.comb(q, k2)
-                * Fraction(r)
-                * (1 - Fraction(r, cells))
-            )
-        sums.append(inner)
+    sums = [
+        _split_sum(p, q, s, 2, k, lambda cells: Fraction(n % cells * (cells - n % cells), cells))
+        for k in range(1, p + q + 1)
+    ]
     return balance_form(n, p, q, s, sums)
 
 
@@ -133,23 +133,13 @@ class BoundReport:
     lb2: float | None
 
 
-def _lb2_shape(spec: DesignSpec) -> int | None:
-    """The common qualitative level count when the spec matches s^p 2^q, else None."""
-    if any(s != 2 for s in spec.quantitative_levels):
-        return None
-    qual = set(spec.qualitative_levels)
-    if len(qual) > 1:
-        return None
-    return qual.pop() if qual else 2
-
-
 def lb(spec: DesignSpec) -> BoundReport:
     """max(lb1, lb2) with a tag naming the winner; lb2 only for s^p 2^q specs."""
     v1 = lb1(spec)
-    s = _lb2_shape(spec)
-    if s is None:
+    shape = _two_type_shape(spec)
+    if shape is None or shape[1] != 2:
         return BoundReport(value=v1, source="lb1", lb1=v1, lb2=None)
-    v2 = lb2(spec.n, spec.p, spec.q, s)
+    v2 = lb2(spec.n, spec.p, spec.q, shape[0])
     if abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1), abs(v2)):
         return BoundReport(value=max(v1, v2), source="max", lb1=v1, lb2=v2)
     if v1 > v2:
@@ -163,10 +153,4 @@ def full_factorial_qqd(spec: DesignSpec) -> float:
     The value does not depend on the repetition count: it is the minimum
     over designs whose frequency vector is constant.
     """
-    head = _qualitative_head(
-        spec.qualitative_levels, Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
-    )
-    tail = math.prod(
-        Fraction(4, 3) + Fraction(1, 6 * s * s) for s in spec.quantitative_levels
-    )
-    return float(-head * Fraction(4, 3) ** spec.q + head * tail)
+    return _to_float(_full_factorial(spec.qualitative_levels, spec.quantitative_levels))

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from .errors import DomainError, ParseError
-from .model import Design, DesignSpec, _lattice_levels, level_to_unit
+from .model import Design, DesignSpec, _lattice_levels, _unit
 
 
 def _parse_int(token: str, where: str) -> int:
@@ -68,7 +68,7 @@ def _entry_value(entry, s: int, r: int, k: int, qualitative: bool) -> int | floa
         return entry
     if not qualitative and not 0 <= entry < s:  # Design checks qualitative levels
         raise DomainError(f"row {r}, column {k}: level {entry} outside 0..{s - 1}")
-    return entry if qualitative else level_to_unit(entry, s)
+    return entry if qualitative else _unit(entry, s)
 
 
 def _design_from_rows(spec: DesignSpec, rows: list) -> Design:

@@ -19,8 +19,9 @@ rows against a range of rows.  Since the kernel is symmetric in i and j,
 against rows [s, n), split into its square part (rows [s, e)) and the
 rest.  The closed form is the sum of the square parts plus twice the sum
 of the rests (``np.sum`` per part, ``math.fsum`` across the parts), so
-its memory is O(n*B) for blocks of B rows; the balance pattern's
-agreement histogram uses the same traversal, and the swap evaluator
+its memory is O(n*B) for blocks of B rows.  ``_agreement_histogram``,
+which both balance-pattern routes read, walks the same blocks with exact
+integer codes of each pair's agreeing columns, and the swap evaluator
 takes its two rows from ``_row_weights`` against all n.  Setting p = 0
 recovers the wrap-around discrepancy (WD), q = 0 the discrete
 discrepancy (DD).  For lattice designs the same value is a quadratic
@@ -74,8 +75,7 @@ def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None, start
     """Kernel products (a/b)^delta prod_k f_k of the rows ``rows`` against rows start..n-1.
 
     b^p is left out, and so is column ``skip`` (0-based, qualitative
-    first) when given.  ``ratio_powers[k]`` is the weight of k agreements;
-    the table arange(p + 1) returns the agreement counts themselves.
+    first) when given.  ``ratio_powers[k]`` is the weight of k agreements.
     """
     p = qualitative.shape[1]
     agree = weights = None
@@ -94,22 +94,44 @@ def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None, start
     return weights
 
 
-def _row_blocks(qualitative, quantitative, ratio_powers):
-    """Each unordered row pair once: ``_row_weights`` over row blocks, split at the diagonal.
+def _row_blocks(n: int, build):
+    """Each unordered pair of n rows once: ``build`` over row blocks, split at the diagonal.
 
-    For a block of rows [s, e) yields ``(square, rest)``, its kernel
-    products against rows [s, e) and against rows [e, n).  Every pair
-    (i, j) with i < j lies in exactly one ``rest``, so the full double sum
-    over i and j is the sum of the squares plus twice the sum of the rests.
-    A block holds at most PAIR_BLOCK entries, so memory is O(n*B).
+    ``build`` gives the values of rows [start, stop) against rows [start, n);
+    each block yields ``(square, rest)``, those against rows [start, stop)
+    and against rows [stop, n).  Every pair (i, j) with i < j lies in
+    exactly one ``rest``, so the full double sum over i and j is the sum of
+    the squares plus twice the sum of the rests.  A block holds at most
+    PAIR_BLOCK entries, so memory is O(n*B).
     """
-    n = qualitative.shape[0]
     step = max(1, PAIR_BLOCK // n)
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        weights = _row_weights(qualitative, quantitative, rows, ratio_powers, start=start)
-        size = weights.shape[0]
-        yield weights[:, :size], weights[:, size:]
+        values = build(start, min(start + step, n))
+        size = values.shape[0]
+        yield values[:, :size], values[:, size:]
+
+
+def _agreement_histogram(levels: np.ndarray, masks: bool) -> np.ndarray:
+    """Entry v: the number of ordered row pairs whose agreeing columns' codes sum to v (exact).
+
+    Column c has code 2^c when ``masks`` is set, so v is the pair's
+    agreement mask, and code 1 otherwise, so v counts agreeing columns.
+    """
+    n, m = levels.shape
+
+    def codes(start, stop):
+        acc = np.zeros((stop - start, n - start), dtype=np.intp)
+        for c in reversed(range(m)):  # Horner's rule in place: column c ends on bit c
+            if masks:
+                np.add(acc, acc, out=acc)
+            np.add(acc, levels[start:stop, c, None] == levels[start:, c], out=acc)
+        return acc
+
+    size = 1 << m if masks else m + 1
+    return sum(
+        np.bincount(square.ravel(), minlength=size) + 2 * np.bincount(rest.ravel(), minlength=size)
+        for square, rest in _row_blocks(n, codes)
+    )
 
 
 def _qualitative_head(s_qual, a, b):
@@ -118,20 +140,29 @@ def _qualitative_head(s_qual, a, b):
 
 
 def _constant_term(s_qual, q: int, a: float, b: float) -> float:
-    return -_qualitative_head(s_qual, a, b) * (4.0 / 3.0) ** q
+    """The constant C, or -inf once (4/3)^q overflows, for the callers' finiteness checks."""
+    try:
+        return -_qualitative_head(s_qual, a, b) * (4.0 / 3.0) ** q
+    except OverflowError:  # a float power raises where numpy's gives inf
+        return -math.inf
 
 
 def _qqd_squared_arrays(
     qualitative: np.ndarray, quantitative: np.ndarray, s_qual, config: CriterionConfig
 ) -> float:
     n, p = qualitative.shape
+
+    def weights(start, stop):
+        rows = slice(start, stop)
+        return _row_weights(qualitative, quantitative, rows, ratio_powers, start=start)
+
     # np.sum per square part and per rest, and fsum across those partials,
     # keep the closed form and the quadratic form within ~1e-13 at n around
     # 10^3; weights that overflow (numpy's power gives inf) are refused below
     with np.errstate(all="ignore"):
         ratio_powers = (config.a / config.b) ** np.arange(p + 1)
         partials = []
-        for square, rest in _row_blocks(qualitative, quantitative, ratio_powers):
+        for square, rest in _row_blocks(n, weights):
             partials += (float(np.sum(square)), 2.0 * float(np.sum(rest)))
         total = math.fsum(partials)
         pairs = float(total * np.float64(config.b) ** p / n**2)

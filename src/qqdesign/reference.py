@@ -25,27 +25,6 @@ VALUE_TOL = 5e-5
 #: looser tolerance for the one value reported with only 4 significant decimals
 LARGE_VALUE_TOL = 5e-4
 
-DESIGN_NAMES = (
-    "mcd_8run_1",
-    "mcd_8run_2",
-    "mcd_16run_1",
-    "mcd_16run_2",
-    "mcd_16run_3",
-    "juxtaposed_16run_1",
-    "juxtaposed_16run_2",
-    "juxtaposed_16run_same",
-    "bound_attaining_4run",
-    "bound_attaining_8run",
-    "ccd_factorial_1",
-    "ccd_factorial_2",
-    "ccd_factorial_3",
-    "ccd_factorial_4",
-    "ccd_full_1",
-    "ccd_full_2",
-    "ccd_full_3",
-    "ccd_full_4",
-)
-
 QQD_EXPECTED = {
     "mcd_8run_1": 0.0213,
     "mcd_8run_2": 0.0164,
@@ -66,6 +45,8 @@ QQD_EXPECTED = {
     "ccd_full_3": 0.0792,
     "ccd_full_4": 0.0653,
 }
+
+DESIGN_NAMES = tuple(QQD_EXPECTED)
 
 MCD_NAMES = ("mcd_8run_1", "mcd_8run_2", "mcd_16run_1", "mcd_16run_2", "mcd_16run_3")
 

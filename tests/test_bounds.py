@@ -83,6 +83,13 @@ def test_lb1_rejects_infeasible_spec():
         lb1(DesignSpec(n=5, p=1, q=1, levels=(2, 5)))
 
 
+@pytest.mark.parametrize("p, q", [(0, 2500), (2500, 0), (1, 1750)])
+def test_lb1_refuses_a_bound_that_overflows_a_float(p, q):
+    # a float power raises at p or q = 2500; at q = 1750 the bound is inf
+    with pytest.raises(DomainError, match=f"lb1 overflows a float at p={p}, q={q}"):
+        lb1(DesignSpec(n=2, p=p, q=q, levels=(2,) * (p + q)))
+
+
 # ------------------------------------------------------------------ lb_symmetric
 
 def test_lb_symmetric_reference_value():
@@ -175,6 +182,13 @@ def test_lb_lb2_inapplicable_for_wide_levels():
     assert report.source == "lb1"
     assert report.lb2 is None
     assert report.value == pytest.approx(17.0235, abs=5e-4)
+    # a 1-level quantitative factor is not a 2-level one either
+    assert lb(DesignSpec(n=4, p=1, q=1, levels=(2, 1))).lb2 is None
+
+
+def test_lb_applies_lb2_when_a_factor_type_is_absent():
+    assert lb(DesignSpec(n=6, p=2, q=0, levels=(3, 3))).lb2 == lb2(6, 2, 0, 3)
+    assert lb(DesignSpec(n=4, p=0, q=2, levels=(2, 2))).lb2 == lb2(4, 0, 2, 2)
 
 
 def test_lb_tie_reports_max():
@@ -220,6 +234,13 @@ def test_full_factorial_achieves_the_formula_for_each_repetition():
             assert got == pytest.approx(want, abs=1e-10)
         # repetition invariance, directly between c=1 and c=2
         assert values[0] == pytest.approx(values[1], abs=1e-12)
+
+
+def test_exact_values_that_overflow_a_float_are_refused():
+    with pytest.raises(DomainError, match="overflows a float"):
+        full_factorial_qqd(DesignSpec(n=2, p=0, q=2500, levels=(2,) * 2500))
+    with pytest.raises(DomainError, match="overflows a float"):
+        lb2(4, 0, 2000, 2)
 
 
 # ------------------------------------------------------------------- dominance

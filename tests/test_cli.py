@@ -46,7 +46,7 @@ def test_eval_dd_on_full_factorial(capsys, tmp_path):
     assert "dd = 0.000000" in out
 
 
-def test_eval_swd_requires_mode_and_reports_value(capsys):
+def test_eval_swd_reports_value_and_refuses_a_mode(capsys):
     code, out, _ = run(capsys, "eval", data_path("juxtaposed_16run_2"), "--criterion", "swd")
     assert code == 0
     assert abs(float(out.split("=")[1]) - 1.1055) < 5e-5
@@ -296,6 +296,14 @@ def test_bounds_refuses_a_level_count_over_lb1s_cap_at_once(capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: quantitative level count {s} exceeds lb1's cap {2**20}\n"
+
+
+def test_bounds_that_overflow_a_float_end_in_one_error_line(capsys):
+    argv = ["bounds", "--n", "2", "--p", "0", "--q", "2500", "--levels", "2^2500"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: lb1 overflows a float at p=0, q=2500\n"
 
 
 def test_bounds_has_no_tol_flag(capsys):

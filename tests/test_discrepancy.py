@@ -14,6 +14,7 @@ from qqdesign import (
     DesignSpec,
     DomainError,
     PairCache,
+    balance_component,
     balance_pattern,
     balance_pattern_rowform,
     coincidence_number,
@@ -28,7 +29,7 @@ from qqdesign import (
     swd,
     wd_squared,
 )
-from qqdesign import balance, discrepancy
+from qqdesign import discrepancy
 from qqdesign.reference import DESIGN_NAMES, load_reference_design
 
 # specs for randomized cross-checks; all have N <= 10^4
@@ -227,11 +228,18 @@ def test_agreement_histogram_over_several_blocks_counts_every_ordered_pair():
     assert n > step and n % step  # several blocks, the last one short
     design = random_utype(DesignSpec(n=n, p=3, q=2, levels=(4, 4, 4, 2, 2)), 6)
     levels = design.all_levels()
-    hist = balance._agreement_histogram(levels)
+    hist = discrepancy._agreement_histogram(levels, masks=False)
     assert int(hist.sum()) == n * n
-    agree = (levels[:, None, :] == levels[None, :, :]).sum(axis=2)
-    assert hist.tolist() == np.bincount(agree.ravel(), minlength=6).tolist()
-    assert balance_pattern_rowform(design).aggregate == balance_pattern(design).aggregate
+    same = levels[:, None, :] == levels[None, :, :]
+    assert hist.tolist() == np.bincount(same.sum(axis=2).ravel(), minlength=6).tolist()
+    masks = (same << np.arange(5)).sum(axis=2)  # bit c: the rows agree on column c
+    want = np.bincount(masks.ravel(), minlength=32).tolist()
+    assert discrepancy._agreement_histogram(levels, masks=True).tolist() == want
+    pattern = balance_pattern(design)
+    assert balance_pattern_rowform(design).aggregate == pattern.aggregate
+    assert len(pattern.components) == 31
+    for cols, value in pattern.components.items():
+        assert value == balance_component(design, cols), cols
 
 
 def test_pair_cache_starts_at_the_closed_form_value_bit_for_bit():
@@ -303,6 +311,13 @@ def test_closed_form_refuses_overflowing_agreement_weights():
         qqd_squared(design, config)
     with pytest.raises(DomainError, match="kernel weights overflow"):
         PairCache(design, config)
+
+
+def test_closed_form_refuses_a_constant_term_that_overflows():
+    # (4/3)^2500 overflows a float power, which raises instead of giving inf
+    design = random_utype(DesignSpec(n=2, p=0, q=2500, levels=(2,) * 2500), 0)
+    with pytest.raises(DomainError, match="kernel weights overflow"):
+        qqd_squared(design)
 
 
 @pytest.mark.filterwarnings("error")
