@@ -26,6 +26,7 @@ the uniform reference term here and for lb2's residues.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,9 @@ from .model import DEFAULT_CONFIG, Design, validate_utype
 # the listing holds one Python entry per subset (about 230 MB at 20 factors)
 # besides a 2^(p+q) int64 table of pair counts (8 MB); refuse beyond this
 SUBSET_FACTOR_CAP = 20
+# natural-log units by which an estimate must pass the largest float's logarithm
+# before the balance form is refused unevaluated
+OVERFLOW_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -152,23 +156,20 @@ def _subset_agreements(levels: np.ndarray) -> np.ndarray:
     return table
 
 
-def _size_sums(design: Design) -> list[Fraction]:
-    """Exact sum of the components over all k-column subsets (index k-1).
+def _size_sums(levels: np.ndarray, p: int, q: int, s1: int, s2: int):
+    """Exact sums of the components over all k-column subsets, for k = 1..m in turn.
 
     A subset counts the pair (i, j) iff the rows agree on all its columns,
     so the pair counts collapse to binomials of the per-pair agreement
-    count; only the uniform reference term needs the column split.
+    count; only the uniform reference term needs the column split.  A
+    generator: the row pairs are histogrammed when the first sum is asked for.
     """
-    spec = design.spec
-    levels, s1, s2 = _two_type_levels(design)
-    n, p, q, m = spec.n, spec.p, spec.q, spec.m
+    n, m = levels.shape
     # the pairs agree on few distinct counts, and C(a, k) is 0 for a < k
     hist = [(a, h) for a, h in enumerate(_agreement_histogram(levels, masks=False).tolist()) if h]
-    return [
-        sum(h * math.comb(a, k) for a, h in hist)
-        - _split_sum(p, q, s1, s2, k, lambda cells: Fraction(n * n, cells))
-        for k in range(1, m + 1)
-    ]
+    for k in range(1, m + 1):
+        yield (sum(h * math.comb(a, k) for a, h in hist)
+               - _split_sum(p, q, s1, s2, k, lambda cells: Fraction(n * n, cells)))
 
 
 def _split_sum(p: int, q: int, s1: int, s2: int, k: int, term) -> Fraction:
@@ -185,8 +186,10 @@ def _split_sum(p: int, q: int, s1: int, s2: int, k: int, term) -> Fraction:
 
 def balance_pattern_rowform(design: Design) -> BalancePattern:
     """Balance pattern from the histogram of row agreement counts."""
-    m = design.spec.m
-    aggregate = (v / math.comb(m, k) for k, v in enumerate(_size_sums(design), start=1))
+    spec = design.spec
+    levels, s1, s2 = _two_type_levels(design)
+    sums = _size_sums(levels, spec.p, spec.q, s1, s2)
+    aggregate = (v / math.comb(spec.m, k) for k, v in enumerate(sums, start=1))
     return BalancePattern(aggregate=tuple(float(v) for v in aggregate), components=None)
 
 
@@ -209,18 +212,42 @@ def _to_float(value: Fraction) -> float:
         raise DomainError("the exact value overflows a float") from None
 
 
+def _refuse_overflow(s_qual, s_quant) -> None:
+    """DomainError when the full-factorial value on these level counts clearly overflows a float.
+
+    Its logarithm, log head + log tail + log(1 - (4/3)^q / tail) with
+    tail = prod (8 s^2 + 1)/(6 s^2), is summed in floats; a refusal needs
+    it to pass the largest float's by ``OVERFLOW_MARGIN``, far beyond the
+    rounding of the sum, so a value near the edge is left to ``_to_float``.
+    """
+    if not s_quant:  # the value is 0
+        return
+    a, b = DEFAULT_CONFIG.a, DEFAULT_CONFIG.b
+    log_value = (
+        math.fsum(math.log((a + (s - 1) * b) / s) for s in s_qual)
+        + math.fsum(math.log((8 * s * s + 1) / (6 * s * s)) for s in s_quant)
+        + math.log(-math.expm1(-math.fsum(math.log1p(1 / (8 * s * s)) for s in s_quant)))
+    )
+    if log_value > math.log(sys.float_info.max) + OVERFLOW_MARGIN:
+        raise DomainError("the exact value overflows a float")
+
+
 def balance_form(n: int, p: int, q: int, s: int, sums) -> float:
     """Squared discrepancy of a U(n; s^p 2^q) design from per-size balance sums.
 
-    ``sums[k-1]`` is the sum of the balance components over all k-column
-    subsets.  The two-level wrap-around kernel takes the values f0
-    (distance 0) and f1 (distance 1/2); f0/f1 equals the qualitative
-    ratio a/b of DEFAULT_CONFIG (both 6/5), so every pair product is
-    b^p f1^q (a/b)^(agreements), a polynomial in the per-column agreement
-    indicators and hence in the balance components.  With every component
-    zero the value is the full factorial's, the constant term here.  Exact
-    rationals throughout; one final float rounding.
+    ``sums`` yields, for k = 1..p+q, the sum of the balance components
+    over all k-column subsets.  Every sum is non-negative, so the value is
+    at least the full factorial's, and ``sums`` is read only after
+    ``_refuse_overflow`` has passed that.  The two-level wrap-around
+    kernel takes the values f0 (distance 0) and f1 (distance 1/2); f0/f1
+    equals the qualitative ratio a/b of DEFAULT_CONFIG (both 6/5), so
+    every pair product is b^p f1^q (a/b)^(agreements), a polynomial in the
+    per-column agreement indicators and hence in the balance components.
+    With every component zero the value is the full factorial's, the
+    constant term here.  Exact rationals throughout; one final float
+    rounding.
     """
+    _refuse_overflow((s,) * p, (2,) * q)
     a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
     f1 = Fraction(_lattice_kernel(1, 2))
     acc = sum((a / b - 1) ** k * v for k, v in enumerate(sums, start=1))
@@ -242,5 +269,5 @@ def qqd_from_balance(design: Design) -> float:
                 "the balance form needs 2-level quantitative factors "
                 f"(factor {spec.p + j} has {s})"
             )
-    sums = _size_sums(design)  # refuses mixed qualitative level counts
-    return balance_form(spec.n, spec.p, spec.q, _two_type_shape(spec)[0], sums)
+    levels, s, _ = _two_type_levels(design)  # refuses mixed qualitative level counts
+    return balance_form(spec.n, spec.p, spec.q, s, _size_sums(levels, spec.p, spec.q, s, 2))

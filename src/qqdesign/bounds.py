@@ -18,6 +18,7 @@ constants out, so that it stays an independent check on ``lb1``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,10 +112,10 @@ def lb2(n: int, p: int, q: int, s: int) -> float:
     _require_int("lb2 argument", n, p, q, s)
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s < 1:
         raise DomainError("lb2 needs n >= 1, s >= 1 and at least one factor")
-    sums = [
+    sums = (
         _split_sum(p, q, s, 2, k, lambda cells: Fraction(n % cells * (cells - n % cells), cells))
         for k in range(1, p + q + 1)
-    ]
+    )
     return balance_form(n, p, q, s, sums)
 
 
@@ -133,6 +134,9 @@ class BoundReport:
     lb2: float | None
 
 
+# lb is memoised per spec (DesignSpec is frozen and hashable), since every
+# search job asks for it; an error is raised afresh on every call, never cached
+@functools.lru_cache(maxsize=256)
 def lb(spec: DesignSpec) -> BoundReport:
     """max(lb1, lb2) with a tag naming the winner; lb2 only for s^p 2^q specs."""
     v1 = lb1(spec)

@@ -21,17 +21,25 @@ rest.  The closed form is the sum of the square parts plus twice the sum
 of the rests (``np.sum`` per part, ``math.fsum`` across the parts), so
 its memory is O(n*B) for blocks of B rows.  ``_agreement_histogram``,
 which both balance-pattern routes read, walks the same blocks with exact
-integer codes of each pair's agreeing columns, and the swap evaluator
-takes its two rows from ``_row_weights`` against all n.  Setting p = 0
-recovers the wrap-around discrepancy (WD), q = 0 the discrete
-discrepancy (DD).  For lattice designs the same value is a quadratic
-form y' A y in the frequency vector y, with A a Kronecker product of
-per-factor kernel matrices.
+integer codes of each pair's agreeing columns, and the swap evaluator's
+row route takes its two rows from ``_row_weights`` against all n.
+Setting p = 0 recovers the wrap-around discrepancy (WD), q = 0 the
+discrete discrepancy (DD).
+
+For lattice designs the same value is C + y' A y / n^2, a quadratic form
+in the frequency vector y over the N level combinations, with A the
+Kronecker product of per-factor kernel matrices.  ``_kronecker_apply``
+applies A factor by factor, never materialized: in floats for
+``qqd_squared_quadratic``, and in exact int64 integers for the swap
+evaluator's cell route, which keeps z = A y and scores a swap from four
+entries of it in O(m), whenever N is small against n (``PairCache``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +49,7 @@ from .model import (
     CriterionConfig,
     Design,
     DesignSpec,
+    _unit,
     frequency_vector,
 )
 
@@ -50,6 +59,16 @@ QUADRATIC_FORM_CAP = 10_000  # largest N for which the quadratic form is evaluat
 # timed over 2^13..2^18 at n = 1024 and 2048 (2-vCPU Xeon), 2^14..2^16 were
 # equally fast and 2^18 about twice as slow
 PAIR_BLOCK = 1 << 15
+# PairCache scores swaps in cell space while N <= CELL_RATIO * n: a score
+# there costs O(m) against O(n m) on rows, but a commit O(N m) against O(1).
+# Timed over 2000-proposal searches (2-vCPU Xeon), cells were faster up to
+# N = 64 n (the largest tried) at n = 16, to about 256 n at n = 64, 16-64 n
+# at n = 256, 16 n at n = 512 and 8-16 n at n = 1024, as the share of scored
+# swaps that the search commits rises from 5-17% to 94%
+CELL_RATIO = 8
+# largest n^2 * max(scaled kernel) the cell route accepts: every integer it
+# keeps or sums stays below this, far from int64's 2^63
+INTEGER_HEADROOM = 1 << 60
 
 
 def coincidence_number(design: Design, i: int, j: int) -> int:
@@ -166,16 +185,23 @@ def _qqd_squared_arrays(
             partials += (float(np.sum(square)), 2.0 * float(np.sum(rest)))
         total = math.fsum(partials)
         pairs = float(total * np.float64(config.b) ** p / n**2)
-    value = _constant_term(s_qual, quantitative.shape[1], config.a, config.b) + pairs
-    return _finite(value, config)
+    C = _constant_term(s_qual, quantitative.shape[1], config.a, config.b)
+    return _finite(C, pairs, config)
 
 
-def _finite(value: float, config: CriterionConfig) -> float:
-    """``value``, refused with DomainError when the kernel weights overflowed it."""
+def _finite(constant: float, pairs: float, config: CriterionConfig) -> float:
+    """constant + pairs, refused with DomainError naming each term that overflowed.
+
+    C <= 0 <= the pair sum, so a non-finite value has a non-finite term.
+    """
+    value = constant + pairs
     if not math.isfinite(value):
+        terms = [name for name, term in (("the constant term", constant),
+                                         ("the pair sum of the kernel weights", pairs))
+                 if not math.isfinite(term)]
         raise DomainError(
             f"the squared discrepancy is {value} for a={config.a}, b={config.b}: "
-            "the kernel weights overflow"
+            f"{' and '.join(terms)} {'overflow' if len(terms) > 1 else 'overflows'}"
         )
     return value
 
@@ -292,46 +318,153 @@ def qqd_squared_quadratic(design: Design, config: CriterionConfig | None = None)
             "use qqd_squared instead"
         )
     y = frequency_vector(design).astype(np.float64)
-    z = y.reshape(spec.levels)
+    kernels = [kernel_matrix(k, spec, config) for k in range(spec.m)]
     with np.errstate(all="ignore"):  # overflow is refused by _finite
-        for k in range(spec.m):
-            A = kernel_matrix(k, spec, config)
-            z = np.moveaxis(np.tensordot(A, z, axes=(1, k)), 0, k)
-        value = float(np.dot(y, z.ravel()))
+        value = float(np.dot(y, _kronecker_apply(kernels, y.reshape(spec.levels)).ravel()))
     C = _constant_term(spec.qualitative_levels, spec.q, config.a, config.b)
-    return _finite(C + value / spec.n**2, config)
+    return _finite(C, value / spec.n**2, config)
+
+
+def _kronecker_apply(kernels, y: np.ndarray) -> np.ndarray:
+    """A y for A the Kronecker product of ``kernels``, applied factor by factor.
+
+    ``y`` has the shape of the level counts (first factor slowest), and so
+    does the C-contiguous result; its dtype follows the kernels' and y's.
+    """
+    z, before = y, 1
+    for A in kernels:
+        s = A.shape[0]
+        z = np.matmul(A, z.reshape(before, s, -1))  # factor k acts on axis 1
+        before *= s
+    return z.reshape(y.shape)
+
+
+class _CellTables(NamedTuple):
+    """What the cell route reads of a spec and config; shared, so never written.
+
+    ``rows[k]`` is the first row of kernel k scaled to integers; the
+    kernels are circulant, so entry (u, v) is ``rows[k][v - u]`` with
+    Python's negative indices wrapping.  ``axes[k][u]`` is column u of
+    kernel k shaped to broadcast along axis k of the level grid.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    kernels: tuple[np.ndarray, ...]
+    axes: tuple[tuple[np.ndarray, ...], ...]
+    others: tuple[tuple[int, ...], ...]  # the factors other than k
+    strides: tuple[int, ...]  # cell index step of one level of factor k
+    other_diagonals: tuple[int, ...]  # product of the other factors' diagonal entries
+    denominator: int  # S n^2 for A_int = S A
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_tables(spec: DesignSpec, config: CriterionConfig) -> _CellTables | None:
+    """The cell route's tables, or None when the kernels do not scale to safe integers.
+
+    A qualitative kernel is scaled by 4 (a = 3/2 -> 6, b = 5/4 -> 5), an
+    s-level quantitative one by 2 s^2 (entry 3 s^2 - 2 d (s - d)), so S
+    is 4^p prod_k 2 s_k^2.  Every entry is at most its diagonal, so the
+    scaled pair sum y' A_int y is at most n^2 times the product of the
+    diagonals; None unless that stays within ``INTEGER_HEADROOM``.
+    """
+    a, b = 4 * float(config.a), 4 * float(config.b)
+    if not (a.is_integer() and b.is_integer()):
+        return None
+    rows = [(int(a),) + (int(b),) * (s - 1) for s in spec.qualitative_levels]
+    rows += [tuple(3 * s * s - 2 * d * (s - d) for d in range(s)) for s in spec.quantitative_levels]
+    if spec.n**2 * math.prod(row[0] for row in rows) > INTEGER_HEADROOM:
+        return None
+    shape, m = spec.levels, spec.m
+    kernels = tuple(_circulant(row) for row in rows)
+    others = tuple(tuple(l for l in range(m) if l != k) for k in range(m))
+    scale = 4**spec.p * math.prod(2 * s * s for s in spec.quantitative_levels)
+    return _CellTables(
+        rows=tuple(rows),
+        kernels=kernels,
+        axes=tuple(
+            tuple(kernel.reshape((s,) + tuple(s if l == k else 1 for l in range(m))))
+            for k, (kernel, s) in enumerate(zip(kernels, shape))
+        ),
+        others=others,
+        strides=tuple(math.prod(shape[k + 1 :]) for k in range(m)),
+        other_diagonals=tuple(math.prod(rows[l][0] for l in other) for other in others),
+        denominator=scale * spec.n**2,
+    )
+
+
+def _circulant(row: tuple[int, ...]) -> np.ndarray:
+    """The read-only s x s int64 circulant matrix with first row ``row``, a view of 2s entries."""
+    s = len(row)
+    line = np.array(row + row, dtype=np.int64)
+    line.setflags(write=False)
+    # row u is line[s - u : 2s - u]: start at entry s, step back one entry per row
+    return np.ndarray((s, s), np.int64, buffer=line, offset=s * line.itemsize,
+                      strides=(-line.itemsize, line.itemsize))
+
+
+def _exact_lattice_levels(design: Design) -> np.ndarray | None:
+    """n x m integer levels if every quantitative entry is exactly its lattice point, else None."""
+    s = np.array(design.spec.quantitative_levels, dtype=np.float64)
+    quant = np.rint(design.quantitative * s - 0.5)
+    if not (_unit(quant, s) == design.quantitative).all():
+        return None
+    return np.concatenate((design.qualitative, quant.astype(np.int64)), axis=1)
 
 
 class PairCache:
     """Incremental evaluator for entry-swap moves: score first, commit second.
 
-    Swapping two entries of one column keeps the column balanced and
-    changes only the pairs (i, r) and (j, r) with r outside {i, j}.  With
-    B the pair weight without the swapped column (b^p factored out) and f
-    that column's kernel, the change in the squared discrepancy is
+    Swapping two entries of one column keeps the column balanced.  ``delta``
+    scores a swap without changing anything; ``apply_swap`` commits it and
+    adds its change to the tracked value, reusing the change just scored
+    for the same swap.  The initial value is ``qqd_squared``'s, bit for
+    bit; afterwards ``value`` is O(1).  The tracked value collects rounding
+    from every commit, so callers that need it exact re-verify with
+    ``qqd_squared``.  Single-owner mutable: not for concurrent use.
+
+    Two routes score a swap, picked at set-up from the design and the
+    config alone.
+
+    *Cell route*, when the design is exactly lattice-valued, 4a and 4b are
+    integers, n^2 times the largest scaled kernel entry fits in
+    ``INTEGER_HEADROOM``, and N <= ``CELL_RATIO`` * n.  The squared
+    discrepancy is C + y' A y / n^2 (see ``qqd_squared_quadratic``); with
+    the kernels scaled to integers (``_cell_tables``, A_int = S A) the
+    route keeps each row's cell and z = A_int y in int64, O(N) memory.  A
+    swap of levels u, v in column k moves row i from cell c_i to c_i' and
+    row j from c_j to c_j'; the four cells differ only in coordinate k, so
+    with dy the change of y
+
+        dy' A_int dy = 4 (K_k[u, u] - K_k[u, v]) (D_k - R_ij),
+
+    D_k the product of the other factors' diagonal entries and R_ij that
+    of their entries between rows i and j.  ``delta`` returns
+    (2 dy' z + dy' A_int dy) / (S n^2), one correctly rounded int / int
+    division: O(m), ties are exact, and a swap and its reverse give
+    exactly opposite changes.  A commit adds A_int dy to z, one broadcast
+    product of kernel columns, O(N m).
+
+    *Row route*, otherwise.  Only the pairs (i, r) and (j, r) with r
+    outside {i, j} change.  With B the pair weight without the swapped
+    column (b^p factored out) and f that column's kernel,
 
         delta = (2 b^p / n^2) * sum_{r not in {i, j}}
                 (B_ir - B_jr) * (f(x_j, x_r) - f(x_i, x_r)).
 
     ``delta`` rebuilds B for rows i and j from the level columns with
     ``_row_weights``, the closed form's routine, so a proposal costs
-    O(n*m) and no n x n state is kept; ``apply_swap`` commits a swap and
-    adds its change to the tracked value, reusing the change just scored
-    for the same swap.  The initial value is ``qqd_squared``'s, bit for
-    bit; afterwards ``value`` is O(1).  The tracked value collects
-    rounding from every commit, so callers that need it exact re-verify
-    with ``qqd_squared``.  Single-owner mutable: not for concurrent use.
+    O(n*m), a commit O(1), and no n x n state is kept.
     """
 
     def __init__(self, design: Design, config: CriterionConfig | None = None):
         config = config or DEFAULT_CONFIG
-        self.spec = design.spec
+        self.spec = spec = design.spec
         a, b = config.a, config.b
-        n, p = self.spec.n, self.spec.p
+        n, p = spec.n, spec.p
         self._qual = np.array(design.qualitative)
         self._quant = np.array(design.quantitative)
         self._value = _qqd_squared_arrays(
-            self._qual, self._quant, self.spec.qualitative_levels, config
+            self._qual, self._quant, spec.qualitative_levels, config
         )
         self._ratio = a / b
         self._ratio_powers = self._ratio ** np.arange(p + 1)
@@ -339,6 +472,24 @@ class PairCache:
         self._scored: tuple[int, int, int, float] | None = None
         # live views of the level columns, qualitative first: read, never write
         self.columns = [*self._qual.T, *self._quant.T]
+        tables = levels = None
+        if spec.N <= CELL_RATIO * n:
+            tables = _cell_tables(spec, config)
+            levels = None if tables is None else _exact_lattice_levels(design)
+        self._cell_route = levels is not None
+        if self._cell_route:
+            self._set_up_cells(levels, tables)
+
+    def _set_up_cells(self, levels: np.ndarray, tables: _CellTables) -> None:
+        self._tables = tables
+        cells = levels @ np.array(tables.strides)  # first factor slowest, as in frequency_vector
+        y = np.bincount(cells, minlength=self.spec.N).reshape(self.spec.levels)
+        # z = A_int y in the shape of the levels; contiguous, so the flat view
+        # for scalar lookups sees every commit
+        self._z = _kronecker_apply(tables.kernels, y)
+        self._z_flat = self._z.reshape(-1)
+        self._cell = cells.tolist()
+        self._level = levels.T.tolist()  # per column, as Python ints
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the current qualitative levels and quantitative values."""
@@ -365,9 +516,32 @@ class PairCache:
         exactly 0.0.
         """
         col = self._column(column, row_i, row_j)
-        xi, xj = col[row_i], col[row_j]
-        if xi == xj:
+        if col[row_i] == col[row_j]:
             return 0.0
+        if self._cell_route:
+            change = self._cell_change(column, row_i, row_j)
+        else:
+            change = self._row_change(column, row_i, row_j)
+        self._scored = (column, row_i, row_j, change)
+        return change
+
+    def _cell_change(self, column: int, row_i: int, row_j: int) -> float:
+        level, tables = self._level, self._tables
+        rows = tables.rows
+        u, v = level[column][row_i], level[column][row_j]
+        between = 1  # R_ij
+        for other in tables.others[column]:
+            between *= rows[other][level[other][row_j] - level[other][row_i]]
+        shift = (v - u) * tables.strides[column]
+        ci, cj = self._cell[row_i], self._cell[row_j]
+        z = self._z_flat
+        linear = z.item(ci + shift) + z.item(cj - shift) - z.item(ci) - z.item(cj)
+        row = rows[column]
+        quadratic = 4 * (row[0] - row[v - u]) * (tables.other_diagonals[column] - between)
+        return (2 * linear + quadratic) / tables.denominator
+
+    def _row_change(self, column: int, row_i: int, row_j: int) -> float:
+        col = self.columns[column]
         # the change is symmetric in i and j, so order them and take both
         # rows as a strided view instead of a fancy-indexed copy
         lo, hi = min(row_i, row_j), max(row_i, row_j)
@@ -382,9 +556,29 @@ class PairCache:
             f = kern[1] - kern[0]
         weights = _row_weights(self._qual, self._quant, rows, self._ratio_powers, column)
         f[lo] = f[hi] = 0.0
-        change = self._scale * float(np.dot(weights[0] - weights[1], f))
-        self._scored = (column, row_i, row_j, change)
-        return change
+        return self._scale * float(np.dot(weights[0] - weights[1], f))
+
+    def _commit_cells(self, column: int, row_i: int, row_j: int) -> None:
+        """z += A_int dy, then move rows i and j to their new cells.
+
+        dy adds rows i and j at their new cells and removes them at the old
+        ones, so A_int dy = (G_i - G_j) x (K_k[:, v] - K_k[:, u]), G_i the
+        outer product of the other factors' kernel columns at row i's levels.
+        """
+        level, tables = self._level, self._tables
+        axes = tables.axes
+        u, v = level[column][row_i], level[column][row_j]
+        if tables.others[column]:  # with one factor a swap leaves y as it is
+            g_i = g_j = None
+            for other in tables.others[column]:
+                kernel, at = axes[other], level[other]
+                g_i = kernel[at[row_i]] if g_i is None else g_i * kernel[at[row_i]]
+                g_j = kernel[at[row_j]] if g_j is None else g_j * kernel[at[row_j]]
+            self._z += (g_i - g_j) * (axes[column][v] - axes[column][u])
+        shift = (v - u) * tables.strides[column]
+        self._cell[row_i] += shift
+        self._cell[row_j] -= shift
+        level[column][row_i], level[column][row_j] = v, u
 
     def apply_swap(self, column: int, row_i: int, row_j: int) -> float:
         """Swap two entries within one column; returns the new tracked value.
@@ -402,6 +596,8 @@ class PairCache:
         else:
             change = self.delta(column, row_i, row_j)
         self._scored = None
+        if self._cell_route:
+            self._commit_cells(column, row_i, row_j)
         col[row_i], col[row_j] = col[row_j], col[row_i]
         self._value += change
         return self._value

@@ -3,7 +3,8 @@
 The search walks the space of U-type designs by swapping two entries
 within one column (which preserves column balance) and lowers its
 acceptance threshold over a fixed schedule.  Each proposal is scored
-first by ``PairCache.delta`` in O(n*m) without touching the design; a
+first by ``PairCache.delta`` without touching the design (O(n*m) from
+two rows, or O(m) in cell space on small lattice specs); a
 proposal whose change is at most the current threshold is committed with
 ``PairCache.apply_swap``, and a rejected one costs nothing more.  Swaps
 of two equal entries are counted and skipped.  The objective is the

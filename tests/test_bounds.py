@@ -15,6 +15,7 @@ from qqdesign import (
     lb1,
     lb2,
     lb_symmetric,
+    qqd_from_balance,
     qqd_squared,
     random_utype,
     wd_squared,
@@ -241,6 +242,49 @@ def test_exact_values_that_overflow_a_float_are_refused():
         full_factorial_qqd(DesignSpec(n=2, p=0, q=2500, levels=(2,) * 2500))
     with pytest.raises(DomainError, match="overflows a float"):
         lb2(4, 0, 2000, 2)
+
+
+def test_balance_form_refuses_a_clear_overflow_before_any_exact_sum(monkeypatch):
+    import qqdesign.balance as balance_module
+    import qqdesign.bounds as bounds_module
+
+    terms = []
+
+    def spy(p, q, s1, s2, k, term):
+        def recorded(cells):
+            terms.append(cells)
+            return term(cells)
+
+        return balance_module._split_sum(p, q, s1, s2, k, recorded)
+
+    def unhistogrammed(*args):
+        raise AssertionError("the refusal must come before the row pairs are counted")
+
+    monkeypatch.setattr(bounds_module, "_split_sum", spy)
+    # the full-factorial part alone is about e^764, past the largest float's e^709.8
+    with pytest.raises(DomainError, match="overflows a float"):
+        lb2(2, 0, 2400, 2)
+    assert terms == []
+    monkeypatch.setattr(balance_module, "_agreement_histogram", unhistogrammed)
+    with pytest.raises(DomainError, match="overflows a float"):
+        qqd_from_balance(random_utype(DesignSpec(n=2, p=0, q=2400, levels=(2,) * 2400), 0))
+    # near the edge the exact path decides: lb2 overflows from q = 1753 at n = 2
+    with pytest.raises(DomainError, match="overflows a float"):
+        lb2(2, 0, 1753, 2)
+    assert terms
+    assert math.isfinite(lb2(2, 0, 1752, 2))
+
+
+def test_lb_is_memoised_per_spec_and_never_memoises_a_refusal():
+    spec = DesignSpec(n=16, p=1, q=2, levels=(4, 2, 2))
+    report = lb(spec)
+    assert lb(DesignSpec(n=16, p=1, q=2, levels=(4, 2, 2))) is report
+    with pytest.raises(AttributeError):
+        report.value = 0.0  # frozen
+    infeasible = DesignSpec(n=6, p=1, q=1, levels=(4, 2))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="does not divide"):
+            lb(infeasible)
 
 
 # ------------------------------------------------------------------- dominance

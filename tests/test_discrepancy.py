@@ -30,6 +30,7 @@ from qqdesign import (
     wd_squared,
 )
 from qqdesign import discrepancy
+from qqdesign.model import DEFAULT_CONFIG
 from qqdesign.reference import DESIGN_NAMES, load_reference_design
 
 # specs for randomized cross-checks; all have N <= 10^4
@@ -307,16 +308,16 @@ def test_closed_form_refuses_overflowing_agreement_weights():
     # two qualitative factors: (a/b)^2 = 1e600 overflows, with no warning
     design = load_reference_design("juxtaposed_16run_2")
     config = CriterionConfig(a=1e300, b=1.0)
-    with pytest.raises(DomainError, match="kernel weights overflow"):
+    with pytest.raises(DomainError, match="the pair sum of the kernel weights overflow"):
         qqd_squared(design, config)
-    with pytest.raises(DomainError, match="kernel weights overflow"):
+    with pytest.raises(DomainError, match="the pair sum of the kernel weights overflow"):
         PairCache(design, config)
 
 
 def test_closed_form_refuses_a_constant_term_that_overflows():
     # (4/3)^2500 overflows a float power, which raises instead of giving inf
     design = random_utype(DesignSpec(n=2, p=0, q=2500, levels=(2,) * 2500), 0)
-    with pytest.raises(DomainError, match="kernel weights overflow"):
+    with pytest.raises(DomainError, match="the constant term and the pair sum .* overflow"):
         qqd_squared(design)
 
 
@@ -490,47 +491,63 @@ def _swapped(design, column, i, j):
     return Design(design.spec, qual, quant)
 
 
+def _routes(designs, config=None):
+    """Whether PairCache takes the cell route, per design."""
+    return [PairCache(design, config)._cell_route for design in designs]
+
+
 def test_swap_and_swap_back_restores_design_exactly():
-    design = load_reference_design("mcd_16run_1")
-    cache = PairCache(design)
-    before = cache.value()
-    forward = cache.delta(1, 2, 9)
-    value = cache.apply_swap(1, 2, 9)
-    assert value != before
-    assert value == before + forward
-    back = cache.delta(1, 2, 9)
-    assert back == -forward  # same terms, negated, summed in the same order
-    value = cache.apply_swap(1, 2, 9)
-    assert value == pytest.approx(before, abs=1e-15)
-    assert Design(cache.spec, *cache.levels()) == design
-    # unscored commits compute their own change, never reuse a stale one
-    cache.apply_swap(1, 2, 9)
-    assert cache.apply_swap(1, 2, 9) == pytest.approx(before, abs=1e-15)
+    # the MCD has N = 32 n and is scored from rows, the juxtaposed design N = 4 n in cells
+    designs = [load_reference_design(name) for name in ("mcd_16run_1", "juxtaposed_16run_1")]
+    assert _routes(designs) == [False, True]
+    for design in designs:
+        cache = PairCache(design)
+        before = cache.value()
+        forward = cache.delta(1, 2, 9)
+        value = cache.apply_swap(1, 2, 9)
+        assert value != before
+        assert value == before + forward
+        back = cache.delta(1, 2, 9)
+        # rows: the same terms, negated, summed in the same order; cells: exact
+        assert back == -forward
+        value = cache.apply_swap(1, 2, 9)
+        assert value == pytest.approx(before, abs=1e-15)
+        assert Design(cache.spec, *cache.levels()) == design
+        # unscored commits compute their own change, never reuse a stale one
+        cache.apply_swap(1, 2, 9)
+        assert cache.apply_swap(1, 2, 9) == pytest.approx(before, abs=1e-15)
 
 
 def test_swap_within_constant_column_changes_nothing():
     spec = DesignSpec(n=4, p=1, q=1, levels=(1, 2))
     design = design_from_levels(spec, [[0]] * 4, [[0], [1], [0], [1]])
-    cache = PairCache(design)
-    before = cache.value()
-    assert cache.columns[0][0] == cache.columns[0][3]
-    assert cache.delta(0, 0, 3) == 0.0
-    assert cache.apply_swap(0, 0, 3) == before
-    assert Design(cache.spec, *cache.levels()) == design
+    configs = [DEFAULT_CONFIG, CriterionConfig(a=3.7, b=0.4)]
+    assert [_routes([design], config) for config in configs] == [[True], [False]]
+    for config in configs:
+        cache = PairCache(design, config)
+        before = cache.value()
+        assert cache.columns[0][0] == cache.columns[0][3]
+        assert cache.delta(0, 0, 3) == 0.0
+        assert cache.apply_swap(0, 0, 3) == before
+        assert Design(cache.spec, *cache.levels()) == design
 
 
 def test_swap_equal_rows_is_noop():
-    design = load_reference_design("mcd_8run_1")
-    cache = PairCache(design)
-    assert cache.delta(0, 3, 3) == 0.0
-    value = cache.apply_swap(0, 3, 3)
-    assert value == cache.value() == pytest.approx(qqd_squared(design), abs=1e-12)
+    designs = [load_reference_design(name) for name in ("mcd_8run_1", "juxtaposed_16run_1")]
+    assert _routes(designs) == [False, True]
+    for design in designs:
+        cache = PairCache(design)
+        assert cache.delta(0, 3, 3) == 0.0
+        value = cache.apply_swap(0, 3, 3)
+        assert value == cache.value() == pytest.approx(qqd_squared(design), abs=1e-12)
 
 
 def test_swap_matches_full_recompute_on_random_designs():
     rng = np.random.default_rng(5)
-    for spec in RANDOM_SPECS[:8]:
-        design = random_utype(spec, 7)
+    designs = [random_utype(spec, 7) for spec in RANDOM_SPECS[:8]]
+    assert set(_routes(designs)) == {False, True}
+    for design in designs:
+        spec = design.spec
         cache = PairCache(design)
         for _ in range(6):
             col = int(rng.integers(spec.m))
@@ -551,15 +568,18 @@ def test_swap_rejects_out_of_range_indices():
 
 
 def test_pair_cache_supports_general_weights():
-    config = CriterionConfig(a=2.0, b=1.0)
+    # 4a and 4b are integers for (2, 1), so it takes the cell route; (3.7, 0.4) takes rows
+    configs = [CriterionConfig(a=2.0, b=1.0), CriterionConfig(a=3.7, b=0.4)]
     design = load_reference_design("bound_attaining_4run")
-    cache = PairCache(design, config)
-    assert cache.value() == pytest.approx(qqd_squared(design, config), abs=1e-12)
-    for col, i, j in [(0, 0, 1), (1, 0, 3), (2, 1, 2)]:
-        change = cache.delta(col, i, j)
-        after = qqd_squared(_swapped(Design(cache.spec, *cache.levels()), col, i, j), config)
-        assert change == pytest.approx(after - cache.value(), abs=1e-12)
-        cache.apply_swap(col, i, j)
+    assert [_routes([design], config) for config in configs] == [[True], [False]]
+    for config in configs:
+        cache = PairCache(design, config)
+        assert cache.value() == pytest.approx(qqd_squared(design, config), abs=1e-12)
+        for col, i, j in [(0, 0, 1), (1, 0, 3), (2, 1, 2)]:
+            change = cache.delta(col, i, j)
+            after = qqd_squared(_swapped(Design(cache.spec, *cache.levels()), col, i, j), config)
+            assert change == pytest.approx(after - cache.value(), abs=1e-12)
+            cache.apply_swap(col, i, j)
 
 
 def _pair_sum(design):
@@ -625,19 +645,103 @@ def test_delta_matches_recompute_property(spec, seed, weights, data):
     assert change == pytest.approx(expected, abs=1e-12)
 
 
-def test_tracked_value_does_not_drift_over_long_runs():
-    spec = DesignSpec(n=30, p=2, q=2, levels=(3, 5, 6, 30))
-    cache = PairCache(random_utype(spec, 17))
-    rng = np.random.default_rng(23)
-    commits = 0
-    while commits < 5000:
-        col = int(rng.integers(spec.m))
-        i, j = (int(v) for v in rng.integers(spec.n, size=2))
-        if cache.columns[col][i] == cache.columns[col][j]:
-            continue
+def _exact_pair_sum(levels, spec, config):
+    """The pair sum of a lattice design in exact rationals, from its integer levels."""
+    a, b = Fraction(config.a), Fraction(config.b)
+    total = Fraction(0)
+    for x in levels:
+        for z in levels:
+            product = Fraction(1)
+            for k, s in enumerate(spec.levels):
+                if k < spec.p:
+                    product *= a if x[k] == z[k] else b
+                else:
+                    d = Fraction(abs(x[k] - z[k]), s)
+                    product *= Fraction(3, 2) - d + d * d
+            total += product
+    return total
+
+
+@st.composite
+def _cell_route_specs(draw):
+    n = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    p = draw(st.integers(0, 2))
+    q = draw(st.integers(0 if p else 1, 2))
+    levels = []
+    for _ in range(p + q):  # keep N <= CELL_RATIO * n
+        room = discrepancy.CELL_RATIO * n // math.prod(levels)
+        fits = [s for s in range(1, n + 1) if n % s == 0 and s <= room]
+        levels.append(draw(st.sampled_from(fits)))
+    return DesignSpec(n=n, p=p, q=q, levels=tuple(levels))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=_cell_route_specs(),
+    seed=st.integers(0, 2**32 - 1),
+    # integer weights too: 4a must read as an integer whatever a's type
+    weights=st.sampled_from([(1.5, 1.25), (2, 1), (2.25, 0.5)]),
+    data=st.data(),
+)
+def test_cell_route_change_is_the_exact_change_rounded_once(spec, seed, weights, data):
+    config = CriterionConfig(a=weights[0], b=weights[1])
+    design = random_utype(spec, seed)
+    cache = PairCache(design, config)
+    assert cache._cell_route
+    for _ in range(3):
+        col = data.draw(st.integers(0, spec.m - 1))
+        i = data.draw(st.integers(0, spec.n - 1))
+        j = data.draw(st.integers(0, spec.n - 1))
+        change = cache.delta(col, i, j)
+        current = Design(spec, *cache.levels())
+        after = _swapped(current, col, i, j)
+        exact = (_exact_pair_sum(after.all_levels(), spec, config)
+                 - _exact_pair_sum(current.all_levels(), spec, config)) / spec.n**2
+        assert change == float(exact)  # bit for bit
+        if cache.columns[col][i] != cache.columns[col][j]:
+            assert change == pytest.approx(cache._row_change(col, i, j), abs=1e-12)
+            assert cache.delta(col, j, i) == change
         cache.apply_swap(col, i, j)
-        commits += 1
-        assert abs(cache.value() - qqd_squared(Design(cache.spec, *cache.levels()))) <= 1e-12
+
+
+def test_row_route_keeps_shapes_the_cell_route_does_not_fit():
+    # search_large's MCD shape: N = 4 * 1024^2, far beyond CELL_RATIO * n
+    large = random_utype(DesignSpec(n=1024, p=1, q=2, levels=(4, 1024, 1024)), 0)
+    small = random_utype(DesignSpec(n=16, p=1, q=2, levels=(4, 2, 2)), 0)
+    raw = Design(small.spec, small.qualitative, small.quantitative * 0.999)
+    # within the lattice tolerance, but not on the lattice points
+    near = Design(small.spec, small.qualitative, small.quantitative + 1e-12)
+    assert not raw.is_lattice() and near.is_lattice()
+    assert _routes([large, raw, near, small]) == [False, False, False, True]
+    # weights that do not scale to integers, and weights whose products leave no int64 headroom
+    for config in (CriterionConfig(a=3.7, b=0.4), CriterionConfig(a=2.0**45, b=1.0)):
+        assert _routes([small], config) == [False]
+    # N = CELL_RATIO * n still takes cells, twice that takes rows
+    ratio = discrepancy.CELL_RATIO
+    edge, wide = (random_utype(DesignSpec(n=16, p=1, q=3, levels=(4, 2, 2, s)), 0)
+                  for s in (ratio, 2 * ratio))
+    assert _routes([edge, wide]) == [True, False]
+
+
+def test_tracked_value_does_not_drift_over_long_runs():
+    # N = 90 n takes the row route, N = 6 n the cell route
+    specs = [DesignSpec(n=30, p=2, q=2, levels=(3, 5, 6, 30)),
+             DesignSpec(n=30, p=2, q=2, levels=(3, 5, 6, 2))]
+    designs = [random_utype(spec, 17) for spec in specs]
+    assert _routes(designs) == [False, True]
+    for design in designs:
+        spec = design.spec
+        cache = PairCache(design)
+        rng = np.random.default_rng(23)
+        commits = 0
+        while commits < 5000:
+            col = int(rng.integers(spec.m))
+            i, j = (int(v) for v in rng.integers(spec.n, size=2))
+            if cache.columns[col][i] == cache.columns[col][j]:
+                continue
+            cache.apply_swap(col, i, j)
+            commits += 1
+            assert abs(cache.value() - qqd_squared(Design(cache.spec, *cache.levels()))) <= 1e-12
 
 
 # ------------------------------------------------------------------ symmetry
