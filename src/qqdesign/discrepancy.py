@@ -14,25 +14,30 @@ agree, the double sum includes i = j, and
 C = -prod_k [(a + (s_k - 1) b)/s_k] * (4/3)^q.
 
 One routine, ``_row_weights``, builds the kernel products of a block of
-rows against a range of rows.  Since the kernel is symmetric in i and j,
+rows against a range of rows, in buffers its caller owns (``_buffers``)
+and step by step in the formula's order, so no value depends on the
+buffers that held it.  Since the kernel is symmetric in i and j,
 ``_row_blocks`` builds each unordered pair once: a block of rows [s, e)
 against rows [s, n), split into its square part (rows [s, e)) and the
 rest.  The closed form is the sum of the square parts plus twice the sum
-of the rests (``np.sum`` per part, ``math.fsum`` across the parts), so
-its memory is O(n*B) for blocks of B rows.  ``_agreement_histogram``,
-which both balance-pattern routes read, walks the same blocks with exact
-integer codes of each pair's agreeing columns, and the swap evaluator's
-row route takes its two rows from ``_row_weights`` against all n.
+of the rests (``np.sum`` per part, ``math.fsum`` across the parts); it
+builds every block in one buffer set, so its memory is O(n*B) for blocks
+of B rows.  ``_agreement_histogram``, which both balance-pattern routes
+read, walks the same blocks with exact integer codes of each pair's
+agreeing columns, and the swap evaluator's row route builds its two rows
+with ``_row_weights`` against all n, in a (2, n) buffer set it keeps.
 Setting p = 0 recovers the wrap-around discrepancy (WD), q = 0 the
 discrete discrepancy (DD).
 
 For lattice designs the same value is C + y' A y / n^2, a quadratic form
 in the frequency vector y over the N level combinations, with A the
 Kronecker product of per-factor kernel matrices.  ``_kronecker_apply``
-applies A factor by factor, never materialized: in floats for
-``qqd_squared_quadratic``, and in exact int64 integers for the swap
-evaluator's cell route, which keeps z = A y and scores a swap from four
-entries of it in O(m), whenever N is small against n (``PairCache``).
+applies A factor by factor, never materialized, each kernel in row
+blocks: in floats for ``qqd_squared_quadratic``, and in exact int64
+integers for the swap evaluator's cell route, which keeps z = A y and
+scores a swap from four entries of it in O(m), whenever N is small
+against n (``PairCache``).  Both keep each circulant kernel as its first
+row.
 """
 
 from __future__ import annotations
@@ -54,10 +59,11 @@ from .model import (
 )
 
 QUADRATIC_FORM_CAP = 10_000  # largest N for which the quadratic form is evaluated
-# pair entries a row block holds at a time: at 2^15 a float64 temporary is
-# 256 KB, so a block's few live temporaries fit a 2 MB per-core L2 cache;
-# timed over 2^13..2^18 at n = 1024 and 2048 (2-vCPU Xeon), 2^14..2^16 were
-# equally fast and 2^18 about twice as slow
+# pair entries a row block holds at a time: at 2^15 a block's buffers (three
+# float64, two intp, one bool: 1.3 MB) fit a 2 MB per-core L2 cache; timed
+# over 2^13..2^18 at n = 1024 and 2048 (2-vCPU Xeon), 2^14..2^16 were equally
+# fast and 2^18 about twice as slow.  Keep it: it fixes the closed form's
+# partial sums, so the last bits of every value and every search trace
 PAIR_BLOCK = 1 << 15
 # PairCache scores swaps in cell space while N <= CELL_RATIO * n: a score
 # there costs O(m) against O(n m) on rows, but a commit O(N m) against O(1).
@@ -79,10 +85,16 @@ def coincidence_number(design: Design, i: int, j: int) -> int:
     return int(np.sum(design.qualitative[i] == design.qualitative[j]))
 
 
-def _quant_kernel(x, z):
-    """Wrap-around kernel 3/2 - |x - z| + |x - z|^2, broadcast over x and z."""
-    d = np.abs(x - z)
-    return 1.5 - d + d * d
+def _quant_kernel(x, z, out, work):
+    """Wrap-around kernel (3/2 - |x - z|) + |x - z|^2 into ``out``, step by step.
+
+    ``work`` is scratch of the same, broadcast shape.
+    """
+    np.subtract(x, z, work)
+    np.abs(work, work)
+    np.multiply(work, work, out)  # d * d
+    np.subtract(1.5, work, work)
+    return np.add(work, out, out)
 
 
 def _lattice_kernel(d, s):
@@ -90,27 +102,69 @@ def _lattice_kernel(d, s):
     return 1.5 - d * (s - d) / s**2
 
 
-def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None, start=0):
+def _buffers(rows: int, cols: int):
+    """rows x cols buffers for ``_row_weights``.
+
+    weights, kernel and work are float64, agree and matched intp, same bool.
+    """
+    floats = np.empty((3, rows, cols))
+    ints = np.empty((2, rows, cols), np.intp)
+    return floats[0], floats[1], floats[2], ints[0], ints[1], np.empty((rows, cols), np.bool_)
+
+
+def _leading(buffers, rows: int, cols: int):
+    """C-contiguous rows x cols views of ``buffers``' leading entries: a fresh array's layout."""
+    if buffers[0].shape == (rows, cols):
+        return buffers
+    size = rows * cols
+    return tuple(b.reshape(-1)[:size].reshape(rows, cols) for b in buffers)
+
+
+def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None, start=0, out=None):
     """Kernel products (a/b)^delta prod_k f_k of the rows ``rows`` against rows start..n-1.
 
     b^p is left out, and so is column ``skip`` (0-based, qualitative
     first) when given.  ``ratio_powers[k]`` is the weight of k agreements.
+    The result is the weights array of ``out``, ``_buffers`` of its shape
+    (fresh ones when None), and the others are overwritten.
     """
     p = qualitative.shape[1]
-    agree = weights = None
+    if out is None:
+        out = _buffers(qualitative[rows].shape[0], qualitative.shape[0] - start)
+    weights, kernel, work, agree, matched, same = out
+    # casts are copies: a casting ufunc allocates iteration buffers per call
+    counted = built = False
     for k in range(p):
         if k != skip:
-            same = qualitative[rows, k, None] == qualitative[start:, k]
-            agree = same.astype(np.intp) if agree is None else np.add(agree, same, out=agree)
+            np.equal(qualitative[rows, k, None], qualitative[start:, k], same)
+            if counted:
+                np.copyto(matched, same)
+                np.add(agree, matched, agree)
+            else:
+                np.copyto(agree, same)
+                counted = True
     for k in range(quantitative.shape[1]):
         if p + k != skip:
-            kern = _quant_kernel(quantitative[rows, k, None], quantitative[start:, k])
-            weights = kern if weights is None else np.multiply(weights, kern, out=weights)
-    if agree is not None:
-        weights = ratio_powers[agree] if weights is None else weights * ratio_powers[agree]
-    if weights is None:  # the only column is skipped
-        weights = np.ones((qualitative[rows].shape[0], qualitative.shape[0] - start))
+            x, z = quantitative[rows, k, None], quantitative[start:, k]
+            if built:
+                np.multiply(weights, _quant_kernel(x, z, kernel, work), weights)
+            else:
+                _quant_kernel(x, z, weights, work)
+                built = True
+    if counted:
+        # mode="clip" lets take write into the buffer unbuffered; counts are in range
+        if built:
+            np.multiply(weights, ratio_powers.take(agree, None, kernel, "clip"), weights)
+        else:
+            ratio_powers.take(agree, None, weights, "clip")
+    elif not built:  # the only column is skipped
+        weights.fill(1.0)
     return weights
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of ``_row_blocks``: the first holds at most PAIR_BLOCK entries."""
+    return min(max(1, PAIR_BLOCK // n), n)
 
 
 def _row_blocks(n: int, build):
@@ -121,9 +175,10 @@ def _row_blocks(n: int, build):
     and against rows [stop, n).  Every pair (i, j) with i < j lies in
     exactly one ``rest``, so the full double sum over i and j is the sum of
     the squares plus twice the sum of the rests.  A block holds at most
-    PAIR_BLOCK entries, so memory is O(n*B).
+    PAIR_BLOCK entries, so memory is O(n*B).  A block's arrays stay valid
+    only until the next block is built: ``build`` may reuse its buffers.
     """
-    step = max(1, PAIR_BLOCK // n)
+    step = _block_rows(n)
     for start in range(0, n, step):
         values = build(start, min(start + step, n))
         size = values.shape[0]
@@ -170,10 +225,12 @@ def _qqd_squared_arrays(
     qualitative: np.ndarray, quantitative: np.ndarray, s_qual, config: CriterionConfig
 ) -> float:
     n, p = qualitative.shape
+    buffers = _buffers(_block_rows(n), n)  # the first block is the largest
 
     def weights(start, stop):
+        out = _leading(buffers, stop - start, n - start)
         rows = slice(start, stop)
-        return _row_weights(qualitative, quantitative, rows, ratio_powers, start=start)
+        return _row_weights(qualitative, quantitative, rows, ratio_powers, start=start, out=out)
 
     # np.sum per square part and per rest, and fsum across those partials,
     # keep the closed form and the quadratic form within ~1e-13 at n around
@@ -182,7 +239,9 @@ def _qqd_squared_arrays(
         ratio_powers = (config.a / config.b) ** np.arange(p + 1)
         partials = []
         for square, rest in _row_blocks(n, weights):
-            partials += (float(np.sum(square)), 2.0 * float(np.sum(rest)))
+            partials.append(float(np.sum(square)))
+            if rest.size:  # the last block has none
+                partials.append(2.0 * float(np.sum(rest)))
         total = math.fsum(partials)
         pairs = float(total * np.float64(config.b) ** p / n**2)
     C = _constant_term(s_qual, quantitative.shape[1], config.a, config.b)
@@ -280,6 +339,16 @@ def swd(design: Design) -> float:
     return math.fsum(total)
 
 
+def _kernel_row(k: int, spec: DesignSpec, config: CriterionConfig) -> np.ndarray:
+    """First row of factor k's kernel, which is circulant (d (s - d) is symmetric, bit for bit)."""
+    s = spec.levels[k]
+    if k < spec.p:
+        row = np.full(s, config.b)
+        row[0] = config.a
+        return row
+    return _lattice_kernel(np.arange(s), s)
+
+
 def kernel_matrix(
     k: int, spec: DesignSpec, config: CriterionConfig | None = None
 ) -> np.ndarray:
@@ -293,13 +362,7 @@ def kernel_matrix(
     config = config or DEFAULT_CONFIG
     if not 0 <= k < spec.m:
         raise DomainError(f"factor index {k} out of range for {spec.m} factors")
-    s = spec.levels[k]
-    if k < spec.p:
-        entries = np.full((s, s), config.b)
-        np.fill_diagonal(entries, config.a)
-        return entries
-    i = np.arange(s)
-    return _lattice_kernel(np.abs(i[:, None] - i[None, :]), s)
+    return np.array(_circulant(_kernel_row(k, spec, config)))
 
 
 def qqd_squared_quadratic(design: Design, config: CriterionConfig | None = None) -> float:
@@ -307,8 +370,8 @@ def qqd_squared_quadratic(design: Design, config: CriterionConfig | None = None)
 
     ``y`` is the frequency vector and A the Kronecker product of the
     per-factor kernel matrices; A is applied factor by factor, never
-    materialized.  Requires a lattice-valued design and
-    N <= ``QUADRATIC_FORM_CAP``.
+    materialized, and so is each kernel (``_kronecker_apply``): memory is
+    O(N + PAIR_BLOCK).  Requires a lattice-valued design and N <= ``QUADRATIC_FORM_CAP``.
     """
     config = config or DEFAULT_CONFIG
     spec = design.spec
@@ -318,7 +381,7 @@ def qqd_squared_quadratic(design: Design, config: CriterionConfig | None = None)
             "use qqd_squared instead"
         )
     y = frequency_vector(design).astype(np.float64)
-    kernels = [kernel_matrix(k, spec, config) for k in range(spec.m)]
+    kernels = [_circulant(_kernel_row(k, spec, config)) for k in range(spec.m)]
     with np.errstate(all="ignore"):  # overflow is refused by _finite
         value = float(np.dot(y, _kronecker_apply(kernels, y.reshape(spec.levels)).ravel()))
     C = _constant_term(spec.qualitative_levels, spec.q, config.a, config.b)
@@ -330,11 +393,22 @@ def _kronecker_apply(kernels, y: np.ndarray) -> np.ndarray:
 
     ``y`` has the shape of the level counts (first factor slowest), and so
     does the C-contiguous result; its dtype follows the kernels' and y's.
+    A kernel, which may be a ``_circulant`` view, is copied contiguous and
+    applied in row blocks of at most PAIR_BLOCK entries.
     """
     z, before = y, 1
     for A in kernels:
         s = A.shape[0]
-        z = np.matmul(A, z.reshape(before, s, -1))  # factor k acts on axis 1
+        z = z.reshape(before, s, -1)  # factor k acts on axis 1
+        step = max(1, PAIR_BLOCK // s)
+        if step >= s:
+            z = np.matmul(np.ascontiguousarray(A), z)
+        else:
+            out = np.empty(z.shape, np.result_type(A, z))
+            for start in range(0, s, step):
+                block = slice(start, start + step)
+                np.matmul(np.ascontiguousarray(A[block]), z, out=out[:, block])
+            z = out
         before *= s
     return z.reshape(y.shape)
 
@@ -375,7 +449,7 @@ def _cell_tables(spec: DesignSpec, config: CriterionConfig) -> _CellTables | Non
     if spec.n**2 * math.prod(row[0] for row in rows) > INTEGER_HEADROOM:
         return None
     shape, m = spec.levels, spec.m
-    kernels = tuple(_circulant(row) for row in rows)
+    kernels = tuple(_circulant(np.array(row, dtype=np.int64)) for row in rows)
     others = tuple(tuple(l for l in range(m) if l != k) for k in range(m))
     scale = 4**spec.p * math.prod(2 * s * s for s in spec.quantitative_levels)
     return _CellTables(
@@ -392,13 +466,13 @@ def _cell_tables(spec: DesignSpec, config: CriterionConfig) -> _CellTables | Non
     )
 
 
-def _circulant(row: tuple[int, ...]) -> np.ndarray:
-    """The read-only s x s int64 circulant matrix with first row ``row``, a view of 2s entries."""
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """The read-only s x s circulant matrix with first row ``row``, a view of 2s entries."""
     s = len(row)
-    line = np.array(row + row, dtype=np.int64)
+    line = np.concatenate((row, row))
     line.setflags(write=False)
     # row u is line[s - u : 2s - u]: start at entry s, step back one entry per row
-    return np.ndarray((s, s), np.int64, buffer=line, offset=s * line.itemsize,
+    return np.ndarray((s, s), line.dtype, buffer=line, offset=s * line.itemsize,
                       strides=(-line.itemsize, line.itemsize))
 
 
@@ -453,7 +527,9 @@ class PairCache:
 
     ``delta`` rebuilds B for rows i and j from the level columns with
     ``_row_weights``, the closed form's routine, so a proposal costs
-    O(n*m), a commit O(1), and no n x n state is kept.
+    O(n*m), a commit O(1), and no n x n state is kept.  B, f and
+    B_i - B_j are built in one (2, n) buffer set allocated at set-up, so a
+    score allocates nothing of size n.
     """
 
     def __init__(self, design: Design, config: CriterionConfig | None = None):
@@ -477,6 +553,8 @@ class PairCache:
             tables = _cell_tables(spec, config)
             levels = None if tables is None else _exact_lattice_levels(design)
         self._cell_route = levels is not None
+        # the row route scores in one (2, n) buffer set
+        self._buffers = None if self._cell_route else _buffers(2, n)
         if self._cell_route:
             self._set_up_cells(levels, tables)
 
@@ -546,17 +624,22 @@ class PairCache:
         # rows as a strided view instead of a fancy-indexed copy
         lo, hi = min(row_i, row_j), max(row_i, row_j)
         rows = slice(lo, hi + 1, hi - lo)
-        # f: the swapped column's kernel against every row r, row hi minus row lo;
-        # weights: the pair weights of rows lo and hi without that column
+        buffers = self._buffers or _buffers(2, self.spec.n)  # a cell-route cache: fresh ones
+        # weights: the pair weights of rows lo and hi without the swapped column
+        weights = _row_weights(self._qual, self._quant, rows, self._ratio_powers, column,
+                               out=buffers)
+        _, kernel, work, _, _, same = buffers
+        # f: that column's kernel against every row r, row hi minus row lo
         if column < self.spec.p:
-            same = col[rows, None] == col
-            f = (self._ratio - 1.0) * (same[1] - same[0].astype(np.float64))
+            np.equal(col[rows, None], col, same)
+            np.copyto(kernel, same)
+            f = np.subtract(kernel[1], kernel[0], work[0])
+            np.multiply(self._ratio - 1.0, f, f)
         else:
-            kern = _quant_kernel(col[rows, None], col)
-            f = kern[1] - kern[0]
-        weights = _row_weights(self._qual, self._quant, rows, self._ratio_powers, column)
+            _quant_kernel(col[rows, None], col, kernel, work)
+            f = np.subtract(kernel[1], kernel[0], work[0])
         f[lo] = f[hi] = 0.0
-        return self._scale * float(np.dot(weights[0] - weights[1], f))
+        return self._scale * float(np.dot(np.subtract(weights[0], weights[1], kernel[0]), f))
 
     def _commit_cells(self, column: int, row_i: int, row_j: int) -> None:
         """z += A_int dy, then move rows i and j to their new cells.

@@ -178,12 +178,48 @@ def test_row_weights_from_a_column_start_match_the_full_rows():
     blocks = [(slice(5, 9), 5), (slice(0, 24), 0), (slice(20, 24), 20), (slice(3, 4), 10)]
     cases = [(mixed, rows, start, skip) for rows, start in blocks for skip in (None, 0, 3)]
     cases += [(lone, slice(2, 4), 2, None), (lone, slice(2, 4), 2, 0)]  # skip 0: all ones
+    # one buffer set for every case, as the closed form's blocks share one:
+    # filled with NaN, so a value left from an earlier case would show
+    shared = discrepancy._buffers(24, 24)
+    for buffer in shared:
+        buffer[...] = np.nan if buffer.dtype.kind == "f" else 7
     for design, rows, start, skip in cases:
         qual, quant = design.qualitative, design.quantitative
         full = discrepancy._row_weights(qual, quant, rows, ratio_powers, skip)
         part = discrepancy._row_weights(qual, quant, rows, ratio_powers, skip, start)
         assert part.shape == full[:, start:].shape
         assert part.tobytes() == full[:, start:].tobytes()
+        out = discrepancy._leading(shared, *part.shape)
+        reused = discrepancy._row_weights(qual, quant, rows, ratio_powers, skip, start, out)
+        assert reused is out[0] and reused.flags.c_contiguous
+        assert reused.tobytes() == part.tobytes()
+
+
+def test_in_place_kernel_is_the_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    lattice = (2 * rng.integers(0, 16, 40) + 1) / 32  # repeated points: d = 0
+    inputs = [
+        (rng.random((5, 1)), rng.random(40)),
+        (lattice[:6, None], lattice),
+        (lattice[:1, None], lattice[:1]),  # d = 0 alone
+        (np.zeros((2, 1)), np.array([0.0, 1.0, 0.5])),  # d = 0, 1 and 1/2
+    ]
+    for x, z in inputs:
+        d = np.abs(x - z)
+        want = 1.5 - d + d * d
+        out, work = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
+        got = discrepancy._quant_kernel(x, z, out, work)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    # the only column skipped: all ones, whatever the buffers held
+    design = random_utype(DesignSpec(n=6, p=0, q=1, levels=(6,)), 1)
+    out = discrepancy._buffers(2, 4)
+    for buffer in out:
+        buffer[...] = np.nan if buffer.dtype.kind == "f" else 7
+    weights = discrepancy._row_weights(
+        design.qualitative, design.quantitative, slice(2, 4), np.ones(1), 0, 2, out
+    )
+    assert weights.tobytes() == np.ones((2, 4)).tobytes()
 
 
 def test_closed_form_builds_each_unordered_pair_once(monkeypatch):
@@ -345,6 +381,23 @@ def test_quadratic_matches_explicit_kronecker_product():
     C = -(21 / 16) * (4 / 3) ** 2
     direct = C + y @ A @ y / spec.n**2
     assert qqd_squared_quadratic(design) == pytest.approx(direct, abs=1e-13)
+
+
+def test_quadratic_form_memory_is_linear_in_the_levels():
+    # one s = 2000 factor: its dense kernel alone would be 32 MB
+    design = random_utype(DesignSpec(n=2000, p=0, q=1, levels=(2000,)), 0)
+    tracemalloc.start()
+    try:
+        value = qqd_squared_quadratic(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert abs(value - qqd_squared(design)) < 1e-10
+    # kernels over several row blocks next to a small factor, either type
+    for levels in ((5, 1000), (1000, 5)):
+        design = random_utype(DesignSpec(n=1000, p=1, q=1, levels=levels), 2)
+        assert abs(qqd_squared_quadratic(design) - qqd_squared(design)) < 1e-10
 
 
 def test_quadratic_capacity_error():
@@ -721,6 +774,25 @@ def test_row_route_keeps_shapes_the_cell_route_does_not_fit():
     edge, wide = (random_utype(DesignSpec(n=16, p=1, q=3, levels=(4, 2, 2, s)), 0)
                   for s in (ratio, 2 * ratio))
     assert _routes([edge, wide]) == [True, False]
+
+
+def test_row_route_delta_allocates_nothing_of_size_n():
+    n = 4096
+    cache = PairCache(random_utype(DesignSpec(n=n, p=1, q=2, levels=(4, n, n)), 0))
+    assert not cache._cell_route
+    rng = np.random.default_rng(4)
+    # swaps in the qualitative column and in both quantitative ones
+    swaps = [(column, int(i), int(j)) for column in range(3)
+             for i, j in rng.integers(0, n, (17, 2))][:50]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for swap in swaps:
+            cache.delta(*swap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < n * 8  # one n-float array: 32 KB
 
 
 def test_tracked_value_does_not_drift_over_long_runs():
