@@ -401,14 +401,11 @@ def _kronecker_apply(kernels, y: np.ndarray) -> np.ndarray:
         s = A.shape[0]
         z = z.reshape(before, s, -1)  # factor k acts on axis 1
         step = max(1, PAIR_BLOCK // s)
-        if step >= s:
-            z = np.matmul(np.ascontiguousarray(A), z)
-        else:
-            out = np.empty(z.shape, np.result_type(A, z))
-            for start in range(0, s, step):
-                block = slice(start, start + step)
-                np.matmul(np.ascontiguousarray(A[block]), z, out=out[:, block])
-            z = out
+        out = np.empty(z.shape, np.result_type(A, z))
+        for start in range(0, s, step):
+            block = slice(start, start + step)
+            np.matmul(np.ascontiguousarray(A[block]), z, out=out[:, block])
+        z = out
         before *= s
     return z.reshape(y.shape)
 
@@ -528,8 +525,8 @@ class PairCache:
     ``delta`` rebuilds B for rows i and j from the level columns with
     ``_row_weights``, the closed form's routine, so a proposal costs
     O(n*m), a commit O(1), and no n x n state is kept.  B, f and
-    B_i - B_j are built in one (2, n) buffer set allocated at set-up, so a
-    score allocates nothing of size n.
+    B_i - B_j are built in one (2, n) buffer set allocated on the first
+    score, so later scores allocate nothing of size n.
     """
 
     def __init__(self, design: Design, config: CriterionConfig | None = None):
@@ -553,8 +550,7 @@ class PairCache:
             tables = _cell_tables(spec, config)
             levels = None if tables is None else _exact_lattice_levels(design)
         self._cell_route = levels is not None
-        # the row route scores in one (2, n) buffer set
-        self._buffers = None if self._cell_route else _buffers(2, n)
+        self._buffers = None  # the row route's (2, n) set, made on its first score
         if self._cell_route:
             self._set_up_cells(levels, tables)
 
@@ -624,7 +620,9 @@ class PairCache:
         # rows as a strided view instead of a fancy-indexed copy
         lo, hi = min(row_i, row_j), max(row_i, row_j)
         rows = slice(lo, hi + 1, hi - lo)
-        buffers = self._buffers or _buffers(2, self.spec.n)  # a cell-route cache: fresh ones
+        if self._buffers is None:
+            self._buffers = _buffers(2, self.spec.n)
+        buffers = self._buffers
         # weights: the pair weights of rows lo and hi without the swapped column
         weights = _row_weights(self._qual, self._quant, rows, self._ratio_powers, column,
                                out=buffers)

@@ -784,6 +784,7 @@ def test_row_route_delta_allocates_nothing_of_size_n():
     # swaps in the qualitative column and in both quantitative ones
     swaps = [(column, int(i), int(j)) for column in range(3)
              for i, j in rng.integers(0, n, (17, 2))][:50]
+    cache.delta(*swaps[-1])  # the first score makes the route's (2, n) buffer set
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
