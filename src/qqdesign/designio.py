@@ -6,12 +6,24 @@ quantitative block an integer token is a lattice level and a decimal
 token is a raw unit-interval value, so ``3`` means level 3 while ``0.5``
 means the value one half.  A JSON mirror carries the same content under
 the keys n, p, q, levels, rows.
+
+Both are decoded a column at a time, with the meaning above: a column
+of integers is levels, a decimal token a raw value.  Each column is
+typed, range-checked and placed on the lattice in one pass; one that
+mixes integers and decimals, or holds signed integers, is typed token by
+token.  A refused entry sends the rows through the row-major walk
+``_design_from_rows``, which raises what an entry-by-entry decoder
+would, in its order: the first unparseable token, the row count, each
+row's width then entries, then Design's checks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DomainError, ParseError
 from .model import Design, DesignSpec, _lattice_levels, _unit
@@ -25,11 +37,7 @@ def _parse_int(token: str, where: str) -> int:
 
 
 def loads_design_text(text: str) -> Design:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if len(lines) < 2:
         raise ParseError("design file needs a header of two lines: 'n p q' and level counts")
     head = lines[0].split()
@@ -38,24 +46,84 @@ def loads_design_text(text: str) -> Design:
     n, p, q = (_parse_int(tok, "line 1") for tok in head)
     levels = tuple(_parse_int(tok, "line 2") for tok in lines[1].split())
     spec = DesignSpec(n=n, p=p, q=q, levels=levels)
-    rows = [
-        [_token_value(tok, r, k) for k, tok in enumerate(line.split())]
-        for r, line in enumerate(lines[2:])
-    ]
-    return _design_from_rows(spec, rows)
+    rows = list(map(str.split, lines[2:]))
+    design = _decode_columns(spec, rows, _text_column)
+    if design is None:  # a refused entry: the row-major walk names the first
+        typed = [[_token_value(t, r, k) for k, t in enumerate(row)] for r, row in enumerate(rows)]
+        design = _design_from_rows(spec, typed)
+    return design
+
+
+def _typed(token: str) -> int | float:
+    """The number a text token stands for, typed as JSON would type it; ValueError if none."""
+    body = token[1:] if token[:1] in "+-" else token
+    return int(token) if body.isdecimal() else float(token)
 
 
 def _token_value(token: str, r: int, k: int) -> int | float:
-    """The number a text token stands for, typed as JSON would type it."""
     try:
-        return int(token) if _is_int_token(token) else float(token)
+        return _typed(token)
     except ValueError:
         raise ParseError(f"row {r}, column {k}: not a number: {token!r}") from None
 
 
-def _is_int_token(token: str) -> bool:
-    body = token[1:] if token[:1] in "+-" else token
-    return body.isdecimal()
+def _text_column(tokens: tuple) -> list | None:
+    """A column's tokens typed as ``_typed`` types them; None when one is not a number."""
+    try:
+        if all(map(str.isdecimal, tokens)):
+            return list(map(int, tokens))
+        values = list(map(float, tokens))
+        # only a whole or infinite value can come from a signed integer token
+        if any(map(float.is_integer, values)) or any(map(math.isinf, values)):
+            return list(map(_typed, tokens))
+        return values
+    except ValueError:
+        return None
+
+
+def _column(values, s: int, qualitative: bool) -> np.ndarray | None:
+    """Entries as int64 levels (qualitative) or unit values, or None to let the walk decide.
+
+    None when ``_entry_value`` would refuse an entry or a level overflows int64.
+    """
+    kinds = set(map(type, values))
+    if not kinds <= ({int} if qualitative else {int, float}):
+        return None
+    if kinds == {float}:
+        return np.array(values)
+    mixed = float in kinds  # its decimals are raw values, its integers levels
+    ints = [v if type(v) is int else 0 for v in values] if mixed else values
+    try:
+        levels = np.array(ints, np.int64)
+    except OverflowError:
+        return None
+    if qualitative:
+        return levels
+    if levels.min() < 0 or levels.max() >= s:
+        return None
+    units = _unit(levels, s)
+    return np.where([type(v) is float for v in values], values, units) if mixed else units
+
+
+def _decode_columns(spec: DesignSpec, rows: list, typed) -> Design | None:
+    """The Design of ``rows`` decoded a column at a time, or None when an entry is refused.
+
+    ``typed`` turns a column of the rows into a list of numbers, or None.
+    """
+    if len(rows) != spec.n or set(map(type, rows)) != {list} or set(map(len, rows)) != {spec.m}:
+        return None
+    qual = np.empty((spec.n, spec.p), np.int64)
+    quant = np.empty((spec.n, spec.q))
+    for k, (column, s) in enumerate(zip(zip(*rows), spec.levels)):
+        values = typed(column)
+        array = None if values is None else _column(values, s, k < spec.p)
+        if array is None:
+            return None
+        if k < spec.p:
+            qual[:, k] = array
+        else:
+            quant[:, k - spec.p] = array
+    return Design(spec, qual, quant)
 
 
 def _entry_value(entry, s: int, r: int, k: int, qualitative: bool) -> int | float:
@@ -106,7 +174,7 @@ def design_from_json_dict(data: dict) -> Design:
         q=_json_int(data["q"], "q"),
         levels=tuple(_json_int(s, "levels") for s in data["levels"]),
     )
-    return _design_from_rows(spec, data["rows"])
+    return _decode_columns(spec, data["rows"], list) or _design_from_rows(spec, data["rows"])
 
 
 def read_design(path) -> Design:

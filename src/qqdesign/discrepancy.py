@@ -190,22 +190,32 @@ def _agreement_histogram(levels: np.ndarray, masks: bool) -> np.ndarray:
 
     Column c has code 2^c when ``masks`` is set, so v is the pair's
     agreement mask, and code 1 otherwise, so v counts agreeing columns.
+    ``levels`` are non-negative.  It walks ``_row_blocks``' blocks in one
+    buffer set per call, as the closed form does.
     """
     n, m = levels.shape
-
-    def codes(start, stop):
-        acc = np.zeros((stop - start, n - start), dtype=np.intp)
-        for c in reversed(range(m)):  # Horner's rule in place: column c ends on bit c
-            if masks:
-                np.add(acc, acc, out=acc)
-            np.add(acc, levels[start:stop, c, None] == levels[start:, c], out=acc)
-        return acc
-
+    # numpy buffers a broadcast comparison operand in chunks of its dtype
+    levels = levels.astype(np.min_scalar_type(levels.max()))
+    step = _block_rows(n)
+    buffers = (*np.empty((2, step, n), np.intp), np.empty((step, n), np.bool_))
     size = 1 << m if masks else m + 1
-    return sum(
-        np.bincount(square.ravel(), minlength=size) + 2 * np.bincount(rest.ravel(), minlength=size)
-        for square, rest in _row_blocks(n, codes)
-    )
+    hist = np.zeros(size, np.intp)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        codes, matched, same = _leading(buffers, stop - start, n - start)
+        for c in reversed(range(m)):  # Horner's rule in place: column c ends on bit c
+            np.equal(levels[start:stop, c, None], levels[start:, c], same)
+            if c == m - 1:
+                np.copyto(codes, same)
+                continue
+            if masks:
+                np.add(codes, codes, codes)
+            np.copyto(matched, same)
+            np.add(codes, matched, codes)
+        # pairs within the block once, the rest twice; ravel is a view of the whole block
+        hist += 2 * np.bincount(codes.ravel(), minlength=size)
+        hist -= np.bincount(codes[:, : stop - start].ravel(), minlength=size)
+    return hist
 
 
 def _qualitative_head(s_qual, a, b):

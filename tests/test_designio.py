@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from qqdesign import (
+    Design,
     DesignSpec,
     DomainError,
     ParseError,
@@ -11,9 +13,11 @@ from qqdesign import (
     design_to_json_dict,
     dumps_design_text,
     loads_design_text,
+    random_utype,
     read_design,
     write_design,
 )
+from qqdesign import designio
 from qqdesign.reference import load_reference_design
 
 SIMPLE = """\
@@ -96,3 +100,37 @@ def test_parse_error_bad_header():
 def test_dumps_text_reparses_identically():
     design = load_reference_design("juxtaposed_16run_2")
     assert loads_design_text(dumps_design_text(design)) == design
+
+
+def test_a_valid_file_is_decoded_without_the_entry_walk(tmp_path, monkeypatch):
+    lattice = random_utype(DesignSpec(n=2048, p=2, q=2, levels=(4, 4, 16, 32)), 0)
+    raw = Design(lattice.spec, lattice.qualitative, lattice.quantitative * 0.999)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return entry_value(*args)
+
+    entry_value = designio._entry_value
+    monkeypatch.setattr(designio, "_entry_value", counted)
+    for design in (lattice, raw):
+        for name in ("design.txt", "design.json"):
+            write_design(design, tmp_path / name)
+            assert read_design(tmp_path / name) == design
+    assert calls == []
+    # a refused entry still takes it, to name the refusal
+    with pytest.raises(DomainError, match="row 1, column 1"):
+        loads_design_text("2 1 1\n2 2\n0 0\n1 5\n")
+    assert calls
+
+
+def test_columns_typed_token_by_token_keep_their_meaning():
+    # signed and Arabic-Indic integers are levels, decimals raw values, even
+    # in one column; the typing is per token, as for an all-integer column
+    design = loads_design_text("3 1 1\n4 4\n+2 +1\n٣ 0.5\n-0 ٣\n")
+    assert design.qualitative.ravel().tolist() == [2, 3, 0]
+    assert design.quantitative.ravel().tolist() == [0.375, 0.5, 0.875]
+    mirror = {"n": 2, "p": 0, "q": 1, "levels": [4], "rows": [[1], [0.5]]}
+    assert design_from_json_dict(mirror).quantitative.ravel().tolist() == [0.375, 0.5]
+    with pytest.raises(ParseError, match="row 1, column 0: expected an integer, got 1.0"):
+        loads_design_text("2 1 0\n2\n0\n1.0\n")

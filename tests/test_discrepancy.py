@@ -259,6 +259,25 @@ def test_single_block_closed_form_is_one_sum_bit_for_bit():
         assert qqd_squared(design) == C + float(float(np.sum(w)) * np.float64(1.25) ** p / n**2)
 
 
+def test_agreement_histogram_builds_its_blocks_in_one_buffer_set():
+    # eight 2-level columns at n = 2048: blocks of 16 rows, 2^15 intp codes (256 KB)
+    levels = random_utype(DesignSpec(n=2048, p=4, q=4, levels=(2,) * 8), 0).all_levels()
+    for masks, codes in ((True, 1 << np.arange(8)), (False, np.ones(8, np.intp))):
+        size = codes.sum() + 1
+        want = sum(np.bincount((row == levels) @ codes, minlength=size) for row in levels)
+        discrepancy._agreement_histogram(levels, masks)
+        tracemalloc.start()
+        try:
+            hist = discrepancy._agreement_histogram(levels, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.tolist() == want.tolist()
+        # two intp blocks and one bool block make 544 KB; a fresh block per row
+        # block, its ravelled copy and a casting add per column peaked at 672 KB
+        assert peak < 640 * 1024
+
+
 def test_agreement_histogram_over_several_blocks_counts_every_ordered_pair():
     n = 200
     step = discrepancy.PAIR_BLOCK // n

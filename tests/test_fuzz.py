@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qqdesign import QQDesignError, read_design
+from qqdesign import Design, DesignSpec, DomainError, ParseError, QQDesignError, read_design
 from qqdesign.cli import main
 
 FUZZ = settings(max_examples=100, deadline=None)
@@ -53,6 +54,44 @@ JSON_DOCUMENTS = st.fixed_dictionaries(
         | JSON_VALUES,
     },
 ).map(json.dumps)
+
+
+# tokens that mostly decode, for documents whose header and row count fit
+ENTRY_TOKENS = TOKENS | st.sampled_from(["0", "1", "2", "3", "+1", "-0", "٣", "0.5", "1e-3"])
+
+
+def _json_token(token):
+    try:
+        return json.loads(token)
+    except ValueError:
+        return token
+
+
+def _shaped_document(header, rows, as_json) -> str:
+    n, p, levels = header
+    if not as_json:
+        header = [f"{n} {p} {len(levels) - p}", _line(map(str, levels))]
+        return "\n".join(header + list(map(_line, rows)))
+    typed = [[_json_token(t) for t in row] for row in rows]
+    return json.dumps({"n": n, "p": p, "q": len(levels) - p, "levels": levels, "rows": typed})
+
+
+SHAPED_DOCUMENTS = st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=3),
+).flatmap(
+    lambda header: st.builds(
+        _shaped_document,
+        st.just(header),
+        st.lists(
+            st.lists(ENTRY_TOKENS, min_size=len(header[2]), max_size=len(header[2])),
+            min_size=header[0],
+            max_size=header[0],
+        ),
+        st.booleans(),
+    )
+)
 
 
 def _read_typed(path, content) -> None:
@@ -113,3 +152,137 @@ def test_search_flags_end_in_a_documented_exit_code(n, p, q, levels, budget, res
         code = main(argv)
     assert code in (0, 1, 2, 4)
     assert "Traceback" not in stderr.getvalue()
+
+
+# The entry-by-entry decoder that read_design replaced, kept as the
+# reference for the column decoder: every row, then every token in it.
+
+
+def _reference_int(token, where):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{where}: expected an integer, got {token!r}") from None
+
+
+def _reference_token(token, r, k):
+    body = token[1:] if token[:1] in "+-" else token
+    try:
+        return int(token) if body.isdecimal() else float(token)
+    except ValueError:
+        raise ParseError(f"row {r}, column {k}: not a number: {token!r}") from None
+
+
+def _reference_entry(entry, s, r, k, qualitative):
+    if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+        raise ParseError(f"row {r}, column {k}: expected a number, got {entry!r}")
+    if isinstance(entry, float):
+        if qualitative:
+            raise ParseError(f"row {r}, column {k}: expected an integer, got {entry!r}")
+        return entry
+    if not qualitative and not 0 <= entry < s:
+        raise DomainError(f"row {r}, column {k}: level {entry} outside 0..{s - 1}")
+    return entry if qualitative else (entry + 0.5) / s
+
+
+def _reference_rows(spec, rows):
+    if len(rows) != spec.n:
+        raise ParseError(f"expected {spec.n} data rows, found {len(rows)}")
+    qual, quant = [], []
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != spec.m:
+            raise ParseError(f"row {r}: expected {spec.m} entries, got {row!r}")
+        values = [
+            _reference_entry(entry, s, r, k, k < spec.p)
+            for k, (entry, s) in enumerate(zip(row, spec.levels))
+        ]
+        qual.append(values[: spec.p])
+        quant.append(values[spec.p :])
+    return Design(spec, qual, quant)
+
+
+def _reference_json_int(value, field):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"design JSON field {field!r}: expected an integer, got {value!r}")
+    return value
+
+
+def _reference_read(path):
+    text = Path(path).read_text()
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON design file: {exc}") from None
+        for key in ("n", "p", "q", "levels", "rows"):
+            if key not in data:
+                raise ParseError(f"design JSON is missing the {key!r} field")
+        for key in ("levels", "rows"):
+            if not isinstance(data[key], list):
+                raise ParseError(f"design JSON field {key!r} must be a list, got {data[key]!r}")
+        spec = DesignSpec(
+            n=_reference_json_int(data["n"], "n"),
+            p=_reference_json_int(data["p"], "p"),
+            q=_reference_json_int(data["q"], "q"),
+            levels=tuple(_reference_json_int(s, "levels") for s in data["levels"]),
+        )
+        return _reference_rows(spec, data["rows"])
+    lines = [
+        line.strip()
+        for line in text.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if len(lines) < 2:
+        raise ParseError("design file needs a header of two lines: 'n p q' and level counts")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise ParseError(f"line 1: expected 'n p q', got {lines[0]!r}")
+    n, p, q = (_reference_int(tok, "line 1") for tok in head)
+    levels = tuple(_reference_int(tok, "line 2") for tok in lines[1].split())
+    spec = DesignSpec(n=n, p=p, q=q, levels=levels)
+    rows = [
+        [_reference_token(tok, r, k) for k, tok in enumerate(line.split())]
+        for r, line in enumerate(lines[2:])
+    ]
+    return _reference_rows(spec, rows)
+
+
+def _outcome(read, path):
+    """The Design as spec, dtypes, strides and bytes, or the refusal as type and message."""
+    try:
+        design = read(path)
+    except QQDesignError as exc:
+        return type(exc), str(exc)
+    arrays = (design.qualitative, design.quantitative)
+    return design.spec, [(a.dtype, a.strides, a.tobytes()) for a in arrays]
+
+
+BIG = str(2**63)
+
+
+@FUZZ
+@given(content=TEXT_DOCUMENTS | JSON_DOCUMENTS | SHAPED_DOCUMENTS)
+@example(content="3 1 1\n4 4\n+2 +1\n٣ 0.5\n0 ٣")  # signed and Arabic-Indic levels
+@example(content="2 1 1\n2 2\n-1 0\n0 1")
+@example(content="2 1 1\n2 2\n0 -1\n1 0")
+@example(content="2 0 1\n2\n0.5\n-1")
+@example(content="1 1 0\n2\n" + "1" * 5000)  # over int()'s digit limit
+@example(content="2 0 1\n2\n0.5\n-" + "9" * 5000)
+@example(content="2 0 1\n2\n0.5\n+" + "9" * 400)  # a whole token that floats to inf
+@example(content=f"1 1 1\n2 2\n{BIG} 0")
+@example(content=f"1 1 1\n2 2\n-{BIG}0 0")
+@example(content=f"1 0 1\n2\n{BIG}")
+@example(content=f"2 1 1\n2 9223372036854775807\n0 {2**63 - 2}\n1 {2**62 + 1}")
+@example(content=f'{{"n": 1, "p": 1, "q": 1, "levels": [2, 2], "rows": [[{BIG}, 0]]}}')
+@example(content=f'{{"n": 1, "p": 1, "q": 1, "levels": [2, 2], "rows": [[0, {BIG}]]}}')
+@example(content="2 1 0\n2\n0\n1.0")  # a decimal in a qualitative column
+@example(content="3 0 1\n4\n1\n0.25\n3")  # integers and decimals in one column
+@example(content='{"n": 2, "p": 0, "q": 1, "levels": [4], "rows": [[1], [0.25]]}')
+@example(content="3 1 1\n2 2\n0 5\n0 0 0\n1 1")  # a bad entry before a wrong width
+@example(content="3 1 1\n2 2\n0 5\n0 0 0\n1 x")  # ... and an unparseable token after both
+@example(content="2 1 1\n2 2\n0 1\n1 0 1\n1 1")  # too many rows
+@example(content="2 2 1\n2 2 2\n5 0 1.5\n0 -3 0")  # Design's column-major checks
+def test_read_design_matches_the_entry_by_entry_decoder(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "differential-design.txt"
+    path.write_text(content)
+    assert _outcome(read_design, path) == _outcome(_reference_read, path)
