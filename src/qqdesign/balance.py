@@ -9,9 +9,11 @@ averages the components over all subsets of each size.
 
 The sum of squared counts of S is the number of ordered row pairs that
 agree on every column of S, so both routes read one exact histogram of
-row pairs, ``discrepancy._agreement_histogram``.  ``balance_pattern``
-(which also lists the components, capped at ``SUBSET_FACTOR_CAP``
-factors) histograms each pair's agreement mask and sums over supersets;
+row pairs, ``discrepancy._agreement_histogram``, built by the closed
+form's walker (``_row_blocks``) and agreement routine (``_agreements``).
+``balance_pattern`` (which also lists the components, capped at
+``SUBSET_FACTOR_CAP`` factors) histograms each pair's agreement mask and
+sums over supersets;
 ``balance_pattern_rowform`` (no cap) histograms the number of agreeing
 columns and sums binomials of those counts.  Only the final normalization
 is floating point, so the two routes agree exactly; ``balance_component``
@@ -36,7 +38,7 @@ import numpy as np
 
 from .discrepancy import _agreement_histogram, _lattice_kernel, _qualitative_head
 from .errors import CapacityError, DomainError
-from .model import DEFAULT_CONFIG, Design, validate_utype
+from .model import DEFAULT_CONFIG, Design, _require_int, validate_utype
 
 # the listing holds one Python entry per subset (about 230 MB at 20 factors)
 # besides a 2^(p+q) int64 table of pair counts (8 MB); refuse beyond this
@@ -100,7 +102,9 @@ def _component_exact(
 
 def balance_component(design: Design, columns) -> float:
     """Squared count deviations of one column subset (0-based indices)."""
-    cols = tuple(sorted(int(c) for c in columns))
+    cols = tuple(columns)
+    _require_int("column index", *cols)
+    cols = tuple(sorted(map(int, cols)))
     spec = design.spec
     if not cols:
         raise DomainError("column subset must be nonempty")

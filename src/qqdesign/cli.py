@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .balance import balance_pattern, balance_pattern_rowform
@@ -71,6 +72,17 @@ def _parse_levels(text: str, m: int) -> tuple[int, ...]:
     return tuple(levels)
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a non-negative number; NaN would tie unequal values and fail every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
+    return value
+
+
 def _spec_from_args(args) -> DesignSpec:
     levels = _parse_levels(args.levels, args.p + args.q)
     return DesignSpec(n=args.n, p=args.p, q=args.q, levels=levels)
@@ -114,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", parents=[common], help="rank design files by qqd^2")
     p_cmp.add_argument("files", nargs="+")
     p_cmp.add_argument(
-        "--tol", type=float, default=1e-10, help="values this close share a rank"
+        "--tol", type=_tolerance, default=1e-10, help="values this close share a rank"
     )
 
     p_search = sub.add_parser("search", parents=[common], help="search for a uniform design")
@@ -128,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce", parents=[common], help="recompute the bundled reference values"
     )
     p_repro.add_argument(
-        "--tol", type=float, default=None, help="one tolerance for every value check"
+        "--tol", type=_tolerance, default=None, help="one tolerance for every value check"
     )
     return parser
 

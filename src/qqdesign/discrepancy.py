@@ -13,21 +13,22 @@ where delta_ij counts the qualitative columns on which rows i and j
 agree, the double sum includes i = j, and
 C = -prod_k [(a + (s_k - 1) b)/s_k] * (4/3)^q.
 
-One routine, ``_row_weights``, builds the kernel products of a block of
-rows against a range of rows, in buffers its caller owns (``_buffers``)
-and step by step in the formula's order, so no value depends on the
-buffers that held it.  Since the kernel is symmetric in i and j,
-``_row_blocks`` builds each unordered pair once: a block of rows [s, e)
-against rows [s, n), split into its square part (rows [s, e)) and the
-rest.  The closed form is the sum of the square parts plus twice the sum
-of the rests (``np.sum`` per part, ``math.fsum`` across the parts); it
-builds every block in one buffer set, so its memory is O(n*B) for blocks
-of B rows.  ``_agreement_histogram``, which both balance-pattern routes
-read, walks the same blocks with exact integer codes of each pair's
-agreeing columns, and the swap evaluator's row route builds its two rows
-with ``_row_weights`` against all n, in a (2, n) buffer set it keeps.
-Setting p = 0 recovers the wrap-around discrepancy (WD), q = 0 the
-discrete discrepancy (DD).
+Every route that reads row pairs walks them with one generator and
+builds their agreements with one routine.  The kernel is symmetric in i
+and j, so ``_row_blocks`` yields each unordered pair once: blocks of
+rows [s, e) against rows [s, n), as views on one buffer set per walk
+(memory O(n*B) for B-row blocks), whose square part (rows [s, e)) counts
+once and whose rest twice.  ``_agreements`` sums exact integer codes of
+the columns a pair agrees on: 1 per column for delta_ij, 2^c for column
+c for an agreement mask.  ``_row_weights`` builds a block's kernel
+products step by step in the formula's order, so no value depends on the
+buffers that held it; the closed form sums the square parts plus twice
+the rests (``np.sum`` per part, ``math.fsum`` across them).  Both
+balance-pattern routes histogram every block's codes
+(``_agreement_histogram``); the swap evaluator's row route builds its two
+rows with ``_row_weights`` against all n, in a (2, n) buffer set it
+keeps.  Setting p = 0 recovers the wrap-around discrepancy (WD), q = 0
+the discrete discrepancy (DD).
 
 For lattice designs the same value is C + y' A y / n^2, a quadratic form
 in the frequency vector y over the N level combinations, with A the
@@ -54,6 +55,7 @@ from .model import (
     CriterionConfig,
     Design,
     DesignSpec,
+    _require_int,
     _unit,
     frequency_vector,
 )
@@ -80,6 +82,7 @@ INTEGER_HEADROOM = 1 << 60
 def coincidence_number(design: Design, i: int, j: int) -> int:
     """Number of qualitative columns on which rows i and j agree."""
     n = design.spec.n
+    _require_int("row index", i, j)
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"row index out of range for n={n}: ({i}, {j})")
     return int(np.sum(design.qualitative[i] == design.qualitative[j]))
@@ -102,47 +105,74 @@ def _lattice_kernel(d, s):
     return 1.5 - d * (s - d) / s**2
 
 
+def _agreement_buffers(rows: int, cols: int):
+    """rows x cols buffers for ``_agreements``: codes and matched intp, same bool."""
+    return (*np.empty((2, rows, cols), np.intp), np.empty((rows, cols), np.bool_))
+
+
 def _buffers(rows: int, cols: int):
-    """rows x cols buffers for ``_row_weights``.
+    """rows x cols buffers for ``_row_weights``: three float64, then ``_agreement_buffers``."""
+    return (*np.empty((3, rows, cols)), *_agreement_buffers(rows, cols))
 
-    weights, kernel and work are float64, agree and matched intp, same bool.
+
+def _row_blocks(n: int, make_buffers):
+    """Each unordered pair of n rows once: row blocks [start, stop) against rows [start, n).
+
+    Yields ``(rows, start, views)``: the block's row slice, its first row,
+    and C-contiguous (stop - start) x (n - start) views on the leading
+    entries of one buffer set, ``make_buffers(step, n)`` for the first and
+    largest block, of at most PAIR_BLOCK entries, so memory is O(n*B).  The
+    first stop - start columns are the square part; the rests hold each
+    pair i < j exactly once, so the double sum over i and j is the squares
+    plus twice the rests.  Views hold a block only until the next one.
     """
-    floats = np.empty((3, rows, cols))
-    ints = np.empty((2, rows, cols), np.intp)
-    return floats[0], floats[1], floats[2], ints[0], ints[1], np.empty((rows, cols), np.bool_)
+    step = min(max(1, PAIR_BLOCK // n), n)
+    buffers = make_buffers(step, n)  # the first block's shape
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        views, size = buffers, (stop - start) * (n - start)
+        if start:
+            views = tuple(b.reshape(-1)[:size].reshape(stop - start, n - start) for b in buffers)
+        yield slice(start, stop), start, views
 
 
-def _leading(buffers, rows: int, cols: int):
-    """C-contiguous rows x cols views of ``buffers``' leading entries: a fresh array's layout."""
-    if buffers[0].shape == (rows, cols):
-        return buffers
-    size = rows * cols
-    return tuple(b.reshape(-1)[:size].reshape(rows, cols) for b in buffers)
+def _agreements(levels, rows, start, out, masks=False, skip=None) -> bool:
+    """Exact per-pair sums of the agreeing columns' codes: rows ``rows`` against rows start..n-1.
+
+    Column c's code is 2^c when ``masks`` is set, so a sum is the pair's
+    agreement mask, and 1 otherwise, so it counts agreeing columns; column
+    ``skip`` is left out.  The sums go into the codes array of ``out``
+    (``_agreement_buffers`` of their shape); the others are overwritten.
+    Returns whether any column was counted; if none was, codes are untouched.
+    """
+    codes, matched, same = out
+    counted = False
+    for c in range(levels.shape[1]):
+        if c != skip:
+            np.equal(levels[rows, c, None], levels[start:, c], same)
+            # a casting copy, then a plain add: a casting add allocates iteration buffers per call
+            code = matched if counted else codes
+            np.copyto(code, same)
+            if masks and c:
+                np.left_shift(code, c, code)
+            if counted:
+                np.add(codes, matched, codes)
+            counted = True
+    return counted
 
 
-def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None, start=0, out=None):
+def _row_weights(qualitative, quantitative, rows, start, out, ratio_powers, skip=None):
     """Kernel products (a/b)^delta prod_k f_k of the rows ``rows`` against rows start..n-1.
 
     b^p is left out, and so is column ``skip`` (0-based, qualitative
     first) when given.  ``ratio_powers[k]`` is the weight of k agreements.
-    The result is the weights array of ``out``, ``_buffers`` of its shape
-    (fresh ones when None), and the others are overwritten.
+    The result is the weights array of ``out``, ``_buffers`` of its shape,
+    and the others are overwritten.
     """
     p = qualitative.shape[1]
-    if out is None:
-        out = _buffers(qualitative[rows].shape[0], qualitative.shape[0] - start)
-    weights, kernel, work, agree, matched, same = out
-    # casts are copies: a casting ufunc allocates iteration buffers per call
-    counted = built = False
-    for k in range(p):
-        if k != skip:
-            np.equal(qualitative[rows, k, None], qualitative[start:, k], same)
-            if counted:
-                np.copyto(matched, same)
-                np.add(agree, matched, agree)
-            else:
-                np.copyto(agree, same)
-                counted = True
+    weights, kernel, work, agree = out[:4]
+    counted = _agreements(qualitative, rows, start, out[3:], skip=skip)
+    built = False
     for k in range(quantitative.shape[1]):
         if p + k != skip:
             x, z = quantitative[rows, k, None], quantitative[start:, k]
@@ -162,59 +192,23 @@ def _row_weights(qualitative, quantitative, rows, ratio_powers, skip=None, start
     return weights
 
 
-def _block_rows(n: int) -> int:
-    """Rows per block of ``_row_blocks``: the first holds at most PAIR_BLOCK entries."""
-    return min(max(1, PAIR_BLOCK // n), n)
-
-
-def _row_blocks(n: int, build):
-    """Each unordered pair of n rows once: ``build`` over row blocks, split at the diagonal.
-
-    ``build`` gives the values of rows [start, stop) against rows [start, n);
-    each block yields ``(square, rest)``, those against rows [start, stop)
-    and against rows [stop, n).  Every pair (i, j) with i < j lies in
-    exactly one ``rest``, so the full double sum over i and j is the sum of
-    the squares plus twice the sum of the rests.  A block holds at most
-    PAIR_BLOCK entries, so memory is O(n*B).  A block's arrays stay valid
-    only until the next block is built: ``build`` may reuse its buffers.
-    """
-    step = _block_rows(n)
-    for start in range(0, n, step):
-        values = build(start, min(start + step, n))
-        size = values.shape[0]
-        yield values[:, :size], values[:, size:]
-
-
 def _agreement_histogram(levels: np.ndarray, masks: bool) -> np.ndarray:
     """Entry v: the number of ordered row pairs whose agreeing columns' codes sum to v (exact).
 
-    Column c has code 2^c when ``masks`` is set, so v is the pair's
-    agreement mask, and code 1 otherwise, so v counts agreeing columns.
-    ``levels`` are non-negative.  It walks ``_row_blocks``' blocks in one
-    buffer set per call, as the closed form does.
+    The codes are ``_agreements``', over all columns; ``levels`` are
+    non-negative.  One ``_row_blocks`` walk, as the closed form's.
     """
     n, m = levels.shape
     # numpy buffers a broadcast comparison operand in chunks of its dtype
     levels = levels.astype(np.min_scalar_type(levels.max()))
-    step = _block_rows(n)
-    buffers = (*np.empty((2, step, n), np.intp), np.empty((step, n), np.bool_))
     size = 1 << m if masks else m + 1
     hist = np.zeros(size, np.intp)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        codes, matched, same = _leading(buffers, stop - start, n - start)
-        for c in reversed(range(m)):  # Horner's rule in place: column c ends on bit c
-            np.equal(levels[start:stop, c, None], levels[start:, c], same)
-            if c == m - 1:
-                np.copyto(codes, same)
-                continue
-            if masks:
-                np.add(codes, codes, codes)
-            np.copyto(matched, same)
-            np.add(codes, matched, codes)
+    for rows, start, out in _row_blocks(n, _agreement_buffers):
+        _agreements(levels, rows, start, out, masks)
+        codes = out[0]
         # pairs within the block once, the rest twice; ravel is a view of the whole block
         hist += 2 * np.bincount(codes.ravel(), minlength=size)
-        hist -= np.bincount(codes[:, : stop - start].ravel(), minlength=size)
+        hist -= np.bincount(codes[:, : codes.shape[0]].ravel(), minlength=size)
     return hist
 
 
@@ -235,23 +229,18 @@ def _qqd_squared_arrays(
     qualitative: np.ndarray, quantitative: np.ndarray, s_qual, config: CriterionConfig
 ) -> float:
     n, p = qualitative.shape
-    buffers = _buffers(_block_rows(n), n)  # the first block is the largest
-
-    def weights(start, stop):
-        out = _leading(buffers, stop - start, n - start)
-        rows = slice(start, stop)
-        return _row_weights(qualitative, quantitative, rows, ratio_powers, start=start, out=out)
-
     # np.sum per square part and per rest, and fsum across those partials,
     # keep the closed form and the quadratic form within ~1e-13 at n around
     # 10^3; weights that overflow (numpy's power gives inf) are refused below
     with np.errstate(all="ignore"):
         ratio_powers = (config.a / config.b) ** np.arange(p + 1)
         partials = []
-        for square, rest in _row_blocks(n, weights):
-            partials.append(float(np.sum(square)))
-            if rest.size:  # the last block has none
-                partials.append(2.0 * float(np.sum(rest)))
+        for rows, start, out in _row_blocks(n, _buffers):
+            weights = _row_weights(qualitative, quantitative, rows, start, out, ratio_powers)
+            square = weights.shape[0]
+            partials.append(float(np.sum(weights[:, :square])))
+            if square < weights.shape[1]:  # the last block has no rest
+                partials.append(2.0 * float(np.sum(weights[:, square:])))
         total = math.fsum(partials)
         pairs = float(total * np.float64(config.b) ** p / n**2)
     C = _constant_term(s_qual, quantitative.shape[1], config.a, config.b)
@@ -370,6 +359,7 @@ def kernel_matrix(
     4s/3 + 1/(6s) respectively.
     """
     config = config or DEFAULT_CONFIG
+    _require_int("factor index", k)
     if not 0 <= k < spec.m:
         raise DomainError(f"factor index {k} out of range for {spec.m} factors")
     return np.array(_circulant(_kernel_row(k, spec, config)))
@@ -634,8 +624,8 @@ class PairCache:
             self._buffers = _buffers(2, self.spec.n)
         buffers = self._buffers
         # weights: the pair weights of rows lo and hi without the swapped column
-        weights = _row_weights(self._qual, self._quant, rows, self._ratio_powers, column,
-                               out=buffers)
+        weights = _row_weights(self._qual, self._quant, rows, 0, buffers, self._ratio_powers,
+                               column)
         _, kernel, work, _, _, same = buffers
         # f: that column's kernel against every row r, row hi minus row lo
         if column < self.spec.p:

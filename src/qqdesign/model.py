@@ -134,10 +134,8 @@ def _unit(level, s: int):
 
 def level_to_unit(level: int, s: int) -> float:
     """Place ``level`` of an s-level factor at (2*level + 1)/(2*s) in (0, 1)."""
-    if s < 1:
-        raise DomainError(f"level count must be >= 1, got {s}")
-    if not isinstance(level, (int, np.integer)):
-        raise DomainError(f"level must be an integer, got {level!r}")
+    _require_int("level count", s, low=1)
+    _require_int("level", level)
     if not 0 <= level < s:
         raise DomainError(f"level {level} out of range for {s}-level factor")
     return _unit(level, s)
@@ -155,8 +153,7 @@ def _lattice_levels(values, s: int) -> np.ndarray:
 
 def unit_to_level(value: float, s: int) -> int:
     """Recover the integer level behind a lattice value; inverse of level_to_unit."""
-    if s < 1:
-        raise DomainError(f"level count must be >= 1, got {s}")
+    _require_int("level count", s, low=1)
     level = int(_lattice_levels([value], s)[0])
     if level < 0:
         raise DomainError(f"value {value!r} is not a lattice point of an {s}-level factor")
@@ -391,8 +388,7 @@ def full_factorial(spec: DesignSpec, repetitions: int = 1) -> Design:
 
     The run count of ``spec`` is ignored; only its factor structure is used.
     """
-    if repetitions < 1:
-        raise DomainError(f"repetitions must be >= 1, got {repetitions}")
+    _require_int("repetitions", repetitions, low=1)
     rows = spec.N * repetitions
     if rows > FULL_FACTORIAL_ROW_CAP:
         raise CapacityError(

@@ -111,11 +111,11 @@ def test_diagonal_terms_contribute_three_halves_power():
     # the i = j terms of the double sum contribute (1/n)(3/2)^(p+q)
     design = load_reference_design("mcd_16run_3")
     n, p, q = design.spec.n, design.spec.p, design.spec.q
-    from qqdesign.discrepancy import _constant_term, _row_weights
+    from qqdesign.discrepancy import _buffers, _constant_term, _row_weights
 
     ratio_powers = (1.5 / 1.25) ** np.arange(p + 1)
     w = 1.25**p * _row_weights(
-        design.qualitative, design.quantitative, slice(None), ratio_powers
+        design.qualitative, design.quantitative, slice(None), 0, _buffers(n, n), ratio_powers
     )
     off_diag = w - np.diag(np.diag(w))
     value_without_diag = (
@@ -140,10 +140,33 @@ def _dense_qqd_squared(design, a=1.5, b=1.25):
     return -head * (4 / 3) ** spec.q + math.fsum(w.ravel().tolist()) / spec.n**2
 
 
-def test_closed_form_over_row_blocks_matches_dense_sum():
+# the walks the row-pair tests run at: PAIR_BLOCK below n (a row per block), the
+# default (a short last block at the n tested) and n^2 (one block)
+WALKS = pytest.mark.parametrize("walk", ["one-row", "ragged", "one-block"])
+
+
+def _walk_at(monkeypatch, n, walk):
+    """Set PAIR_BLOCK so that ``_row_blocks`` walks n rows as ``walk`` says; check that walk."""
+    size = {"one-row": n - 1, "ragged": discrepancy.PAIR_BLOCK, "one-block": n * n}[walk]
+    monkeypatch.setattr(discrepancy, "PAIR_BLOCK", size)
+    blocks = list(discrepancy._row_blocks(n, discrepancy._agreement_buffers))
+    heights = [rows.stop - rows.start for rows, _, _ in blocks]
+    assert {"one-row": heights == [1] * n, "one-block": heights == [n],
+            "ragged": len(heights) > 1 and 0 < heights[-1] < heights[0]}[walk], heights
+    stop = 0
+    for rows, start, views in blocks:
+        assert rows.start == start == stop and rows.step is None
+        stop = rows.stop
+        for view, first in zip(views, blocks[0][2]):  # views on one buffer set
+            assert view.shape == (rows.stop - start, n - start) and view.flags.c_contiguous
+            assert np.shares_memory(view, first)
+    assert stop == n
+
+
+@WALKS
+def test_closed_form_over_row_blocks_matches_dense_sum(monkeypatch, walk):
     n = 600
-    step = discrepancy.PAIR_BLOCK // n
-    assert n > step and n % step  # several blocks, the last one short
+    _walk_at(monkeypatch, n, walk)
     design = random_utype(DesignSpec(n=n, p=2, q=2, levels=(3, 4, 600, 5)), 3)
     assert abs(qqd_squared(design) - _dense_qqd_squared(design)) < 1e-12
     config = CriterionConfig(a=2.0, b=0.5)
@@ -171,6 +194,14 @@ def test_closed_form_peak_memory_is_below_one_dense_matrix():
     assert peak < n * n * 8  # one dense n x n float64 array: 32 MB
 
 
+def _dirty_buffers(rows, cols):
+    """``_buffers`` filled with NaN and 7, so a value left in them would show."""
+    out = discrepancy._buffers(rows, cols)
+    for buffer in out:
+        buffer[...] = np.nan if buffer.dtype.kind == "f" else 7
+    return out
+
+
 def test_row_weights_from_a_column_start_match_the_full_rows():
     ratio_powers = (1.5 / 1.25) ** np.arange(3)
     mixed = random_utype(DesignSpec(n=24, p=2, q=2, levels=(4, 3, 24, 8)), 2)
@@ -178,21 +209,16 @@ def test_row_weights_from_a_column_start_match_the_full_rows():
     blocks = [(slice(5, 9), 5), (slice(0, 24), 0), (slice(20, 24), 20), (slice(3, 4), 10)]
     cases = [(mixed, rows, start, skip) for rows, start in blocks for skip in (None, 0, 3)]
     cases += [(lone, slice(2, 4), 2, None), (lone, slice(2, 4), 2, 0)]  # skip 0: all ones
-    # one buffer set for every case, as the closed form's blocks share one:
-    # filled with NaN, so a value left from an earlier case would show
-    shared = discrepancy._buffers(24, 24)
-    for buffer in shared:
-        buffer[...] = np.nan if buffer.dtype.kind == "f" else 7
     for design, rows, start, skip in cases:
         qual, quant = design.qualitative, design.quantitative
-        full = discrepancy._row_weights(qual, quant, rows, ratio_powers, skip)
-        part = discrepancy._row_weights(qual, quant, rows, ratio_powers, skip, start)
-        assert part.shape == full[:, start:].shape
+        height, n = qual[rows].shape[0], qual.shape[0]
+        full = discrepancy._row_weights(
+            qual, quant, rows, 0, _dirty_buffers(height, n), ratio_powers, skip
+        )
+        out = _dirty_buffers(height, n - start)
+        part = discrepancy._row_weights(qual, quant, rows, start, out, ratio_powers, skip)
+        assert part is out[0]
         assert part.tobytes() == full[:, start:].tobytes()
-        out = discrepancy._leading(shared, *part.shape)
-        reused = discrepancy._row_weights(qual, quant, rows, ratio_powers, skip, start, out)
-        assert reused is out[0] and reused.flags.c_contiguous
-        assert reused.tobytes() == part.tobytes()
 
 
 def test_in_place_kernel_is_the_formula_bit_for_bit():
@@ -213,11 +239,8 @@ def test_in_place_kernel_is_the_formula_bit_for_bit():
         assert got.tobytes() == want.tobytes()
     # the only column skipped: all ones, whatever the buffers held
     design = random_utype(DesignSpec(n=6, p=0, q=1, levels=(6,)), 1)
-    out = discrepancy._buffers(2, 4)
-    for buffer in out:
-        buffer[...] = np.nan if buffer.dtype.kind == "f" else 7
     weights = discrepancy._row_weights(
-        design.qualitative, design.quantitative, slice(2, 4), np.ones(1), 0, 2, out
+        design.qualitative, design.quantitative, slice(2, 4), 2, _dirty_buffers(2, 4), np.ones(1), 0
     )
     assert weights.tobytes() == np.ones((2, 4)).tobytes()
 
@@ -253,7 +276,8 @@ def test_single_block_closed_form_is_one_sum_bit_for_bit():
         n, p = spec.n, spec.p
         assert n <= discrepancy.PAIR_BLOCK // n  # one block
         w = discrepancy._row_weights(
-            design.qualitative, design.quantitative, slice(None), (1.5 / 1.25) ** np.arange(p + 1)
+            design.qualitative, design.quantitative, slice(None), 0, discrepancy._buffers(n, n),
+            (1.5 / 1.25) ** np.arange(p + 1),
         )
         C = discrepancy._constant_term(spec.qualitative_levels, spec.q, 1.5, 1.25)
         assert qqd_squared(design) == C + float(float(np.sum(w)) * np.float64(1.25) ** p / n**2)
@@ -278,10 +302,10 @@ def test_agreement_histogram_builds_its_blocks_in_one_buffer_set():
         assert peak < 640 * 1024
 
 
-def test_agreement_histogram_over_several_blocks_counts_every_ordered_pair():
+@WALKS
+def test_agreement_histogram_over_several_blocks_counts_every_ordered_pair(monkeypatch, walk):
     n = 200
-    step = discrepancy.PAIR_BLOCK // n
-    assert n > step and n % step  # several blocks, the last one short
+    _walk_at(monkeypatch, n, walk)
     design = random_utype(DesignSpec(n=n, p=3, q=2, levels=(4, 4, 4, 2, 2)), 6)
     levels = design.all_levels()
     hist = discrepancy._agreement_histogram(levels, masks=False)

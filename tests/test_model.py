@@ -12,10 +12,13 @@ from qqdesign import (
     DesignSpec,
     DomainError,
     StructureError,
+    balance_component,
+    coincidence_number,
     design_from_levels,
     frequency_vector,
     full_factorial,
     is_mcd,
+    kernel_matrix,
     level_to_unit,
     random_utype,
     unit_to_level,
@@ -70,6 +73,41 @@ def test_spec_refuses_non_integer_counts(kwargs):
         DesignSpec(**kwargs)
     spec = DesignSpec(n=np.int64(4), p=1, q=1, levels=(np.int64(2), 2))  # numpy integers are fine
     assert spec.levels == (2, 2)
+
+
+SPEC_4 = DesignSpec(n=4, p=1, q=1, levels=(2, 2))
+DESIGN_4 = design_from_levels(SPEC_4, [[0], [1], [0], [1]], [[0], [0], [1], [1]])
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        pytest.param(lambda: full_factorial(SPEC_4, 1.5), "repetitions", id="full_factorial-1.5"),
+        pytest.param(lambda: full_factorial(SPEC_4, True), "repetitions", id="full_factorial-True"),
+        pytest.param(lambda: coincidence_number(DESIGN_4, 0, 1.0), "row index",
+                     id="coincidence_number-1.0"),
+        pytest.param(lambda: kernel_matrix(1.0, SPEC_4), "factor index", id="kernel_matrix-1.0"),
+        pytest.param(lambda: balance_component(DESIGN_4, [1.9]), "column index",
+                     id="balance_component-1.9"),
+        pytest.param(lambda: balance_component(DESIGN_4, ["1"]), "column index",
+                     id="balance_component-str"),
+        pytest.param(lambda: level_to_unit(1, 2.0), "level count", id="level_to_unit-s-2.0"),
+        pytest.param(lambda: unit_to_level(0.75, 2.0), "level count", id="unit_to_level-s-2.0"),
+        pytest.param(lambda: level_to_unit(True, 2), "level", id="level_to_unit-True"),
+    ],
+)
+def test_public_helpers_refuse_integer_arguments_that_are_not_integers(call, named):
+    with pytest.raises(DomainError, match=f"^{named} must be an integer, got "):
+        call()
+
+
+def test_public_helpers_take_numpy_integers():
+    i = np.int64
+    assert full_factorial(SPEC_4, i(2)).spec.n == 8
+    assert coincidence_number(DESIGN_4, i(0), np.int32(2)) == 1
+    assert kernel_matrix(i(0), SPEC_4).tolist() == [[1.5, 1.25], [1.25, 1.5]]
+    assert balance_component(DESIGN_4, [i(1)]) == 0.0
+    assert level_to_unit(i(1), i(2)) == 0.75 and unit_to_level(0.75, i(2)) == 1
 
 
 # ------------------------------------------------------------- level_to_unit
