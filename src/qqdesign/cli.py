@@ -73,13 +73,13 @@ def _parse_levels(text: str, m: int) -> tuple[int, ...]:
 
 
 def _tolerance(text: str) -> float:
-    """--tol: a non-negative number; NaN would tie unequal values and fail every check."""
+    """--tol: a finite non-negative number; NaN would fail every check, infinity pass every one."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
     return value
 
 

@@ -192,42 +192,27 @@ def read_design(path) -> Design:
     return loads_design_text(text)
 
 
-def _quant_values(design: Design) -> list[list]:
-    """Per quantitative column: int levels where it is lattice-valued, float values otherwise."""
-    spec = design.spec
-    cols: list[list] = []
-    for j, s in enumerate(spec.quantitative_levels):
-        levels = _lattice_levels(design.quantitative[:, j], s)
-        cols.append((levels if levels.min() >= 0 else design.quantitative[:, j]).tolist())
-    return cols
-
-
 def dumps_design_text(design: Design) -> str:
+    """The text format: the header, then ``design_to_json_dict``'s rows, each entry in repr."""
     spec = design.spec
-    lines = []
-    lines.append(f"{spec.n} {spec.p} {spec.q}")
-    lines.append(" ".join(str(s) for s in spec.levels))
-    quant_cols = _quant_values(design)
-    for r in range(spec.n):
-        parts = [str(int(v)) for v in design.qualitative[r]]
-        parts.extend(repr(quant_cols[j][r]) for j in range(spec.q))
-        lines.append(" ".join(parts))
+    lines = [f"{spec.n} {spec.p} {spec.q}", " ".join(map(str, spec.levels))]
+    lines += (" ".join(map(repr, row)) for row in design_to_json_dict(design)["rows"])
     return "\n".join(lines) + "\n"
 
 
 def design_to_json_dict(design: Design) -> dict:
+    """The JSON mirror; its rows hold int levels for lattice columns, float values otherwise."""
     spec = design.spec
-    quant_cols = _quant_values(design)
-    rows = [
-        [int(v) for v in design.qualitative[r]] + [quant_cols[j][r] for j in range(spec.q)]
-        for r in range(spec.n)
-    ]
+    columns = design.qualitative.T.tolist()
+    for values, s in zip(design.quantitative.T, spec.quantitative_levels):
+        levels = _lattice_levels(values, s)
+        columns.append((levels if levels.min() >= 0 else values).tolist())
     return {
         "n": spec.n,
         "p": spec.p,
         "q": spec.q,
         "levels": list(spec.levels),
-        "rows": rows,
+        "rows": list(map(list, zip(*columns))),
     }
 
 

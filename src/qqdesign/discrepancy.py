@@ -574,6 +574,10 @@ class PairCache:
         return self._value
 
     def _column(self, column: int, row_i: int, row_j: int) -> np.ndarray:
+        # one type test lets Python ints, the search's indices, skip the isinstance walk
+        if not (type(column) is type(row_i) is type(row_j) is int):
+            _require_int("column index", column)
+            _require_int("row index", row_i, row_j)
         spec = self.spec
         if not 0 <= column < spec.m:
             raise DomainError(f"column index {column} out of range for {spec.m} factors")

@@ -151,6 +151,12 @@ def _lattice_levels(values, s: int) -> np.ndarray:
     return np.where(on, level.astype(np.int64), -1)
 
 
+def _first_bad(mask: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first True entry of an n x k mask, column by column; None if none."""
+    columns, rows = np.nonzero(mask.T)
+    return (int(rows[0]), int(columns[0])) if rows.size else None
+
+
 def unit_to_level(value: float, s: int) -> int:
     """Recover the integer level behind a lattice value; inverse of level_to_unit."""
     _require_int("level count", s, low=1)
@@ -174,24 +180,21 @@ class Design:
         except OverflowError:
             raise DomainError("a qualitative entry does not fit in a 64-bit integer") from None
         quant = np.array(self.quantitative, dtype=np.float64).reshape(self.spec.n, self.spec.q)
-        for k in range(self.spec.p):
-            s = self.spec.levels[k]
-            bad = np.nonzero((qual[:, k] < 0) | (qual[:, k] >= s))[0]
-            if bad.size:
-                r = int(bad[0])
-                raise DomainError(
-                    f"qualitative entry {qual[r, k]} at row {r}, column {k} "
-                    f"outside 0..{s - 1}"
-                )
-        for k in range(self.spec.q):
-            col = quant[:, k]
-            bad = np.nonzero(~((col >= 0.0) & (col <= 1.0)))[0]
-            if bad.size:
-                r = int(bad[0])
-                raise DomainError(
-                    f"quantitative entry {float(col[r])!r} at row {r}, column {self.spec.p + k} "
-                    "outside [0, 1]"
-                )
+        counts = np.array(self.spec.qualitative_levels, dtype=np.int64)
+        bad = _first_bad((qual < 0) | (qual >= counts))
+        if bad:
+            r, k = bad
+            raise DomainError(
+                f"qualitative entry {qual[r, k]} at row {r}, column {k} "
+                f"outside 0..{counts[k] - 1}"
+            )
+        bad = _first_bad(~((quant >= 0.0) & (quant <= 1.0)))
+        if bad:
+            r, k = bad
+            raise DomainError(
+                f"quantitative entry {float(quant[r, k])!r} at row {r}, column {self.spec.p + k} "
+                "outside [0, 1]"
+            )
         qual.setflags(write=False)
         quant.setflags(write=False)
         object.__setattr__(self, "qualitative", qual)
@@ -202,21 +205,20 @@ class Design:
         out = np.empty((self.spec.n, self.spec.q), dtype=np.int64)
         for k, s in enumerate(self.spec.quantitative_levels):
             out[:, k] = _lattice_levels(self.quantitative[:, k], s)
-            bad = np.nonzero(out[:, k] < 0)[0]
-            if bad.size:
-                r = int(bad[0])
-                raise DomainError(
-                    f"row {r}, column {self.spec.p + k}: value {float(self.quantitative[r, k])!r}"
-                    f" is not a lattice point of an {s}-level factor"
-                )
+        bad = _first_bad(out < 0)
+        if bad:
+            r, k = bad
+            raise DomainError(
+                f"row {r}, column {self.spec.p + k}: value {float(self.quantitative[r, k])!r}"
+                f" is not a lattice point of an {self.spec.quantitative_levels[k]}-level factor"
+            )
         return out
 
     def is_lattice(self) -> bool:
-        try:
-            self.quantitative_as_levels()
-        except DomainError:
-            return False
-        return True
+        return all(
+            _lattice_levels(col, s).min() >= 0
+            for col, s in zip(self.quantitative.T, self.spec.quantitative_levels)
+        )
 
     def all_levels(self) -> np.ndarray:
         """n x (p+q) integer-level matrix (requires lattice-valued quantitative columns)."""
@@ -240,18 +242,15 @@ def design_from_levels(
 ) -> Design:
     """Build a lattice-valued design from integer levels for every column."""
     quant_levels = np.asarray(quantitative_levels, dtype=np.int64).reshape(spec.n, spec.q)
-    values = np.empty((spec.n, spec.q), dtype=np.float64)
-    for k, s in enumerate(spec.quantitative_levels):
-        col = quant_levels[:, k]
-        bad = np.nonzero((col < 0) | (col >= s))[0]
-        if bad.size:
-            r = int(bad[0])
-            raise DomainError(
-                f"quantitative level {col[r]} at row {r}, column {spec.p + k} "
-                f"outside 0..{s - 1}"
-            )
-        values[:, k] = _unit(col, s)
-    return Design(spec, np.asarray(qualitative_levels), values)
+    counts = np.array(spec.quantitative_levels, dtype=np.int64)
+    bad = _first_bad((quant_levels < 0) | (quant_levels >= counts))
+    if bad:
+        r, k = bad
+        raise DomainError(
+            f"quantitative level {quant_levels[r, k]} at row {r}, column {spec.p + k} "
+            f"outside 0..{counts[k] - 1}"
+        )
+    return Design(spec, np.asarray(qualitative_levels), _unit(quant_levels, counts))
 
 
 @dataclass(frozen=True)
@@ -344,18 +343,17 @@ def is_mcd(design: Design) -> CheckReport:
                 f"quantitative factor {spec.p + j}: needs n={spec.n} levels, declared {s}"
             )
     try:
-        quant = design.quantitative_as_levels()
+        levels = design.all_levels()
     except DomainError as exc:
         raise StructureError(f"quantitative columns must be lattice-valued: {exc}") from None
 
     # every level count divides n and every column is on the lattice, so
     # validate_utype's only possible defects are these balance defects
-    columns = np.hstack([design.qualitative, quant]).T
     defects = [
         Defect("qualitative column is not balanced", level=d.level, factor=d.column)
         if d.column < spec.p
         else Defect(f"not a Latin hypercube column: {d.message}", column=d.column)
-        for k, (col, s) in enumerate(zip(columns, spec.levels))
+        for k, (col, s) in enumerate(zip(levels.T, spec.levels))
         for d in _balance_defects(col, s, k)
     ]
     unbalanced = {d.factor for d in defects}
@@ -366,7 +364,7 @@ def is_mcd(design: Design) -> CheckReport:
         for lev in range(s):
             rows = col == lev
             for j in range(spec.q):
-                bins = quant[rows, j] // s  # n/s cells of s consecutive levels
+                bins = levels[rows, spec.p + j] // s  # n/s cells of s consecutive levels
                 if not np.array_equal(np.sort(bins), np.arange(spec.n // s)):
                     message = "slice does not form a smaller Latin hypercube"
                     defects.append(Defect(message, column=spec.p + j, level=lev, factor=k))
@@ -377,6 +375,8 @@ def frequency_vector(design: Design) -> np.ndarray:
     """Read-only int64 counts of the level combinations (first factor slowest), summing to n."""
     spec = design.spec
     levels = design.all_levels()
+    if spec.N > np.iinfo(np.intp).max:
+        raise CapacityError(f"{spec.N} level combinations are more than an array can index")
     flat = np.ravel_multi_index(tuple(levels.T), dims=spec.levels)
     counts = np.bincount(flat, minlength=spec.N).astype(np.int64)
     counts.setflags(write=False)

@@ -573,7 +573,7 @@ def test_reproduce_fails_under_impossible_tolerance(capsys):
     assert out.splitlines()[-1].endswith("/29 checks passed")
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e999"])
 @pytest.mark.parametrize(
     "argv", [["compare", data_path("mcd_16run_1"), data_path("mcd_16run_2")], ["reproduce"]],
     ids=["compare", "reproduce"],
@@ -583,7 +583,7 @@ def test_tol_refuses_nan_and_negative_values(capsys, argv, tol):
     assert code == 1
     assert out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: argument --tol: expected a non-negative number, got '{tol}'"]
+    assert errors == [f"error: argument --tol: expected a finite non-negative number, got '{tol}'"]
 
 
 # ------------------------------------------------------------------------- main

@@ -69,6 +69,27 @@ def test_json_round_trip(tmp_path):
         assert read_design(path) == design
 
 
+@pytest.mark.parametrize(
+    "design",
+    [
+        random_utype(DesignSpec(n=4, p=0, q=2, levels=(2, 4)), 3),
+        Design(DesignSpec(n=3, p=0, q=2, levels=(3, 3)), np.zeros((3, 0)),
+               [[0.1, 0.5], [1 / 3, 1.0], [0.0, 5 / 6]]),
+        random_utype(DesignSpec(n=4, p=2, q=0, levels=(2, 4)), 3),
+    ],
+    ids=["p=0-lattice", "p=0-raw", "q=0"],
+)
+def test_text_is_the_header_and_the_json_rows(design, tmp_path):
+    spec = design.spec
+    rows = design_to_json_dict(design)["rows"]
+    lines = [f"{spec.n} {spec.p} {spec.q}", " ".join(map(str, spec.levels))]
+    lines += [" ".join(map(repr, row)) for row in rows]
+    assert dumps_design_text(design) == "\n".join(lines) + "\n"
+    for name in ("d.txt", "d.json"):
+        write_design(design, tmp_path / name)
+        assert read_design(tmp_path / name) == design
+
+
 def test_json_dict_mirror_fields():
     design = load_reference_design("bound_attaining_4run")
     data = design_to_json_dict(design)

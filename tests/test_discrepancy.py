@@ -663,6 +663,31 @@ def test_swap_rejects_out_of_range_indices():
                 method(*args)
 
 
+@pytest.mark.parametrize("method", ["delta", "apply_swap"])
+@pytest.mark.parametrize(
+    "config, cell_route",
+    [(CriterionConfig(a=2.0, b=1.0), True), (CriterionConfig(a=3.7, b=0.4), False)],
+    ids=["cell", "row"],
+)
+@pytest.mark.parametrize(
+    "args, named",
+    [((0, 1.0, 2), "row index"), ((0, True, 2), "row index"), ((True, 1, 2), "column index"),
+     ((1.0, 1, 2), "column index")],
+    ids=["float-row", "bool-row", "bool-column", "float-column"],
+)
+def test_swap_refuses_indices_that_are_not_integers(method, config, cell_route, args, named):
+    design = random_utype(DesignSpec(n=8, p=1, q=2, levels=(2, 2, 2)), 0)
+    cache = PairCache(design, config)
+    assert cache._cell_route is cell_route
+    with pytest.raises(DomainError, match=f"{named} must be an integer"):
+        getattr(cache, method)(*args)
+    # numpy integers are integers, and score a swap of unequal entries as Python ints do
+    column = design.qualitative[:, 0].tolist()
+    j = column.index(1 - column[0])
+    expected = getattr(PairCache(design, config), method)(0, 0, j)
+    assert getattr(cache, method)(np.int64(0), np.int64(0), np.int64(j)) == expected
+
+
 def test_pair_cache_supports_general_weights():
     # 4a and 4b are integers for (2, 1), so it takes the cell route; (3.7, 0.4) takes rows
     configs = [CriterionConfig(a=2.0, b=1.0), CriterionConfig(a=3.7, b=0.4)]

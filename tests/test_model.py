@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,41 @@ def test_quantitative_as_levels_names_the_first_off_lattice_entry():
     assert all(d.message == "non-lattice quantitative column" for d in report.defects)
 
 
+def _two_bad(entries, bad_a, bad_b):
+    """A copy of ``entries`` with bad_a at (row 3, column 0) and bad_b at (row 0, column 1)."""
+    entries = np.array(entries)
+    entries[3, 0], entries[0, 1] = bad_a, bad_b
+    return entries
+
+
+FIRST_BAD_SPEC = DesignSpec(n=4, p=2, q=2, levels=(2, 2, 4, 4))
+FIRST_BAD_QUAL = [[0, 0], [0, 1], [1, 0], [1, 1]]
+FIRST_BAD_LEVELS = [[0, 1], [1, 2], [2, 3], [3, 0]]
+FIRST_BAD_QUANT = [[0.125, 0.375], [0.375, 0.625], [0.625, 0.875], [0.875, 0.125]]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Design(FIRST_BAD_SPEC, _two_bad(FIRST_BAD_QUAL, 2, 5), FIRST_BAD_QUANT),
+         "qualitative entry 2 at row 3, column 0 outside 0..1"),
+        (lambda: Design(FIRST_BAD_SPEC, FIRST_BAD_QUAL, _two_bad(FIRST_BAD_QUANT, 1.5, -0.5)),
+         "quantitative entry 1.5 at row 3, column 2 outside [0, 1]"),
+        (lambda: design_from_levels(FIRST_BAD_SPEC, FIRST_BAD_QUAL,
+                                    _two_bad(FIRST_BAD_LEVELS, 4, -1)),
+         "quantitative level 4 at row 3, column 2 outside 0..3"),
+        (lambda: Design(FIRST_BAD_SPEC, FIRST_BAD_QUAL,
+                        _two_bad(FIRST_BAD_QUANT, 0.3, 0.4)).quantitative_as_levels(),
+         "row 3, column 2: value 0.3 is not a lattice point of an 4-level factor"),
+    ],
+    ids=["qualitative-range", "unit-interval", "level-range", "lattice"],
+)
+def test_checks_name_the_first_bad_entry_of_the_first_bad_column(build, message):
+    # (0, 1) comes first row by row; the checks go column by column
+    with pytest.raises(DomainError, match=re.escape(message)):
+        build()
+
+
 @pytest.mark.parametrize(
     "a, b", [(math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan), (1.0, 1.0)]
 )
@@ -189,6 +225,7 @@ def test_design_from_levels_empty_quantitative_part():
     spec = DesignSpec(n=4, p=1, q=0, levels=(2,))
     design = design_from_levels(spec, [[0], [0], [1], [1]], np.zeros((4, 0)))
     assert design.quantitative.shape == (4, 0)
+    assert design.is_lattice()
 
 
 def test_design_from_levels_full_factorial_rows_distinct():
@@ -379,6 +416,13 @@ def test_frequency_vector_is_read_only():
 def test_frequency_vector_rejects_non_lattice():
     with pytest.raises(DomainError, match="lattice"):
         frequency_vector(load_reference_design("ccd_full_1"))
+
+
+def test_frequency_vector_refuses_more_level_combinations_than_an_array_can_index():
+    spec = DesignSpec(n=2, p=0, q=2, levels=(2**40, 2**40))
+    design = design_from_levels(spec, [[], []], [[0, 1], [1, 0]])
+    with pytest.raises(CapacityError, match="1208925819614629174706176 level combinations"):
+        frequency_vector(design)
 
 
 def test_frequency_vector_lexicographic_order_first_factor_slowest():
