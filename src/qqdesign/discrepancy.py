@@ -23,7 +23,17 @@ the columns a pair agrees on: 1 per column for delta_ij, 2^c for column
 c for an agreement mask.  ``_row_weights`` builds a block's kernel
 products step by step in the formula's order, so no value depends on the
 buffers that held it; the closed form sums the square parts plus twice
-the rests (``np.sum`` per part, ``math.fsum`` across them).  Both
+the rests (``np.sum`` per part, ``math.fsum`` across them).  Where the
+walk has several blocks, the closed form gathers a factor's weights from
+a small table cached per level count instead of computing them
+(``_pair_tables``): an s-level quantitative column whose values are
+exactly its lattice points reads T[u, v], the kernel ``_quant_kernel``
+gives between levels u and v, and the qualitative block reads
+(a/b)^(agreements) over its Q level combinations, indexed by each row's
+mixed-radix code, while s^2 or Q^2 fits in a block.  A table entry is the
+formula on the same floats, so every value is unchanged, bit for bit;
+raw and near-lattice columns, larger s or Q and the swap evaluator's row
+route compute their kernels from the formula.  Both
 balance-pattern routes histogram every block's codes
 (``_agreement_histogram``); the swap evaluator's row route builds its two
 rows with ``_row_weights`` against all n, in a (2, n) buffer set it
@@ -161,35 +171,110 @@ def _agreements(levels, rows, start, out, masks=False, skip=None) -> bool:
     return counted
 
 
-def _row_weights(qualitative, quantitative, rows, start, out, ratio_powers, skip=None):
+def _gather(codes, table, rows, start, out):
+    """table[codes[i], codes[j]] for the rows ``rows`` against rows start..n-1, into ``out``."""
+    # the block rows' sub-table, taken along the other rows' codes; clip writes unbuffered
+    return np.take(table[codes[rows]], codes[start:], 1, out, "clip")
+
+
+def _row_weights(qualitative, quantitative, rows, start, out, ratio_powers, skip=None, tables=()):
     """Kernel products (a/b)^delta prod_k f_k of the rows ``rows`` against rows start..n-1.
 
     b^p is left out, and so is column ``skip`` (0-based, qualitative
     first) when given.  ``ratio_powers[k]`` is the weight of k agreements.
-    The result is the weights array of ``out``, ``_buffers`` of its shape,
-    and the others are overwritten.
+    Each factor's weight is gathered from ``tables`` (``_pair_tables``, the
+    closed form's, which skips no column) where its entry is set and
+    computed from the formula otherwise, in one order: the quantitative
+    columns in column order, then the qualitative block.  The result is
+    the weights array of ``out``, ``_buffers`` of its shape, and the
+    others are overwritten.
     """
-    p = qualitative.shape[1]
+    p, q = qualitative.shape[1], quantitative.shape[1]
     weights, kernel, work, agree = out[:4]
-    counted = _agreements(qualitative, rows, start, out[3:], skip=skip)
+    qualitative_table = tables[q] if tables else None
+    counted = qualitative_table is not None or _agreements(
+        qualitative, rows, start, out[3:], skip=skip
+    )
     built = False
-    for k in range(quantitative.shape[1]):
+    for k in range(q):
         if p + k != skip:
-            x, z = quantitative[rows, k, None], quantitative[start:, k]
-            if built:
-                np.multiply(weights, _quant_kernel(x, z, kernel, work), weights)
+            target = kernel if built else weights
+            if tables and tables[k] is not None:
+                _gather(*tables[k], rows, start, target)
             else:
-                _quant_kernel(x, z, weights, work)
-                built = True
+                _quant_kernel(quantitative[rows, k, None], quantitative[start:, k], target, work)
+            if built:
+                np.multiply(weights, kernel, weights)
+            built = True
     if counted:
-        # mode="clip" lets take write into the buffer unbuffered; counts are in range
-        if built:
-            np.multiply(weights, ratio_powers.take(agree, None, kernel, "clip"), weights)
+        target = kernel if built else weights
+        if qualitative_table is not None:
+            _gather(*qualitative_table, rows, start, target)
         else:
-            ratio_powers.take(agree, None, weights, "clip")
+            # mode="clip" lets take write into the buffer unbuffered; counts are in range
+            ratio_powers.take(agree, None, target, "clip")
+        if built:
+            np.multiply(weights, kernel, weights)
     elif not built:  # the only column is skipped
         weights.fill(1.0)
     return weights
+
+
+def _pair_tables(qualitative, quantitative, levels, config):
+    """The closed form's gather tables: per quantitative column, then the qualitative block.
+
+    An entry is (codes, table), the pair weight of rows i and j being
+    table[codes[i], codes[j]], or None where the formula builds it.  A
+    quantitative column gets its level table when its values are exactly
+    its lattice points, the qualitative block its agreement table over the
+    Q level combinations.  A table pays only where it is small against a
+    block (s^2 or Q^2 <= PAIR_BLOCK) and is reused over several blocks (n^2
+    > PAIR_BLOCK); otherwise () or None, and the formula.
+    """
+    n, p = qualitative.shape
+    if n * n <= PAIR_BLOCK:
+        return ()
+    tables = []
+    for values, s in zip(quantitative.T, levels[p:]):
+        codes = _exact_levels(values, s) if s * s <= PAIR_BLOCK else None
+        tables.append(None if codes is None else (codes, _quantitative_table(s)))
+    s_qual = levels[:p]
+    fits = p and math.prod(s_qual) ** 2 <= PAIR_BLOCK
+    codes = np.ravel_multi_index(tuple(qualitative.T), s_qual) if fits else None
+    tables.append(None if codes is None else (codes, _qualitative_table(s_qual, config)))
+    return tuple(tables)
+
+
+def _ratio_powers(config: CriterionConfig, p: int) -> np.ndarray:
+    """(a/b)^k for k = 0..p, the weight of k agreements; inf where it overflows.
+
+    numpy warns on that overflow unless the caller's ``np.errstate`` ignores it.
+    """
+    return (config.a / config.b) ** np.arange(p + 1)
+
+
+# a table has at most PAIR_BLOCK float64 entries (256 KB), so each cache holds at most 2 MB
+@functools.lru_cache(maxsize=8)
+def _quantitative_table(s: int) -> np.ndarray:
+    """Read-only s x s T: T[u, v] is ``_quant_kernel`` at the lattice points of levels u and v."""
+    x = _unit(np.arange(s), s)
+    table = _quant_kernel(x[:, None], x, np.empty((s, s)), np.empty((s, s)))
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _qualitative_table(s_qual: tuple[int, ...], config: CriterionConfig) -> np.ndarray:
+    """Read-only R[u, v] = (a/b)^(factors on which combinations u and v agree).
+
+    u and v are ``ravel_multi_index`` codes of level combinations of the
+    qualitative factors, first factor slowest.  Built under the closed
+    form's ``np.errstate``, as its ``_ratio_powers``.
+    """
+    digits = np.indices(s_qual).reshape(len(s_qual), -1)
+    table = _ratio_powers(config, len(s_qual))[sum(d[:, None] == d for d in digits)]
+    table.setflags(write=False)
+    return table
 
 
 def _agreement_histogram(levels: np.ndarray, masks: bool) -> np.ndarray:
@@ -226,24 +311,32 @@ def _constant_term(s_qual, q: int, a: float, b: float) -> float:
 
 
 def _qqd_squared_arrays(
-    qualitative: np.ndarray, quantitative: np.ndarray, s_qual, config: CriterionConfig
+    qualitative: np.ndarray, quantitative: np.ndarray, levels, config: CriterionConfig
 ) -> float:
+    """The closed form of the columns, whose level counts are ``levels`` (qualitative first).
+
+    A quantitative column reads its table only where its values are exactly
+    the lattice points of its count (``_pair_tables``), so any counts give
+    the formula's value.
+    """
     n, p = qualitative.shape
     # np.sum per square part and per rest, and fsum across those partials,
     # keep the closed form and the quadratic form within ~1e-13 at n around
     # 10^3; weights that overflow (numpy's power gives inf) are refused below
     with np.errstate(all="ignore"):
-        ratio_powers = (config.a / config.b) ** np.arange(p + 1)
+        ratio_powers = _ratio_powers(config, p)
+        tables = _pair_tables(qualitative, quantitative, levels, config)
         partials = []
         for rows, start, out in _row_blocks(n, _buffers):
-            weights = _row_weights(qualitative, quantitative, rows, start, out, ratio_powers)
+            weights = _row_weights(qualitative, quantitative, rows, start, out, ratio_powers,
+                                   tables=tables)
             square = weights.shape[0]
             partials.append(float(np.sum(weights[:, :square])))
             if square < weights.shape[1]:  # the last block has no rest
                 partials.append(2.0 * float(np.sum(weights[:, square:])))
         total = math.fsum(partials)
         pairs = float(total * np.float64(config.b) ** p / n**2)
-    C = _constant_term(s_qual, quantitative.shape[1], config.a, config.b)
+    C = _constant_term(levels[:p], quantitative.shape[1], config.a, config.b)
     return _finite(C, pairs, config)
 
 
@@ -267,12 +360,7 @@ def _finite(constant: float, pairs: float, config: CriterionConfig) -> float:
 def qqd_squared(design: Design, config: CriterionConfig | None = None) -> float:
     """Squared qualitative-quantitative discrepancy via the pairwise closed form."""
     config = config or DEFAULT_CONFIG
-    return _qqd_squared_arrays(
-        design.qualitative,
-        design.quantitative,
-        design.spec.qualitative_levels,
-        config,
-    )
+    return _qqd_squared_arrays(design.qualitative, design.quantitative, design.spec.levels, config)
 
 
 def wd_squared(design: Design) -> float:
@@ -280,7 +368,9 @@ def wd_squared(design: Design) -> float:
     if design.spec.q == 0:
         raise DomainError("wd_squared needs at least one quantitative factor")
     empty = np.zeros((design.spec.n, 0), dtype=np.int64)
-    return _qqd_squared_arrays(empty, design.quantitative, (), DEFAULT_CONFIG)
+    return _qqd_squared_arrays(
+        empty, design.quantitative, design.spec.quantitative_levels, DEFAULT_CONFIG
+    )
 
 
 def dd(design: Design, config: CriterionConfig | None = None) -> float:
@@ -332,7 +422,8 @@ def swd(design: Design) -> float:
                 )
             sub = scaled[rows]
             value = _qqd_squared_arrays(
-                np.zeros((sub.shape[0], 0), dtype=np.int64), sub, (), DEFAULT_CONFIG
+                np.zeros((sub.shape[0], 0), dtype=np.int64), sub, spec.quantitative_levels,
+                DEFAULT_CONFIG,
             )
             total.append(math.sqrt(value))
     return math.fsum(total)
@@ -473,13 +564,20 @@ def _circulant(row: np.ndarray) -> np.ndarray:
                       strides=(-line.itemsize, line.itemsize))
 
 
+def _exact_levels(values: np.ndarray, s) -> np.ndarray | None:
+    """Integer levels of values that are all exactly lattice points of s levels, else None.
+
+    ``s`` is one level count, or one per column of an n x q block.
+    """
+    level = np.rint(values * s - 0.5)
+    return level.astype(np.intp) if (_unit(level, s) == values).all() else None
+
+
 def _exact_lattice_levels(design: Design) -> np.ndarray | None:
     """n x m integer levels if every quantitative entry is exactly its lattice point, else None."""
     s = np.array(design.spec.quantitative_levels, dtype=np.float64)
-    quant = np.rint(design.quantitative * s - 0.5)
-    if not (_unit(quant, s) == design.quantitative).all():
-        return None
-    return np.concatenate((design.qualitative, quant.astype(np.int64)), axis=1)
+    quant = _exact_levels(design.quantitative, s)
+    return None if quant is None else np.concatenate((design.qualitative, quant), axis=1)
 
 
 class PairCache:
@@ -536,11 +634,9 @@ class PairCache:
         n, p = spec.n, spec.p
         self._qual = np.array(design.qualitative)
         self._quant = np.array(design.quantitative)
-        self._value = _qqd_squared_arrays(
-            self._qual, self._quant, spec.qualitative_levels, config
-        )
+        self._value = _qqd_squared_arrays(self._qual, self._quant, spec.levels, config)
         self._ratio = a / b
-        self._ratio_powers = self._ratio ** np.arange(p + 1)
+        self._ratio_powers = _ratio_powers(config, p)
         self._scale = 2.0 * b**p / n**2
         self._scored: tuple[int, int, int, float] | None = None
         # live views of the level columns, qualitative first: read, never write

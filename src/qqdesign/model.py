@@ -153,8 +153,10 @@ def _lattice_levels(values, s: int) -> np.ndarray:
 
 def _first_bad(mask: np.ndarray) -> tuple[int, int] | None:
     """(row, column) of the first True entry of an n x k mask, column by column; None if none."""
+    if not mask.any():  # the common case, without the column-major walk
+        return None
     columns, rows = np.nonzero(mask.T)
-    return (int(rows[0]), int(columns[0])) if rows.size else None
+    return int(rows[0]), int(columns[0])
 
 
 def unit_to_level(value: float, s: int) -> int:
@@ -162,7 +164,7 @@ def unit_to_level(value: float, s: int) -> int:
     _require_int("level count", s, low=1)
     level = int(_lattice_levels([value], s)[0])
     if level < 0:
-        raise DomainError(f"value {value!r} is not a lattice point of an {s}-level factor")
+        raise DomainError(f"value {value!r} is not a lattice point of a factor with {s} levels")
     return level
 
 
@@ -210,7 +212,8 @@ class Design:
             r, k = bad
             raise DomainError(
                 f"row {r}, column {self.spec.p + k}: value {float(self.quantitative[r, k])!r}"
-                f" is not a lattice point of an {self.spec.quantitative_levels[k]}-level factor"
+                " is not a lattice point of a factor with"
+                f" {self.spec.quantitative_levels[k]} levels"
             )
         return out
 
@@ -241,7 +244,9 @@ def design_from_levels(
     spec: DesignSpec, qualitative_levels, quantitative_levels
 ) -> Design:
     """Build a lattice-valued design from integer levels for every column."""
-    quant_levels = np.asarray(quantitative_levels, dtype=np.int64).reshape(spec.n, spec.q)
+    # a column slice of a wider level matrix is copied: masks over a strided block are slow
+    quant_levels = np.ascontiguousarray(quantitative_levels, dtype=np.int64)
+    quant_levels = quant_levels.reshape(spec.n, spec.q)
     counts = np.array(spec.quantitative_levels, dtype=np.int64)
     bad = _first_bad((quant_levels < 0) | (quant_levels >= counts))
     if bad:

@@ -283,6 +283,98 @@ def test_single_block_closed_form_is_one_sum_bit_for_bit():
         assert qqd_squared(design) == C + float(float(np.sum(w)) * np.float64(1.25) ** p / n**2)
 
 
+def _formula_closed_form(qualitative, quantitative, s_qual, config=DEFAULT_CONFIG):
+    """A frozen copy of the closed form that builds every pair weight from the formula.
+
+    The same row blocks, product order (quantitative columns in column
+    order, then (a/b)^delta) and sums (``np.sum`` per square part and per
+    rest, ``math.fsum`` across them) as ``qqd_squared``, without tables.
+    """
+    n, p = qualitative.shape
+    with np.errstate(all="ignore"):
+        ratio_powers = (config.a / config.b) ** np.arange(p + 1)
+        step = min(max(1, discrepancy.PAIR_BLOCK // n), n)
+        partials = []
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            weights = None
+            for x in quantitative.T:
+                d = np.abs(x[rows, None] - x[start:])
+                kernel = (1.5 - d) + d * d
+                weights = kernel if weights is None else weights * kernel
+            if p:
+                agree = sum((c[rows, None] == c[start:]).astype(np.intp) for c in qualitative.T)
+                weights = ratio_powers[agree] if weights is None else weights * ratio_powers[agree]
+            square = weights.shape[0]
+            partials.append(float(np.sum(weights[:, :square])))
+            if square < weights.shape[1]:
+                partials.append(2.0 * float(np.sum(weights[:, square:])))
+        pairs = float(math.fsum(partials) * np.float64(config.b) ** p / n**2)
+    constant = discrepancy._constant_term(s_qual, quantitative.shape[1], config.a, config.b)
+    return discrepancy._finite(constant, pairs, config)
+
+
+# (n, qualitative levels, quantitative levels): sqrt(PAIR_BLOCK) is 181.02, so
+# n = 181 is one block and 182 two, s = 181 takes a table and 182 the formula,
+# and Q = 181 qualitative level combinations take a table and Q = 13 * 14 agreements
+TABLE_SHAPES = {
+    "one-block": (181, (4, 3), (16, 181)),
+    "two-blocks": (182, (4, 3), (16, 181, 182)),
+    "qualitative-table-at-its-cap": (182, (181,), (2,)),
+    "qualitative-agreements-above-its-cap": (182, (13, 14), (8,)),
+    "p=0": (200, (), (4, 32)),
+    "q=0": (200, (2, 3, 5), ()),
+    "ragged-blocks": (420, (2, 2, 3), (7, 64)),
+}
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES.values(), ids=TABLE_SHAPES.keys())
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["lattice", "near-lattice", "raw"]), min_size=3, max_size=3),
+    ratio=st.floats(1.01, 4.0),
+    b=st.floats(0.05, 3.0),
+)
+def test_table_gathers_equal_the_formula_bit_for_bit(shape, seed, kinds, ratio, b):
+    assert 181**2 <= discrepancy.PAIR_BLOCK < 182**2
+    n, s_qual, s_quant = shape
+    rng = np.random.default_rng(seed)
+    spec = DesignSpec(n=n, p=len(s_qual), q=len(s_quant), levels=s_qual + s_quant)
+    qual, levels = (np.array([rng.integers(0, s, n) for s in counts]).reshape(-1, n).T
+                    for counts in (s_qual, s_quant))
+    quant = design_from_levels(spec, qual, levels).quantitative.copy()
+    for k, kind in enumerate(kinds[: spec.q]):
+        if kind == "near-lattice":  # inside LATTICE_TOL of the lattice, some rows off it
+            rows = rng.choice(n, 5, replace=False)
+            quant[rows, k] += rng.choice([-1, 1], 5) * rng.uniform(1e-14, 1e-10, 5)
+        elif kind == "raw":
+            quant[:, k] = rng.random(n)
+    design = Design(spec, qual, quant)
+    assert design.is_lattice() == ("raw" not in kinds[: spec.q])
+    config = CriterionConfig(a=b * ratio, b=b)
+    for weights in (DEFAULT_CONFIG, config):
+        want = _formula_closed_form(design.qualitative, design.quantitative, s_qual, weights)
+        assert qqd_squared(design, weights) == want
+        if spec.p:
+            assert dd(design, weights) == _formula_closed_form(
+                design.qualitative, np.zeros((n, 0)), s_qual, weights
+            )
+    if spec.q:
+        assert wd_squared(design) == _formula_closed_form(
+            np.zeros((n, 0), np.int64), design.quantitative, ()
+        )
+    # the tables are taken exactly where they pay: several blocks, s^2 and Q^2 within a block
+    tables = discrepancy._pair_tables(
+        design.qualitative, design.quantitative, spec.levels, DEFAULT_CONFIG
+    )
+    several = n * n > discrepancy.PAIR_BLOCK
+    expected = [several and kind == "lattice" and s * s <= discrepancy.PAIR_BLOCK
+                for s, kind in zip(s_quant, kinds)]
+    expected.append(several and spec.p > 0 and math.prod(s_qual) ** 2 <= discrepancy.PAIR_BLOCK)
+    assert [table is not None for table in tables] == (expected if several else [])
+
+
 def test_agreement_histogram_builds_its_blocks_in_one_buffer_set():
     # eight 2-level columns at n = 2048: blocks of 16 rows, 2^15 intp codes (256 KB)
     levels = random_utype(DesignSpec(n=2048, p=4, q=4, levels=(2,) * 8), 0).all_levels()

@@ -196,7 +196,7 @@ FIRST_BAD_QUANT = [[0.125, 0.375], [0.375, 0.625], [0.625, 0.875], [0.875, 0.125
          "quantitative level 4 at row 3, column 2 outside 0..3"),
         (lambda: Design(FIRST_BAD_SPEC, FIRST_BAD_QUAL,
                         _two_bad(FIRST_BAD_QUANT, 0.3, 0.4)).quantitative_as_levels(),
-         "row 3, column 2: value 0.3 is not a lattice point of an 4-level factor"),
+         "row 3, column 2: value 0.3 is not a lattice point of a factor with 4 levels"),
     ],
     ids=["qualitative-range", "unit-interval", "level-range", "lattice"],
 )
