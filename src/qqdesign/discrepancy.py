@@ -20,25 +20,25 @@ rows [s, e) against rows [s, n), as views on one buffer set per walk
 (memory O(n*B) for B-row blocks), whose square part (rows [s, e)) counts
 once and whose rest twice.  ``_agreements`` sums exact integer codes of
 the columns a pair agrees on: 1 per column for delta_ij, 2^c for column
-c for an agreement mask.  ``_row_weights`` builds a block's kernel
-products step by step in the formula's order, so no value depends on the
-buffers that held it; the closed form sums the square parts plus twice
-the rests (``np.sum`` per part, ``math.fsum`` across them).  Where the
-walk has several blocks, the closed form gathers a factor's weights from
-a small table cached per level count instead of computing them
-(``_pair_tables``): an s-level quantitative column whose values are
-exactly its lattice points reads T[u, v], the kernel ``_quant_kernel``
-gives between levels u and v, and the qualitative block reads
-(a/b)^(agreements) over its Q level combinations, indexed by each row's
-mixed-radix code, while s^2 or Q^2 fits in a block.  A table entry is the
-formula on the same floats, so every value is unchanged, bit for bit;
-raw and near-lattice columns, larger s or Q and the swap evaluator's row
-route compute their kernels from the formula.  Both
+c for an agreement mask.  ``_row_weights`` multiplies a block's
+per-factor weights in the order of a list of steps, one per factor,
+that its caller makes once: ``_kernel_step`` (a quantitative column),
+``_agreement_step`` ((a/b)^(agreements) of a qualitative block) or
+``_gather`` (a table lookup).  The closed form (``_closed_form_steps``)
+takes the quantitative columns in column order, then the qualitative
+block, and sums the square parts plus twice the rests (``np.sum`` per
+part, ``math.fsum`` across them).  Where the walk has several blocks it
+gathers from tables cached per level count: an s-level quantitative
+column whose values are exactly its lattice points reads T[u, v], the
+kernel ``_kernel_step`` gives between levels u and v, and the
+qualitative block (a/b)^(agreements) over its Q level combinations,
+indexed by mixed-radix codes, while s^2 or Q^2 fits in a block.  A table
+entry is the formula on the same floats, so every value is the
+formula's, bit for bit.  The swap evaluator's row route takes, per
+swapped column, the other factors' steps and the column's own.  Both
 balance-pattern routes histogram every block's codes
-(``_agreement_histogram``); the swap evaluator's row route builds its two
-rows with ``_row_weights`` against all n, in a (2, n) buffer set it
-keeps.  Setting p = 0 recovers the wrap-around discrepancy (WD), q = 0
-the discrete discrepancy (DD).
+(``_agreement_histogram``).  Setting p = 0 recovers the wrap-around
+discrepancy (WD), q = 0 the discrete discrepancy (DD).
 
 For lattice designs the same value is C + y' A y / n^2, a quadratic form
 in the frequency vector y over the N level combinations, with A the
@@ -53,8 +53,10 @@ row.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -98,18 +100,6 @@ def coincidence_number(design: Design, i: int, j: int) -> int:
     return int(np.sum(design.qualitative[i] == design.qualitative[j]))
 
 
-def _quant_kernel(x, z, out, work):
-    """Wrap-around kernel (3/2 - |x - z|) + |x - z|^2 into ``out``, step by step.
-
-    ``work`` is scratch of the same, broadcast shape.
-    """
-    np.subtract(x, z, work)
-    np.abs(work, work)
-    np.multiply(work, work, out)  # d * d
-    np.subtract(1.5, work, work)
-    return np.add(work, out, out)
-
-
 def _lattice_kernel(d, s):
     """Wrap-around kernel at lattice distance d/s: 3/2 - d (s - d) / s^2."""
     return 1.5 - d * (s - d) / s**2
@@ -121,8 +111,15 @@ def _agreement_buffers(rows: int, cols: int):
 
 
 def _buffers(rows: int, cols: int):
-    """rows x cols buffers for ``_row_weights``: three float64, then ``_agreement_buffers``."""
-    return (*np.empty((3, rows, cols)), *_agreement_buffers(rows, cols))
+    """rows x cols buffers for ``_row_weights``: three float64, then ``_agreement_buffers``.
+
+    The float64 ones start on a 64-byte cache line: the n = 1024 closed form
+    ran about 20% slower on buffers 16 bytes off one (2-vCPU Xeon).
+    """
+    size = 3 * rows * cols
+    raw = np.empty(size + 7)  # numpy aligns float64 data to 8 bytes at least
+    shift = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 8  # raw.ctypes is slower
+    return (*raw[shift : shift + size].reshape(3, rows, cols), *_agreement_buffers(rows, cols))
 
 
 def _row_blocks(n: int, make_buffers):
@@ -146,14 +143,14 @@ def _row_blocks(n: int, make_buffers):
         yield slice(start, stop), start, views
 
 
-def _agreements(levels, rows, start, out, masks=False, skip=None) -> bool:
+def _agreements(levels, rows, start, out, masks=False, skip=None):
     """Exact per-pair sums of the agreeing columns' codes: rows ``rows`` against rows start..n-1.
 
     Column c's code is 2^c when ``masks`` is set, so a sum is the pair's
     agreement mask, and 1 otherwise, so it counts agreeing columns; column
-    ``skip`` is left out.  The sums go into the codes array of ``out``
-    (``_agreement_buffers`` of their shape); the others are overwritten.
-    Returns whether any column was counted; if none was, codes are untouched.
+    ``skip`` is left out, and at least one column must be left in.  The
+    sums go into the codes array of ``out`` (``_agreement_buffers`` of
+    their shape); the others are overwritten.
     """
     codes, matched, same = out
     counted = False
@@ -168,81 +165,77 @@ def _agreements(levels, rows, start, out, masks=False, skip=None) -> bool:
             if counted:
                 np.add(codes, matched, codes)
             counted = True
-    return counted
 
 
-def _gather(codes, table, rows, start, out):
-    """table[codes[i], codes[j]] for the rows ``rows`` against rows start..n-1, into ``out``."""
+def _gather(codes, table, rows, start, target, out):
+    """table[codes[i], codes[j]]: a factor's weights read from its table."""
     # the block rows' sub-table, taken along the other rows' codes; clip writes unbuffered
-    return np.take(table[codes[rows]], codes[start:], 1, out, "clip")
+    return np.take(table[codes[rows]], codes[start:], 1, target, "clip")
 
 
-def _row_weights(qualitative, quantitative, rows, start, out, ratio_powers, skip=None, tables=()):
-    """Kernel products (a/b)^delta prod_k f_k of the rows ``rows`` against rows start..n-1.
+def _kernel_step(values, rows, start, target, out):
+    """Wrap-around kernel (3/2 - |x - z|) + |x - z|^2 of one column, step by step.
 
-    b^p is left out, and so is column ``skip`` (0-based, qualitative
-    first) when given.  ``ratio_powers[k]`` is the weight of k agreements.
-    Each factor's weight is gathered from ``tables`` (``_pair_tables``, the
-    closed form's, which skips no column) where its entry is set and
-    computed from the formula otherwise, in one order: the quantitative
-    columns in column order, then the qualitative block.  The result is
-    the weights array of ``out``, ``_buffers`` of its shape, and the
-    others are overwritten.
+    x runs over rows ``rows``, z over rows start..n-1; ``out[2]`` is scratch.
     """
-    p, q = qualitative.shape[1], quantitative.shape[1]
-    weights, kernel, work, agree = out[:4]
-    qualitative_table = tables[q] if tables else None
-    counted = qualitative_table is not None or _agreements(
-        qualitative, rows, start, out[3:], skip=skip
-    )
-    built = False
-    for k in range(q):
-        if p + k != skip:
-            target = kernel if built else weights
-            if tables and tables[k] is not None:
-                _gather(*tables[k], rows, start, target)
-            else:
-                _quant_kernel(quantitative[rows, k, None], quantitative[start:, k], target, work)
-            if built:
-                np.multiply(weights, kernel, weights)
-            built = True
-    if counted:
-        target = kernel if built else weights
-        if qualitative_table is not None:
-            _gather(*qualitative_table, rows, start, target)
-        else:
-            # mode="clip" lets take write into the buffer unbuffered; counts are in range
-            ratio_powers.take(agree, None, target, "clip")
-        if built:
-            np.multiply(weights, kernel, weights)
-    elif not built:  # the only column is skipped
+    work = out[2]
+    np.subtract(values[rows, None], values[start:], work)
+    np.abs(work, work)
+    np.multiply(work, work, target)  # d * d
+    np.subtract(1.5, work, work)
+    return np.add(work, target, target)
+
+
+def _agreement_step(levels, ratio_powers, skip, rows, start, target, out):
+    """(a/b)^(agreements) over the columns of ``levels`` but ``skip``, from the formula."""
+    _agreements(levels, rows, start, out[3:], False, skip)
+    # mode="clip" lets take write into the buffer unbuffered; counts are in range
+    return ratio_powers.take(out[3], None, target, "clip")
+
+
+def _row_weights(steps, rows, start, out):
+    """The product of per-factor pair weights of the rows ``rows`` against rows start..n-1.
+
+    ``step(rows, start, target, out)``, an executor with its leading
+    arguments bound by ``partial``, writes one factor's weights (b^p left
+    out) into ``target`` and overwrites only scratch after ``out``'s first
+    two arrays.  The steps multiply in list order into ``out[0]`` (``out``
+    is ``_buffers`` of its shape), which is returned; no steps: all ones.
+    """
+    weights, kernel = out[:2]
+    if not steps:
         weights.fill(1.0)
+        return weights
+    steps[0](rows, start, weights, out)
+    for step in steps[1:]:
+        step(rows, start, kernel, out)
+        np.multiply(weights, kernel, weights)
     return weights
 
 
-def _pair_tables(qualitative, quantitative, levels, config):
-    """The closed form's gather tables: per quantitative column, then the qualitative block.
+def _closed_form_steps(qualitative, quantitative, levels, config, ratio_powers):
+    """The closed form's steps: each quantitative column in turn, then the qualitative block.
 
-    An entry is (codes, table), the pair weight of rows i and j being
-    table[codes[i], codes[j]], or None where the formula builds it.  A
-    quantitative column gets its level table when its values are exactly
-    its lattice points, the qualitative block its agreement table over the
-    Q level combinations.  A table pays only where it is small against a
-    block (s^2 or Q^2 <= PAIR_BLOCK) and is reused over several blocks (n^2
-    > PAIR_BLOCK); otherwise () or None, and the formula.
+    A quantitative column whose values are exactly its lattice points
+    reads its level table, and the qualitative block its agreement table
+    over the Q level combinations, where a table pays: small against a
+    block (s^2 or Q^2 <= PAIR_BLOCK) and reused over several (n^2 >
+    PAIR_BLOCK).  The others compute their weights from the formula.
     """
     n, p = qualitative.shape
-    if n * n <= PAIR_BLOCK:
-        return ()
-    tables = []
+    several = n * n > PAIR_BLOCK
+    steps = []
     for values, s in zip(quantitative.T, levels[p:]):
-        codes = _exact_levels(values, s) if s * s <= PAIR_BLOCK else None
-        tables.append(None if codes is None else (codes, _quantitative_table(s)))
+        codes = _exact_levels(values, s) if several and s * s <= PAIR_BLOCK else None
+        steps.append(partial(_kernel_step, values) if codes is None
+                     else partial(_gather, codes, _quantitative_table(s)))
     s_qual = levels[:p]
-    fits = p and math.prod(s_qual) ** 2 <= PAIR_BLOCK
-    codes = np.ravel_multi_index(tuple(qualitative.T), s_qual) if fits else None
-    tables.append(None if codes is None else (codes, _qualitative_table(s_qual, config)))
-    return tuple(tables)
+    if several and p and math.prod(s_qual) ** 2 <= PAIR_BLOCK:
+        codes = np.ravel_multi_index(tuple(qualitative.T), s_qual)
+        steps.append(partial(_gather, codes, _qualitative_table(s_qual, config)))
+    elif p:
+        steps.append(partial(_agreement_step, qualitative, ratio_powers, None))
+    return steps
 
 
 def _ratio_powers(config: CriterionConfig, p: int) -> np.ndarray:
@@ -256,9 +249,10 @@ def _ratio_powers(config: CriterionConfig, p: int) -> np.ndarray:
 # a table has at most PAIR_BLOCK float64 entries (256 KB), so each cache holds at most 2 MB
 @functools.lru_cache(maxsize=8)
 def _quantitative_table(s: int) -> np.ndarray:
-    """Read-only s x s T: T[u, v] is ``_quant_kernel`` at the lattice points of levels u and v."""
+    """Read-only s x s T: T[u, v] is ``_kernel_step`` at the lattice points of levels u and v."""
     x = _unit(np.arange(s), s)
-    table = _quant_kernel(x[:, None], x, np.empty((s, s)), np.empty((s, s)))
+    # the s points against themselves; out[2] is the only scratch a kernel step takes
+    table = _kernel_step(x, slice(None), 0, np.empty((s, s)), (None, None, np.empty((s, s))))
     table.setflags(write=False)
     return table
 
@@ -316,8 +310,8 @@ def _qqd_squared_arrays(
     """The closed form of the columns, whose level counts are ``levels`` (qualitative first).
 
     A quantitative column reads its table only where its values are exactly
-    the lattice points of its count (``_pair_tables``), so any counts give
-    the formula's value.
+    the lattice points of its count (``_closed_form_steps``), so any counts
+    give the formula's value.
     """
     n, p = qualitative.shape
     # np.sum per square part and per rest, and fsum across those partials,
@@ -325,11 +319,10 @@ def _qqd_squared_arrays(
     # 10^3; weights that overflow (numpy's power gives inf) are refused below
     with np.errstate(all="ignore"):
         ratio_powers = _ratio_powers(config, p)
-        tables = _pair_tables(qualitative, quantitative, levels, config)
+        steps = _closed_form_steps(qualitative, quantitative, levels, config, ratio_powers)
         partials = []
         for rows, start, out in _row_blocks(n, _buffers):
-            weights = _row_weights(qualitative, quantitative, rows, start, out, ratio_powers,
-                                   tables=tables)
+            weights = _row_weights(steps, rows, start, out)
             square = weights.shape[0]
             partials.append(float(np.sum(weights[:, :square])))
             if square < weights.shape[1]:  # the last block has no rest
@@ -620,24 +613,23 @@ class PairCache:
         delta = (2 b^p / n^2) * sum_{r not in {i, j}}
                 (B_ir - B_jr) * (f(x_j, x_r) - f(x_i, x_r)).
 
-    ``delta`` rebuilds B for rows i and j from the level columns with
-    ``_row_weights``, the closed form's routine, so a proposal costs
-    O(n*m), a commit O(1), and no n x n state is kept.  B, f and
-    B_i - B_j are built in one (2, n) buffer set allocated on the first
-    score, so later scores allocate nothing of size n.
+    ``delta`` rebuilds B for rows i and j with ``_row_weights``, the
+    closed form's routine, from the other factors' steps, and f from the
+    column's own step, so a proposal costs O(n*m), a commit O(1), and no
+    n x n state is kept.  The steps, per column, and one (2, n) buffer
+    set for B, f and B_i - B_j are made on first use, so later scores
+    allocate nothing of size n.
     """
 
     def __init__(self, design: Design, config: CriterionConfig | None = None):
         config = config or DEFAULT_CONFIG
         self.spec = spec = design.spec
-        a, b = config.a, config.b
         n, p = spec.n, spec.p
         self._qual = np.array(design.qualitative)
         self._quant = np.array(design.quantitative)
         self._value = _qqd_squared_arrays(self._qual, self._quant, spec.levels, config)
-        self._ratio = a / b
         self._ratio_powers = _ratio_powers(config, p)
-        self._scale = 2.0 * b**p / n**2
+        self._scale = 2.0 * config.b**p / n**2
         self._scored: tuple[int, int, int, float] | None = None
         # live views of the level columns, qualitative first: read, never write
         self.columns = [*self._qual.T, *self._quant.T]
@@ -646,7 +638,7 @@ class PairCache:
             tables = _cell_tables(spec, config)
             levels = None if tables is None else _exact_lattice_levels(design)
         self._cell_route = levels is not None
-        self._buffers = None  # the row route's (2, n) set, made on its first score
+        self._buffers, self._steps = None, {}  # the row route's, made on first use
         if self._cell_route:
             self._set_up_cells(levels, tables)
 
@@ -714,8 +706,18 @@ class PairCache:
         quadratic = 4 * (row[0] - row[v - u]) * (tables.other_diagonals[column] - between)
         return (2 * linear + quadratic) / tables.denominator
 
+    def _row_steps(self, column: int):
+        """The steps of the factors other than ``column``, and that column's own step."""
+        p, ratio_powers = self.spec.p, self._ratio_powers
+        others = [partial(_kernel_step, values) for k, values in enumerate(self.columns)
+                  if p <= k != column]
+        if p - (column < p):  # a qualitative column is left in
+            others.append(partial(_agreement_step, self._qual, ratio_powers, column))
+        own = (partial(_agreement_step, self._qual[:, column : column + 1], ratio_powers, None)
+               if column < p else partial(_kernel_step, self.columns[column]))
+        return others, own
+
     def _row_change(self, column: int, row_i: int, row_j: int) -> float:
-        col = self.columns[column]
         # the change is symmetric in i and j, so order them and take both
         # rows as a strided view instead of a fancy-indexed copy
         lo, hi = min(row_i, row_j), max(row_i, row_j)
@@ -723,19 +725,15 @@ class PairCache:
         if self._buffers is None:
             self._buffers = _buffers(2, self.spec.n)
         buffers = self._buffers
+        if column not in self._steps:
+            self._steps[column] = self._row_steps(column)
+        others, own = self._steps[column]
         # weights: the pair weights of rows lo and hi without the swapped column
-        weights = _row_weights(self._qual, self._quant, rows, 0, buffers, self._ratio_powers,
-                               column)
-        _, kernel, work, _, _, same = buffers
+        weights = _row_weights(others, rows, 0, buffers)
+        _, kernel, work = buffers[:3]
         # f: that column's kernel against every row r, row hi minus row lo
-        if column < self.spec.p:
-            np.equal(col[rows, None], col, same)
-            np.copyto(kernel, same)
-            f = np.subtract(kernel[1], kernel[0], work[0])
-            np.multiply(self._ratio - 1.0, f, f)
-        else:
-            _quant_kernel(col[rows, None], col, kernel, work)
-            f = np.subtract(kernel[1], kernel[0], work[0])
+        own(rows, 0, kernel, buffers)
+        f = np.subtract(kernel[1], kernel[0], work[0])
         f[lo] = f[hi] = 0.0
         return self._scale * float(np.dot(np.subtract(weights[0], weights[1], kernel[0]), f))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,9 @@ class CriterionConfig:
     b: float = 1.25
 
     def __post_init__(self) -> None:
+        for name, weight in (("a", self.a), ("b", self.b)):
+            if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+                raise DomainError(f"kernel weight {name} must be a number, got {weight!r}")
         if not (math.isfinite(self.a) and self.a > self.b > 0.0):
             raise DomainError(
                 f"kernel weights need finite a > b > 0, got a={self.a}, b={self.b}"
@@ -159,9 +163,53 @@ def _first_bad(mask: np.ndarray) -> tuple[int, int] | None:
     return int(rows[0]), int(columns[0])
 
 
+def _block(values, n: int, k: int, what: str) -> np.ndarray:
+    """``values`` as an n x k array, not converted; DomainError for ragged rows or another size."""
+    try:
+        return np.asarray(values).reshape(n, k)
+    except ValueError as exc:
+        raise DomainError(f"{what} must have shape ({n}, {k}): {exc}") from None
+
+
+def _floats(array: np.ndarray, what: str) -> np.ndarray:
+    """A float64 copy of a block of numbers; DomainError for booleans and non-numbers."""
+    if array.dtype.kind not in "iufO":
+        raise DomainError(f"{what} must be numbers, got {array.dtype} entries")
+    try:
+        return array.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # an object that is not a number
+        raise DomainError(f"{what} must be numbers: {exc}") from None
+
+
+def _levels(values, n: int, k: int, what: str, first: int) -> np.ndarray:
+    """``values`` as a new n x k int64 block of levels whose column 0 is design column ``first``.
+
+    An integer array costs one dtype test.  Other input must be numbers;
+    its first fractional, NaN or infinite entry, column by column, is
+    refused with DomainError, so 2.0 is a level and 0.7 is not.
+    """
+    array = _block(values, n, k, what)
+    if array.dtype.kind != "i":
+        floats = _floats(array, what)
+        bad = _first_bad(~(np.isfinite(floats) & (np.trunc(floats) == floats)))
+        if bad:
+            r, c = bad
+            raise DomainError(  # tolist gives the Python number: 0.7, not np.float64(0.7)
+                f"{what}: entry {array[r].tolist()[c]!r} at row {r}, column {first + c} "
+                "is not an integer"
+            )
+        array = array.astype(object)  # Python numbers: beyond int64 raises instead of wrapping
+    try:
+        return np.array(array, dtype=np.int64)
+    except OverflowError:
+        raise DomainError(f"{what}: an entry does not fit in a 64-bit integer") from None
+
+
 def unit_to_level(value: float, s: int) -> int:
     """Recover the integer level behind a lattice value; inverse of level_to_unit."""
     _require_int("level count", s, low=1)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"a lattice value must be a number, got {value!r}")
     level = int(_lattice_levels([value], s)[0])
     if level < 0:
         raise DomainError(f"value {value!r} is not a lattice point of a factor with {s} levels")
@@ -177,11 +225,10 @@ class Design:
     quantitative: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            qual = np.array(self.qualitative, dtype=np.int64).reshape(self.spec.n, self.spec.p)
-        except OverflowError:
-            raise DomainError("a qualitative entry does not fit in a 64-bit integer") from None
-        quant = np.array(self.quantitative, dtype=np.float64).reshape(self.spec.n, self.spec.q)
+        n = self.spec.n
+        qual = _levels(self.qualitative, n, self.spec.p, "qualitative levels", 0)
+        quant = _floats(_block(self.quantitative, n, self.spec.q, "quantitative values"),
+                        "quantitative values")
         counts = np.array(self.spec.qualitative_levels, dtype=np.int64)
         bad = _first_bad((qual < 0) | (qual >= counts))
         if bad:
@@ -244,9 +291,8 @@ def design_from_levels(
     spec: DesignSpec, qualitative_levels, quantitative_levels
 ) -> Design:
     """Build a lattice-valued design from integer levels for every column."""
-    # a column slice of a wider level matrix is copied: masks over a strided block are slow
-    quant_levels = np.ascontiguousarray(quantitative_levels, dtype=np.int64)
-    quant_levels = quant_levels.reshape(spec.n, spec.q)
+    # a new block: masks over a column slice of a wider level matrix are slow
+    quant_levels = _levels(quantitative_levels, spec.n, spec.q, "quantitative levels", spec.p)
     counts = np.array(spec.quantitative_levels, dtype=np.int64)
     bad = _first_bad((quant_levels < 0) | (quant_levels >= counts))
     if bad:

@@ -79,10 +79,16 @@ class SearchConfig:
         _require_int("restarts", self.restarts, low=1)
         _require_int("seed", self.seed, low=0)
         if self.threshold_schedule is not None:
-            sched = tuple(float(t) for t in self.threshold_schedule)
+            try:
+                sched = tuple(float(t) for t in self.threshold_schedule)
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"threshold schedule must be numbers, got {self.threshold_schedule!r}"
+                ) from None
             if not sched or sched[-1] != 0.0:
                 raise DomainError("threshold schedule must end at 0")
-            if any(t < 0 for t in sched) or any(
+            # a NaN step would compare false everywhere and accept every proposal
+            if any(not t >= 0 for t in sched) or any(
                 x < y for x, y in zip(sched, sched[1:])
             ):
                 raise DomainError("threshold schedule must be non-increasing and >= 0")

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -111,12 +112,12 @@ def test_diagonal_terms_contribute_three_halves_power():
     # the i = j terms of the double sum contribute (1/n)(3/2)^(p+q)
     design = load_reference_design("mcd_16run_3")
     n, p, q = design.spec.n, design.spec.p, design.spec.q
-    from qqdesign.discrepancy import _buffers, _constant_term, _row_weights
+    from qqdesign.discrepancy import _buffers, _closed_form_steps, _constant_term, _row_weights
 
     ratio_powers = (1.5 / 1.25) ** np.arange(p + 1)
-    w = 1.25**p * _row_weights(
-        design.qualitative, design.quantitative, slice(None), 0, _buffers(n, n), ratio_powers
-    )
+    steps = _closed_form_steps(design.qualitative, design.quantitative, design.spec.levels,
+                               DEFAULT_CONFIG, ratio_powers)
+    w = 1.25**p * _row_weights(steps, slice(None), 0, _buffers(n, n))
     off_diag = w - np.diag(np.diag(w))
     value_without_diag = (
         _constant_term(design.spec.qualitative_levels, q, 1.5, 1.25)
@@ -206,19 +207,32 @@ def test_row_weights_from_a_column_start_match_the_full_rows():
     ratio_powers = (1.5 / 1.25) ** np.arange(3)
     mixed = random_utype(DesignSpec(n=24, p=2, q=2, levels=(4, 3, 24, 8)), 2)
     lone = random_utype(DesignSpec(n=6, p=1, q=0, levels=(3,)), 2)
+    qual, (wide, narrow) = mixed.qualitative, mixed.quantitative.T
+    kernel, agreement, gather = (discrepancy._kernel_step, discrepancy._agreement_step,
+                                 discrepancy._gather)
+    # every step kind: formula kernels, agreements without a column, both tables
+    kernels = [partial(kernel, wide), partial(kernel, narrow)]
+    step_lists = [
+        [*kernels, partial(agreement, qual, ratio_powers, None)],
+        [*kernels, partial(agreement, qual, ratio_powers, 0)],
+        [kernels[0], partial(agreement, qual, ratio_powers, 3)],
+        [partial(gather, discrepancy._exact_levels(narrow, 8), discrepancy._quantitative_table(8)),
+         partial(gather, np.ravel_multi_index(tuple(qual.T), (4, 3)),
+                 discrepancy._qualitative_table((4, 3), DEFAULT_CONFIG))],
+    ]
     blocks = [(slice(5, 9), 5), (slice(0, 24), 0), (slice(20, 24), 20), (slice(3, 4), 10)]
-    cases = [(mixed, rows, start, skip) for rows, start in blocks for skip in (None, 0, 3)]
-    cases += [(lone, slice(2, 4), 2, None), (lone, slice(2, 4), 2, 0)]  # skip 0: all ones
-    for design, rows, start, skip in cases:
-        qual, quant = design.qualitative, design.quantitative
-        height, n = qual[rows].shape[0], qual.shape[0]
-        full = discrepancy._row_weights(
-            qual, quant, rows, 0, _dirty_buffers(height, n), ratio_powers, skip
-        )
+    cases = [(24, steps, rows, start) for rows, start in blocks for steps in step_lists]
+    lone_steps = [partial(agreement, lone.qualitative, ratio_powers, None)]
+    cases += [(6, lone_steps, slice(2, 4), 2), (6, [], slice(2, 4), 2)]  # no step: all ones
+    for n, steps, rows, start in cases:
+        height = len(range(n)[rows])
+        full = discrepancy._row_weights(steps, rows, 0, _dirty_buffers(height, n))
         out = _dirty_buffers(height, n - start)
-        part = discrepancy._row_weights(qual, quant, rows, start, out, ratio_powers, skip)
+        part = discrepancy._row_weights(steps, rows, start, out)
         assert part is out[0]
         assert part.tobytes() == full[:, start:].tobytes()
+        if not steps:
+            assert part.tobytes() == np.ones(part.shape).tobytes()
 
 
 def test_in_place_kernel_is_the_formula_bit_for_bit():
@@ -233,15 +247,17 @@ def test_in_place_kernel_is_the_formula_bit_for_bit():
     for x, z in inputs:
         d = np.abs(x - z)
         want = 1.5 - d + d * d
-        out, work = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
-        got = discrepancy._quant_kernel(x, z, out, work)
-        assert got is out
+        # one column holding x, then z: rows x against rows z
+        values, rows = np.concatenate((x[:, 0], z)), slice(0, len(x))
+        out = _dirty_buffers(*want.shape)
+        got = discrepancy._kernel_step(values, rows, len(x), out[1], out)
+        assert got is out[1]
         assert got.tobytes() == want.tobytes()
-    # the only column skipped: all ones, whatever the buffers held
+    # the only column skipped leaves no step: all ones, whatever the buffers held
     design = random_utype(DesignSpec(n=6, p=0, q=1, levels=(6,)), 1)
-    weights = discrepancy._row_weights(
-        design.qualitative, design.quantitative, slice(2, 4), 2, _dirty_buffers(2, 4), np.ones(1), 0
-    )
+    others, own = PairCache(design)._row_steps(0)
+    assert others == [] and own.func is discrepancy._kernel_step
+    weights = discrepancy._row_weights(others, slice(2, 4), 2, _dirty_buffers(2, 4))
     assert weights.tobytes() == np.ones((2, 4)).tobytes()
 
 
@@ -275,10 +291,14 @@ def test_single_block_closed_form_is_one_sum_bit_for_bit():
         spec = design.spec
         n, p = spec.n, spec.p
         assert n <= discrepancy.PAIR_BLOCK // n  # one block
-        w = discrepancy._row_weights(
-            design.qualitative, design.quantitative, slice(None), 0, discrepancy._buffers(n, n),
+        steps = discrepancy._closed_form_steps(
+            design.qualitative, design.quantitative, spec.levels, DEFAULT_CONFIG,
             (1.5 / 1.25) ** np.arange(p + 1),
         )
+        # one block takes no table: every step is the formula's
+        assert {step.func for step in steps} <= {discrepancy._kernel_step,
+                                               discrepancy._agreement_step}
+        w = discrepancy._row_weights(steps, slice(None), 0, discrepancy._buffers(n, n))
         C = discrepancy._constant_term(spec.qualitative_levels, spec.q, 1.5, 1.25)
         assert qqd_squared(design) == C + float(float(np.sum(w)) * np.float64(1.25) ** p / n**2)
 
@@ -365,14 +385,18 @@ def test_table_gathers_equal_the_formula_bit_for_bit(shape, seed, kinds, ratio, 
             np.zeros((n, 0), np.int64), design.quantitative, ()
         )
     # the tables are taken exactly where they pay: several blocks, s^2 and Q^2 within a block
-    tables = discrepancy._pair_tables(
-        design.qualitative, design.quantitative, spec.levels, DEFAULT_CONFIG
+    steps = discrepancy._closed_form_steps(
+        design.qualitative, design.quantitative, spec.levels, DEFAULT_CONFIG, np.ones(spec.p + 1)
     )
     several = n * n > discrepancy.PAIR_BLOCK
-    expected = [several and kind == "lattice" and s * s <= discrepancy.PAIR_BLOCK
-                for s, kind in zip(s_quant, kinds)]
-    expected.append(several and spec.p > 0 and math.prod(s_qual) ** 2 <= discrepancy.PAIR_BLOCK)
-    assert [table is not None for table in tables] == (expected if several else [])
+    gather, kernel, agreement = (discrepancy._gather, discrepancy._kernel_step,
+                                 discrepancy._agreement_step)
+    expected = [gather if several and kind == "lattice" and s * s <= discrepancy.PAIR_BLOCK
+                else kernel for s, kind in zip(s_quant, kinds)]
+    if spec.p:
+        fits = several and math.prod(s_qual) ** 2 <= discrepancy.PAIR_BLOCK
+        expected.append(gather if fits else agreement)
+    assert [step.func for step in steps] == expected
 
 
 def test_agreement_histogram_builds_its_blocks_in_one_buffer_set():
@@ -934,6 +958,92 @@ def test_row_route_keeps_shapes_the_cell_route_does_not_fit():
     edge, wide = (random_utype(DesignSpec(n=16, p=1, q=3, levels=(4, 2, 2, s)), 0)
                   for s in (ratio, 2 * ratio))
     assert _routes([edge, wide]) == [True, False]
+
+
+def _frozen_row_change(qualitative, quantitative, config, column, row_i, row_j):
+    """A frozen copy of the row route's swap score, each kernel built from the formula.
+
+    The same products (the other quantitative columns in column order, then
+    (a/b)^delta over the other qualitative columns), the same f ((a/b - 1)
+    times the change of agreement for a qualitative column) and the same
+    dot product and scale as ``PairCache`` on rows.
+    """
+    n, p = qualitative.shape
+    a, b = config.a, config.b
+    ratio_powers = (a / b) ** np.arange(p + 1)
+    lo, hi = min(row_i, row_j), max(row_i, row_j)
+    rows = [lo, hi]
+    weights = None
+    for k, x in enumerate(quantitative.T):
+        if p + k != column:
+            d = np.abs(x[rows, None] - x)
+            kernel = (1.5 - d) + d * d
+            weights = kernel if weights is None else weights * kernel
+    others = [c for k, c in enumerate(qualitative.T) if k != column]
+    if others:
+        agree = sum((c[rows, None] == c).astype(np.intp) for c in others)
+        weights = ratio_powers[agree] if weights is None else weights * ratio_powers[agree]
+    if weights is None:  # the only column is swapped
+        weights = np.ones((2, n))
+    if column < p:
+        col = qualitative[:, column]
+        same = (col[rows, None] == col).astype(np.float64)
+        f = (a / b - 1.0) * (same[1] - same[0])
+    else:
+        x = quantitative[:, column - p]
+        d = np.abs(x[rows, None] - x)
+        kernel = (1.5 - d) + d * d
+        f = kernel[1] - kernel[0]
+    f[lo] = f[hi] = 0.0
+    return 2.0 * b**p / n**2 * float(np.dot(weights[0] - weights[1], f))
+
+
+@st.composite
+def _row_route_designs(draw):
+    """Designs of any level counts, m = 1 and p or q = 0 among them, their columns
+    on the lattice, within the lattice tolerance of it or raw."""
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(0, 2))
+    q = draw(st.integers(0 if p else 1, 2))
+    levels = tuple(draw(st.integers(1, n)) for _ in range(p + q))
+    spec = DesignSpec(n=n, p=p, q=q, levels=levels)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qual, quant_levels = (np.array([rng.integers(0, s, n) for s in counts]).reshape(-1, n).T
+                          for counts in (levels[:p], levels[p:]))
+    quant = design_from_levels(spec, qual, quant_levels).quantitative.copy()
+    for k in range(q):
+        kind = draw(st.sampled_from(["lattice", "near-lattice", "raw"]))
+        if kind == "near-lattice":
+            rows = rng.choice(n, min(n, 3), replace=False)
+            quant[rows, k] += rng.choice([-1, 1], len(rows)) * rng.uniform(1e-14, 1e-10, len(rows))
+        elif kind == "raw":
+            quant[:, k] = rng.random(n)
+    return Design(spec, qual, np.clip(quant, 0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    design=_row_route_designs(),
+    weights=st.one_of(st.just((1.5, 1.25)),
+                      st.tuples(st.floats(1.01, 4.0), st.floats(0.05, 3.0))
+                      .map(lambda t: (t[0] * t[1], t[1]))),
+    data=st.data(),
+)
+def test_row_route_score_is_the_frozen_formula_bit_for_bit(design, weights, data):
+    spec = design.spec
+    config = CriterionConfig(a=weights[0], b=weights[1])
+    cache = PairCache(design, config)
+    # the cell route scores exactly; its rows are scored the row route's way here
+    score = cache._row_change if cache._cell_route else cache.delta
+    for _ in range(4):
+        column = data.draw(st.integers(0, spec.m - 1))
+        i, j = data.draw(st.lists(st.integers(0, spec.n - 1), min_size=2, max_size=2,
+                                  unique=True))
+        if cache.columns[column][i] == cache.columns[column][j]:
+            continue
+        want = _frozen_row_change(*cache.levels(), config, column, i, j)
+        assert score(column, i, j) == want
+        cache.apply_swap(column, i, j)  # later scores read the committed columns
 
 
 def test_row_route_delta_allocates_nothing_of_size_n():

@@ -214,6 +214,67 @@ def test_criterion_config_refuses_non_finite_or_unordered_weights(a, b):
         CriterionConfig(a=a, b=b)
 
 
+TYPED_SPEC = DesignSpec(n=4, p=1, q=1, levels=(4, 2))
+TYPED_QUANT = [[0.25], [0.75], [0.25], [0.75]]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Design(TYPED_SPEC, [[0.7], [1.2], [2], [3]], TYPED_QUANT),
+         "qualitative levels: entry 0.7 at row 0, column 0 is not an integer"),
+        (lambda: design_from_levels(TYPED_SPEC, [[0.9], [1], [2], [3]], [[0.5], [1], [0], [1]]),
+         "quantitative levels: entry 0.5 at row 0, column 1 is not an integer"),
+        (lambda: design_from_levels(TYPED_SPEC, [[0.9], [1], [2], [3]], [[0], [1], [0], [1]]),
+         "qualitative levels: entry 0.9 at row 0, column 0 is not an integer"),
+        (lambda: Design(TYPED_SPEC, np.array([[True], [False], [True], [False]]), TYPED_QUANT),
+         "qualitative levels must be numbers, got bool entries"),
+        (lambda: design_from_levels(TYPED_SPEC, [[0], [1], [2], [3]], np.ones((4, 1), bool)),
+         "quantitative levels must be numbers, got bool entries"),
+        (lambda: Design(TYPED_SPEC, [[0], [1], [math.inf], [3]], TYPED_QUANT),
+         "qualitative levels: entry inf at row 2, column 0 is not an integer"),
+        (lambda: design_from_levels(TYPED_SPEC, [[0], [1], [2], [3]], [[0], [math.nan], [0], [1]]),
+         "quantitative levels: entry nan at row 1, column 1 is not an integer"),
+        (lambda: Design(TYPED_SPEC, [[0], [1], [2]], TYPED_QUANT),
+         "qualitative levels must have shape (4, 1): cannot reshape array of size 3"),
+        (lambda: Design(TYPED_SPEC, [[0], [1], [2], [3]], TYPED_QUANT[:3]),
+         "quantitative values must have shape (4, 1)"),
+        (lambda: Design(TYPED_SPEC, [[0], [1], [2], [[3]]], TYPED_QUANT),
+         "qualitative levels must have shape (4, 1)"),
+        (lambda: Design(TYPED_SPEC, [["a"], ["b"], ["c"], ["d"]], TYPED_QUANT),
+         "qualitative levels must be numbers, got <U1 entries"),
+        (lambda: Design(TYPED_SPEC, [[0], [1], [2], [3]], [["x"], [0.75], [0.25], [0.75]]),
+         "quantitative values must be numbers"),
+        (lambda: Design(TYPED_SPEC, [[0], [1], [None], [3]], TYPED_QUANT),
+         "qualitative levels: entry None at row 2, column 0 is not an integer"),
+        (lambda: Design(TYPED_SPEC, [[0], [1], [2], [10**20]], TYPED_QUANT),
+         "qualitative levels: an entry does not fit in a 64-bit integer"),
+        (lambda: Design(TYPED_SPEC, [[0], [1], [2], [2**63]], TYPED_QUANT),  # uint64, not wrapped
+         "qualitative levels: an entry does not fit in a 64-bit integer"),
+        (lambda: unit_to_level("abc", 2), "a lattice value must be a number, got 'abc'"),
+        (lambda: CriterionConfig(a="x"), "kernel weight a must be a number, got 'x'"),
+        (lambda: CriterionConfig(a=None), "kernel weight a must be a number, got None"),
+        (lambda: CriterionConfig(b=True), "kernel weight b must be a number, got True"),
+    ],
+    ids=["fractional-level", "fractional-quantitative-level", "fractional-qualitative-level",
+         "bool-levels", "bool-quantitative-levels", "infinite-level", "nan-quantitative-level",
+         "short-block", "short-values", "ragged-block", "string-levels", "string-values",
+         "none-level", "level-beyond-int64", "uint64-level", "string-lattice-value",
+         "string-weight", "missing-weight", "bool-weight"],
+)
+def test_constructors_refuse_what_is_not_a_number_of_their_kind(build, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        build()
+
+
+def test_integral_float_levels_are_levels():
+    design = Design(TYPED_SPEC, [[0.0], [1.0], [2.0], [3]], TYPED_QUANT)
+    assert design.qualitative.dtype == np.int64
+    assert design.qualitative[:, 0].tolist() == [0, 1, 2, 3]
+    levels = design_from_levels(TYPED_SPEC, [[0], [1], [2], [3]], [[0.0], [1.0], [0], [1]])
+    assert levels == design
+
+
 # --------------------------------------------------------------- constructors
 
 def test_design_from_levels_two_level_lattice():

@@ -199,7 +199,14 @@ def test_search_config_validation():
         SearchConfig(threshold_schedule=(0.1, 0.2, 0.0))
     with pytest.raises(DomainError):
         SearchConfig(threshold_schedule=(0.1, 0.05))
+    # NaN compares false with every change, so it would accept every proposal
+    for schedule in [(math.nan, 0.0), (0.1, math.nan, 0.0)]:
+        with pytest.raises(DomainError, match="non-increasing and >= 0"):
+            SearchConfig(threshold_schedule=schedule)
+    with pytest.raises(DomainError, match="must be numbers"):
+        SearchConfig(threshold_schedule=("a",))
     SearchConfig(threshold_schedule=(0.1, 0.05, 0.0))  # fine
+    SearchConfig(threshold_schedule=(math.inf, 0.0))  # an infinite first step accepts anything
 
 
 @pytest.mark.parametrize(
