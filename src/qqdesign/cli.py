@@ -5,8 +5,13 @@ codes: 0 success, 1 usage, parse or file error, 2 domain/structure/capacity
 error, 3 reproduction failure, 4 search finished without reaching the
 lower bound, 5 the search's incrementally tracked objective disagreed
 with its full recomputation (an internal fault).  eval refuses, with exit
-1, a flag its criterion would ignore: --a and --b with wd or swd.  Values
-print at six decimals (banker's rounding); --json emits full precision.
+1, a flag its criterion would ignore: --a and --b with wd or swd.  eval
+names the route of its value: "closed" (the closed-form pair sum, qqd's
+value, cross-checked against the quadratic form), "quadratic" (the
+quadratic form over the level grid, which wd, dd and each of compare's
+values take where it is the cheaper route) or "slices" (swd); compare
+names each row's.  Values print at six decimals (banker's rounding);
+--json emits full precision.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .bounds import full_factorial_qqd, lb
 from .designio import read_design, write_design
 from .discrepancy import (
     QUADRATIC_FORM_CAP,
+    _cheaper_quadratic_form,
     dd,
     qqd_squared,
     qqd_squared_quadratic,
@@ -145,21 +151,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# criterion -> (text label, eval flags it reads, route, its value).  The route
-# is "closed" for the closed-form pair sum and "slices" for the sum over the
+def _cheaper_route(design, config, qualitative, quantitative, closed):
+    """(value, route) of a value without a cross-check, by discrepancy's rule for the cheaper route.
+
+    "quadratic" is the quadratic form over the level grid of the blocks read;
+    "closed" is ``closed()``, the closed-form pair sum.
+    """
+    value = _cheaper_quadratic_form(design, config, qualitative, quantitative)
+    return (closed(), "closed") if value is None else (value, "quadratic")
+
+
+# criterion -> (text label, eval flags it reads, its (value, route)).  qqd's
+# value is the closed form, cross-checked by _cmd_eval against the quadratic
+# form; wd and dd take the cheaper route; swd's route, "slices", sums over the
 # qualitative slices.  The lambdas look the library functions up in this
 # module at call time, so rebinding those names here (as the benchmark's
 # tracer does) reaches every call.
 _CRITERIA = {
-    "qqd": ("qqd^2", ("a", "b"), "closed", lambda d, config: qqd_squared(d, config)),
-    "wd": ("wd^2", (), "closed", lambda d, config: wd_squared(d)),
-    "dd": ("dd", ("a", "b"), "closed", lambda d, config: dd(d, config)),
-    "swd": ("swd", (), "slices", lambda d, config: swd(d)),
+    "qqd": ("qqd^2", ("a", "b"), lambda d, config: (qqd_squared(d, config), "closed")),
+    "wd": ("wd^2", (), lambda d, config: _cheaper_route(d, config, False, True,
+                                                        lambda: wd_squared(d))),
+    "dd": ("dd", ("a", "b"), lambda d, config: _cheaper_route(d, config, True, False,
+                                                              lambda: dd(d, config))),
+    "swd": ("swd", (), lambda d, config: (swd(d), "slices")),
 }
 
 
 def _cmd_eval(args):
-    label, reads, route, value_of = _CRITERIA[args.criterion]
+    label, reads, value_of = _CRITERIA[args.criterion]
     for flag in ("a", "b"):
         if getattr(args, flag) is not None and flag not in reads:
             raise ParseError(f"--{flag} does not apply to --criterion {args.criterion}")
@@ -168,7 +187,7 @@ def _cmd_eval(args):
         a=DEFAULT_CONFIG.a if args.a is None else args.a,
         b=DEFAULT_CONFIG.b if args.b is None else args.b,
     )
-    value = value_of(design, config)
+    value, route = value_of(design, config)
     out: dict = {"criterion": args.criterion, "value": value}
     lines = [f"{route} route: {label} = {value:.6f}"]
     if args.criterion == "qqd":
@@ -230,21 +249,24 @@ def _cmd_compare(args):
         if design.spec != spec:
             raise DomainError(f"{path}: spec differs from {args.files[0]}")
     bound = lb(spec).value if spec.is_utype_feasible() else None
-    scored = sorted(
-        ((qqd_squared(d), path) for path, d in designs), key=lambda t: (t[0], t[1])
-    )
+    scored = []
+    for path, d in designs:
+        value, route = _cheaper_route(d, DEFAULT_CONFIG, True, True, lambda: qqd_squared(d))
+        scored.append((value, path, route))
+    scored.sort(key=lambda t: t[:2])
     rows = []
     lines = []
     rank = 0
     previous = None
-    for i, (value, path) in enumerate(scored, start=1):
+    for i, (value, path, route) in enumerate(scored, start=1):
         if previous is None or abs(value - previous) > args.tol:
             rank = i
         previous = value
         gap = None if bound is None else value - bound
-        rows.append({"rank": rank, "file": path, "qqd_squared": value, "gap": gap})
+        rows.append({"rank": rank, "file": path, "qqd_squared": value, "gap": gap,
+                     "route": route})
         gap_text = "      n/a" if gap is None else f"{gap:9.6f}"
-        lines.append(f"{rank:>4}  {value:.6f}  {gap_text}  {path}")
+        lines.append(f"{rank:>4}  {value:.6f}  {gap_text}  {route:<9}  {path}")
     if len({r["rank"] for r in rows}) < len(rows):
         lines.append("note: equal ranks are ties")
     return EXIT_OK, rows, lines

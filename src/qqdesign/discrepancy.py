@@ -44,11 +44,17 @@ For lattice designs the same value is C + y' A y / n^2, a quadratic form
 in the frequency vector y over the N level combinations, with A the
 Kronecker product of per-factor kernel matrices.  ``_kronecker_apply``
 applies A factor by factor, never materialized, each kernel in row
-blocks: in floats for ``qqd_squared_quadratic``, and in exact int64
-integers for the swap evaluator's cell route, which keeps z = A y and
-scores a swap from four entries of it in O(m), whenever N is small
-against n (``PairCache``).  Both keep each circulant kernel as its first
-row.
+blocks: in floats for ``_quadratic_form``, and in exact int64 integers
+for the swap evaluator's cell route, which keeps z = A y and scores a
+swap from four entries of it in O(m), whenever N is small against n
+(``PairCache``).  Both keep each circulant kernel as its first row.
+``_quadratic_form`` is ``qqd_squared_quadratic``'s body over integer
+level columns, so it also evaluates a block of a design: it costs about
+N * sum(s_k) multiply-adds against the closed form's n^2 pair entries,
+and ``_cheaper_quadratic_form`` is the one rule by which a value without
+a cross-check (the CLI's wd, dd and compare) takes it instead of the
+closed form.  The closed forms ``qqd_squared``, ``wd_squared`` and
+``dd`` themselves never switch route.
 """
 
 from __future__ import annotations
@@ -67,9 +73,9 @@ from .model import (
     CriterionConfig,
     Design,
     DesignSpec,
+    _combination_counts,
     _require_int,
     _unit,
-    frequency_vector,
 )
 
 QUADRATIC_FORM_CAP = 10_000  # largest N for which the quadratic form is evaluated
@@ -422,10 +428,12 @@ def swd(design: Design) -> float:
     return math.fsum(total)
 
 
-def _kernel_row(k: int, spec: DesignSpec, config: CriterionConfig) -> np.ndarray:
-    """First row of factor k's kernel, which is circulant (d (s - d) is symmetric, bit for bit)."""
-    s = spec.levels[k]
-    if k < spec.p:
+def _kernel_row(s: int, qualitative: bool, config: CriterionConfig) -> np.ndarray:
+    """First row of an s-level factor's kernel, which is circulant.
+
+    d (s - d) is symmetric in d and s - d, bit for bit.
+    """
+    if qualitative:
         row = np.full(s, config.b)
         row[0] = config.a
         return row
@@ -446,7 +454,7 @@ def kernel_matrix(
     _require_int("factor index", k)
     if not 0 <= k < spec.m:
         raise DomainError(f"factor index {k} out of range for {spec.m} factors")
-    return np.array(_circulant(_kernel_row(k, spec, config)))
+    return np.array(_circulant(_kernel_row(spec.levels[k], k < spec.p, config)))
 
 
 def qqd_squared_quadratic(design: Design, config: CriterionConfig | None = None) -> float:
@@ -464,12 +472,47 @@ def qqd_squared_quadratic(design: Design, config: CriterionConfig | None = None)
             f"N={spec.N} exceeds the quadratic-form cap {QUADRATIC_FORM_CAP}; "
             "use qqd_squared instead"
         )
-    y = frequency_vector(design).astype(np.float64)
-    kernels = [_circulant(_kernel_row(k, spec, config)) for k in range(spec.m)]
+    return _quadratic_form(design.all_levels(), spec.levels, spec.p, config)
+
+
+def _quadratic_form(levels: np.ndarray, counts: tuple[int, ...], p: int,
+                    config: CriterionConfig) -> float:
+    """C + y' A y / n^2 of n x m integer levels, the first p columns qualitative.
+
+    ``counts`` are the columns' level counts, y their frequency vector and
+    A the Kronecker product of their kernels, applied by ``_kronecker_apply``.
+    """
+    y = _combination_counts(levels, counts).astype(np.float64)
+    kernels = [_circulant(_kernel_row(s, k < p, config)) for k, s in enumerate(counts)]
     with np.errstate(all="ignore"):  # overflow is refused by _finite
-        value = float(np.dot(y, _kronecker_apply(kernels, y.reshape(spec.levels)).ravel()))
-    C = _constant_term(spec.qualitative_levels, spec.q, config.a, config.b)
-    return _finite(C, value / spec.n**2, config)
+        value = float(np.dot(y, _kronecker_apply(kernels, y.reshape(counts)).ravel()))
+    C = _constant_term(counts[:p], len(counts) - p, config.a, config.b)
+    return _finite(C, value / levels.shape[0] ** 2, config)
+
+
+def _cheaper_quadratic_form(design: Design, config: CriterionConfig, qualitative: bool,
+                            quantitative: bool) -> float | None:
+    """QQD^2 of the qualitative and/or quantitative block, if the quadratic form is cheaper.
+
+    The rule by which a value without a cross-check picks its route: None,
+    for the closed form, unless the block has columns, every quantitative
+    one exactly its lattice points (so both routes read the same numbers),
+    the closed form would walk several row blocks (n^2 > PAIR_BLOCK), and
+    the level grid is small: N <= QUADRATIC_FORM_CAP and N * sum(s_k) <=
+    n^2, the Kronecker product's multiply-adds against the pair count.
+    """
+    spec, n = design.spec, design.spec.n
+    p = spec.p if qualitative else 0
+    s_quant = spec.quantitative_levels if quantitative else ()
+    counts = spec.qualitative_levels[:p] + s_quant
+    N = math.prod(counts)
+    if not counts or n * n <= PAIR_BLOCK or N > QUADRATIC_FORM_CAP or N * sum(counts) > n * n:
+        return None
+    quant = _exact_levels(design.quantitative[:, : len(s_quant)], np.array(s_quant, np.float64))
+    if quant is None:
+        return None
+    return _quadratic_form(np.concatenate((design.qualitative[:, :p], quant), axis=1),
+                           counts, p, config)
 
 
 def _kronecker_apply(kernels, y: np.ndarray) -> np.ndarray:

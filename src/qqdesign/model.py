@@ -216,6 +216,24 @@ def unit_to_level(value: float, s: int) -> int:
     return level
 
 
+def _qualitative_levels(values, spec: DesignSpec) -> np.ndarray:
+    """``values`` as a new n x p int64 block of qualitative levels, each within its count.
+
+    DomainError names the first entry that is not an integer, else the
+    first out of range, column by column.
+    """
+    qual = _levels(values, spec.n, spec.p, "qualitative levels", 0)
+    counts = np.array(spec.qualitative_levels, dtype=np.int64)
+    bad = _first_bad((qual < 0) | (qual >= counts))
+    if bad:
+        r, k = bad
+        raise DomainError(
+            f"qualitative entry {qual[r, k]} at row {r}, column {k} "
+            f"outside 0..{counts[k] - 1}"
+        )
+    return qual
+
+
 @dataclass(frozen=True, eq=False)
 class Design:
     """An immutable design: qualitative integer levels and quantitative unit-interval values."""
@@ -226,17 +244,9 @@ class Design:
 
     def __post_init__(self) -> None:
         n = self.spec.n
-        qual = _levels(self.qualitative, n, self.spec.p, "qualitative levels", 0)
+        qual = _qualitative_levels(self.qualitative, self.spec)
         quant = _floats(_block(self.quantitative, n, self.spec.q, "quantitative values"),
                         "quantitative values")
-        counts = np.array(self.spec.qualitative_levels, dtype=np.int64)
-        bad = _first_bad((qual < 0) | (qual >= counts))
-        if bad:
-            r, k = bad
-            raise DomainError(
-                f"qualitative entry {qual[r, k]} at row {r}, column {k} "
-                f"outside 0..{counts[k] - 1}"
-            )
         bad = _first_bad(~((quant >= 0.0) & (quant <= 1.0)))
         if bad:
             r, k = bad
@@ -291,16 +301,20 @@ def design_from_levels(
     spec: DesignSpec, qualitative_levels, quantitative_levels
 ) -> Design:
     """Build a lattice-valued design from integer levels for every column."""
-    # a new block: masks over a column slice of a wider level matrix are slow
-    quant_levels = _levels(quantitative_levels, spec.n, spec.q, "quantitative levels", spec.p)
     counts = np.array(spec.quantitative_levels, dtype=np.int64)
-    bad = _first_bad((quant_levels < 0) | (quant_levels >= counts))
-    if bad:
-        r, k = bad
-        raise DomainError(
-            f"quantitative level {quant_levels[r, k]} at row {r}, column {spec.p + k} "
-            f"outside 0..{counts[k] - 1}"
-        )
+    try:
+        # a new block: masks over a column slice of a wider level matrix are slow
+        quant_levels = _levels(quantitative_levels, spec.n, spec.q, "quantitative levels", spec.p)
+        bad = _first_bad((quant_levels < 0) | (quant_levels >= counts))
+        if bad:
+            r, k = bad
+            raise DomainError(
+                f"quantitative level {quant_levels[r, k]} at row {r}, column {spec.p + k} "
+                f"outside 0..{counts[k] - 1}"
+            )
+    except DomainError:
+        _qualitative_levels(qualitative_levels, spec)  # its columns come first: name theirs
+        raise
     return Design(spec, np.asarray(qualitative_levels), _unit(quant_levels, counts))
 
 
@@ -428,10 +442,18 @@ def frequency_vector(design: Design) -> np.ndarray:
     levels = design.all_levels()
     if spec.N > np.iinfo(np.intp).max:
         raise CapacityError(f"{spec.N} level combinations are more than an array can index")
-    flat = np.ravel_multi_index(tuple(levels.T), dims=spec.levels)
-    counts = np.bincount(flat, minlength=spec.N).astype(np.int64)
+    counts = _combination_counts(levels, spec.levels)
     counts.setflags(write=False)
     return counts
+
+
+def _combination_counts(levels: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """int64 counts of the level combinations of n x m integer levels (first factor slowest).
+
+    ``shape`` holds the columns' level counts, whose product numpy can index.
+    """
+    flat = np.ravel_multi_index(tuple(levels.T), dims=shape)
+    return np.bincount(flat, minlength=math.prod(shape)).astype(np.int64)
 
 
 def full_factorial(spec: DesignSpec, repetitions: int = 1) -> Design:

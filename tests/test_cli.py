@@ -1,9 +1,10 @@
 import json
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
-from qqdesign import read_design
+from qqdesign import DesignSpec, dd, qqd_squared, random_utype, read_design, wd_squared
 from qqdesign.cli import main
 
 
@@ -75,6 +76,75 @@ def test_eval_names_the_route_of_its_value(capsys, design, flags, route):
     code, out, _ = run(capsys, "eval", data_path(design), *flags)
     assert code == 0
     assert out.startswith(f"{route} route: ")
+
+
+def _design_file(path, design, quantitative):
+    """Write ``design`` as text with ``quantitative`` as its quantitative block, in repr."""
+    spec = design.spec
+    rows = [" ".join(map(repr, [*q, *x]))
+            for q, x in zip(design.qualitative.tolist(), quantitative.tolist())]
+    path.write_text("\n".join([f"{spec.n} {spec.p} {spec.q}", " ".join(map(str, spec.levels)),
+                               *rows]) + "\n")
+    return str(path)
+
+
+def _route_files(tmp_path):
+    """(file, the route of each of eval wd, eval dd and compare) on both sides of the rule."""
+    lattice = random_utype(DesignSpec(n=182, p=1, q=2, levels=(2, 7, 13)), 0)
+    near = lattice.quantitative.round(12)  # inside LATTICE_TOL, off the lattice points
+    raw = np.random.default_rng(0).random(near.shape)
+    wide = random_utype(DesignSpec(n=512, p=2, q=2, levels=(4, 4, 8, 16)), 1)
+    return [
+        (_design_file(tmp_path / "lattice.txt", lattice, lattice.quantitative),
+         ("quadratic", "quadratic", "quadratic")),
+        (_design_file(tmp_path / "wide.txt", wide, wide.quantitative),
+         ("quadratic", "quadratic", "quadratic")),
+        (_design_file(tmp_path / "near.txt", lattice, near), ("closed", "quadratic", "closed")),
+        (_design_file(tmp_path / "raw.txt", lattice, raw), ("closed", "quadratic", "closed")),
+        (data_path("mcd_16run_1"), ("closed", "closed", "closed")),  # one row block
+    ]
+
+
+def test_eval_and_compare_take_the_cheaper_route(capsys, tmp_path):
+    for path, routes in _route_files(tmp_path):
+        design = read_design(path)
+        for (flags, closed), route in zip(
+            [(("eval", "--criterion", "wd"), wd_squared), (("eval", "--criterion", "dd"), dd),
+             (("compare",), qqd_squared)],
+            routes,
+        ):
+            code, out, _ = run(capsys, *flags, "--json", path)
+            assert code == 0
+            payload = json.loads(out)
+            if flags[0] == "compare":
+                [payload] = payload
+                assert list(payload) == ["rank", "file", "qqd_squared", "gap", "route"]
+                value = payload["qqd_squared"]
+            else:
+                value = payload["value"]
+                assert list(payload)[-1] == "route"
+            assert payload["route"] == route, (path, flags)
+            if route == "closed":
+                assert value == closed(design)
+            else:
+                assert abs(value - closed(design)) <= 1e-12
+            code, out, _ = run(capsys, *flags, path)
+            assert code == 0
+            if flags[0] == "compare":
+                assert out.split()[3] == route
+            else:
+                assert out.startswith(f"{route} route: ")
+
+
+def test_dd_refuses_overflowing_weights_on_both_routes(capsys, tmp_path):
+    lattice, routes = _route_files(tmp_path)[0]
+    assert routes[1] == "quadratic"
+    for path in (lattice, data_path("juxtaposed_16run_2")):
+        code, out, err = run(capsys, "eval", "--criterion", "dd", "--a", "1e308", "--b", "1e-308",
+                             path)
+        assert code == 2
+        assert out == ""
+        assert "kernel weights overflow" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

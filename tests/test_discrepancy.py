@@ -574,6 +574,67 @@ def test_cross_form_agreement_on_random_designs():
             assert abs(qqd_squared(design) - qqd_squared_quadratic(design)) < 1e-10
 
 
+# ----------------------------------------------- the cheaper route of a value
+
+# criterion -> (reads the qualitative block, reads the quantitative block, closed form)
+CRITERIA = {
+    "qqd": (True, True, qqd_squared),
+    "wd": (False, True, lambda design, config: wd_squared(design)),
+    "dd": (True, False, dd),
+}
+
+# (spec, the criteria that take the quadratic form on its lattice designs): it
+# needs n^2 > PAIR_BLOCK (n >= 182), and N <= QUADRATIC_FORM_CAP and
+# N * sum(s_k) <= n^2 over the blocks the criterion reads
+ROUTE_SPECS = {
+    "several-shapes": (DesignSpec(n=182, p=1, q=2, levels=(2, 7, 13)), {"qqd", "wd", "dd"}),
+    "grid-cost-at-n-squared": (DesignSpec(n=182, p=0, q=1, levels=(182,)), {"qqd", "wd"}),
+    "grid-cost-over-n-squared": (DesignSpec(n=200, p=0, q=2, levels=(200, 2)), set()),
+    "quantitative-grid-too-costly": (DesignSpec(n=256, p=1, q=2, levels=(2, 64, 64)), {"dd"}),
+    "four-factors": (DesignSpec(n=512, p=2, q=2, levels=(4, 4, 8, 16)), {"qqd", "wd", "dd"}),
+    "grid-over-the-cap": (DesignSpec(n=2048, p=2, q=2, levels=(4, 4, 16, 64)), {"wd", "dd"}),
+    "single-block": (DesignSpec(n=181, p=1, q=1, levels=(181, 181)), set()),
+}
+
+
+@pytest.mark.parametrize("spec, quadratic", ROUTE_SPECS.values(), ids=ROUTE_SPECS.keys())
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, CriterionConfig(a=3.7, b=0.4)])
+def test_cheaper_route_takes_the_quadratic_form_where_the_rule_says(spec, quadratic, config):
+    design = random_utype(spec, 0)
+    for name, (qualitative, quantitative, closed) in CRITERIA.items():
+        value = discrepancy._cheaper_quadratic_form(design, config, qualitative, quantitative)
+        if name not in quadratic:
+            assert value is None, name
+        elif name != "wd" or config == DEFAULT_CONFIG:  # wd reads no weight
+            assert abs(value - closed(design, config)) <= 1e-12, name
+
+
+def test_cheaper_route_keeps_the_closed_form_off_the_exact_lattice_and_on_one_block():
+    design = random_utype(DesignSpec(n=182, p=1, q=2, levels=(2, 7, 13)), 0)
+    near = design.quantitative.copy()
+    near[5, 1] += 1e-12  # inside LATTICE_TOL, off the lattice point
+    raw = np.random.default_rng(0).random(near.shape)
+    for quantitative in (near, raw):
+        off = Design(design.spec, design.qualitative, quantitative)
+        assert discrepancy._cheaper_quadratic_form(off, DEFAULT_CONFIG, True, True) is None
+        assert discrepancy._cheaper_quadratic_form(off, DEFAULT_CONFIG, False, True) is None
+        # dd reads no quantitative column
+        value = discrepancy._cheaper_quadratic_form(off, DEFAULT_CONFIG, True, False)
+        assert abs(value - dd(off)) <= 1e-12
+    assert Design(design.spec, design.qualitative, near).is_lattice()
+    for spec in RANDOM_SPECS:  # every one walks a single block
+        for kinds in ((True, True), (False, True), (True, False)):
+            assert discrepancy._cheaper_quadratic_form(random_utype(spec, 0), DEFAULT_CONFIG,
+                                                       *kinds) is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_cheaper_route_refuses_non_finite_kernel_weights():
+    design = random_utype(DesignSpec(n=182, p=1, q=2, levels=(2, 7, 13)), 0)
+    with pytest.raises(DomainError, match="kernel weights overflow"):
+        discrepancy._cheaper_quadratic_form(design, CriterionConfig(a=1e308, b=1e-308), True, False)
+
+
 # -------------------------------------------------------------------- wd / dd
 
 def test_wd_squared_single_two_level_column():

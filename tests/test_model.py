@@ -223,10 +223,15 @@ TYPED_QUANT = [[0.25], [0.75], [0.25], [0.75]]
     [
         (lambda: Design(TYPED_SPEC, [[0.7], [1.2], [2], [3]], TYPED_QUANT),
          "qualitative levels: entry 0.7 at row 0, column 0 is not an integer"),
-        (lambda: design_from_levels(TYPED_SPEC, [[0.9], [1], [2], [3]], [[0.5], [1], [0], [1]]),
+        (lambda: design_from_levels(TYPED_SPEC, [[0], [1], [2], [3]], [[0.5], [1], [0], [1]]),
          "quantitative levels: entry 0.5 at row 0, column 1 is not an integer"),
         (lambda: design_from_levels(TYPED_SPEC, [[0.9], [1], [2], [3]], [[0], [1], [0], [1]]),
          "qualitative levels: entry 0.9 at row 0, column 0 is not an integer"),
+        # with both blocks bad, the qualitative columns come first
+        (lambda: design_from_levels(TYPED_SPEC, [[0.9], [1], [2], [3]], [[0.5], [1], [0], [1]]),
+         "qualitative levels: entry 0.9 at row 0, column 0 is not an integer"),
+        (lambda: design_from_levels(TYPED_SPEC, [[4], [1], [2], [3]], [[0], [2], [0], [1]]),
+         "qualitative entry 4 at row 0, column 0 outside 0..3"),
         (lambda: Design(TYPED_SPEC, np.array([[True], [False], [True], [False]]), TYPED_QUANT),
          "qualitative levels must be numbers, got bool entries"),
         (lambda: design_from_levels(TYPED_SPEC, [[0], [1], [2], [3]], np.ones((4, 1), bool)),
@@ -257,6 +262,7 @@ TYPED_QUANT = [[0.25], [0.75], [0.25], [0.75]]
         (lambda: CriterionConfig(b=True), "kernel weight b must be a number, got True"),
     ],
     ids=["fractional-level", "fractional-quantitative-level", "fractional-qualitative-level",
+         "fractional-levels-in-both-blocks", "levels-out-of-range-in-both-blocks",
          "bool-levels", "bool-quantitative-levels", "infinite-level", "nan-quantitative-level",
          "short-block", "short-values", "ragged-block", "string-levels", "string-values",
          "none-level", "level-beyond-int64", "uint64-level", "string-lattice-value",
