@@ -112,6 +112,7 @@ def lb2(n: int, p: int, q: int, s: int) -> float:
     _require_int("lb2 argument", n, p, q, s)
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s < 1:
         raise DomainError("lb2 needs n >= 1, s >= 1 and at least one factor")
+    DesignSpec(n, p, q, (s,) * p + (2,) * q).require_utype_feasible()
     sums = (
         _split_sum(p, q, s, 2, k, lambda cells: Fraction(n % cells * (cells - n % cells), cells))
         for k in range(1, p + q + 1)

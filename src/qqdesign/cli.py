@@ -10,8 +10,8 @@ names the route of its value: "closed" (the closed-form pair sum, qqd's
 value, cross-checked against the quadratic form), "quadratic" (the
 quadratic form over the level grid, which wd, dd and each of compare's
 values take where it is the cheaper route) or "slices" (swd); compare
-names each row's.  Values print at six decimals (banker's rounding);
---json emits full precision.
+names each row's.  Values print at six decimals (banker's rounding), one
+that rounds to zero without a sign; --json emits full precision.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .discrepancy import (
 from .errors import DomainError, DriftError, ParseError, QQDesignError
 from .model import DEFAULT_CONFIG, CriterionConfig, DesignSpec
 from .reference import run_checks
-from .search import BOUND_TOL, SearchConfig, search_uniform
+from .search import SearchConfig, search_uniform
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,6 +89,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _fixed(value: float, width: int = 0) -> str:
+    return f"{value:.6f}".replace("-0.000000", "0.000000").rjust(width)
+
+
 def _spec_from_args(args) -> DesignSpec:
     levels = _parse_levels(args.levels, args.p + args.q)
     return DesignSpec(n=args.n, p=args.p, q=args.q, levels=levels)
@@ -137,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", parents=[common], help="search for a uniform design")
     _add_spec_flags(p_search)
-    p_search.add_argument("--budget", type=int, default=10_000)
-    p_search.add_argument("--restarts", type=int, default=4)
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--budget", type=int, default=SearchConfig.budget)
+    p_search.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p_search.add_argument("--seed", type=int, default=SearchConfig.seed)
     p_search.add_argument("--out", default=None, help="write the best design here")
 
     p_repro = sub.add_parser(
@@ -189,14 +193,14 @@ def _cmd_eval(args):
     )
     value, route = value_of(design, config)
     out: dict = {"criterion": args.criterion, "value": value}
-    lines = [f"{route} route: {label} = {value:.6f}"]
+    lines = [f"{route} route: {label} = {_fixed(value)}"]
     if args.criterion == "qqd":
         if design.is_lattice() and design.spec.N <= QUADRATIC_FORM_CAP:
             quad = qqd_squared_quadratic(design, config)
             out["quadratic_value"] = quad
             out["cross_check"] = abs(quad - value)
             lines.append(
-                f"quadratic form = {quad:.6f} (|difference| = {abs(quad - value):.3e})"
+                f"quadratic form = {_fixed(quad)} (|difference| = {abs(quad - value):.3e})"
             )
         else:
             lines.append("quadratic form not applicable (non-lattice design or N over cap)")
@@ -213,16 +217,16 @@ def _cmd_bounds(args):
         "lb": report.value,
         "source": report.source,
     }
-    lines = [f"LB1 = {report.lb1:.6f}"]
+    lines = [f"LB1 = {_fixed(report.lb1)}"]
     if report.lb2 is None:
         lines.append("LB2 = n/a (needs one qualitative level count and 2-level quantitative factors)")
     else:
-        lines.append(f"LB2 = {report.lb2:.6f}")
-    lines.append(f"LB  = {report.value:.6f} ({report.source})")
+        lines.append(f"LB2 = {_fixed(report.lb2)}")
+    lines.append(f"LB  = {_fixed(report.value)} ({report.source})")
     if spec.n % spec.N == 0:
         ff = full_factorial_qqd(spec)
         out["full_factorial"] = ff
-        lines.append(f"full factorial qqd^2 = {ff:.6f} (n is a multiple of N)")
+        lines.append(f"full factorial qqd^2 = {_fixed(ff)} (n is a multiple of N)")
     return EXIT_OK, out, lines
 
 
@@ -231,13 +235,13 @@ def _cmd_balance(args):
     form = balance_pattern if args.components else balance_pattern_rowform
     pattern = form(read_design(args.file))
     out: dict = {"aggregate": list(pattern.aggregate)}
-    lines = [f"B_{k} = {value:.6f}" for k, value in enumerate(pattern.aggregate, start=1)]
+    lines = [f"B_{k} = {_fixed(value)}" for k, value in enumerate(pattern.aggregate, start=1)]
     if args.components:
         out["components"] = {
             ",".join(map(str, cols)): v for cols, v in pattern.components.items()
         }
         lines.extend(
-            f"  columns {cols}: {value:.6f}" for cols, value in sorted(pattern.components.items())
+            f"  columns {cols}: {_fixed(v)}" for cols, v in sorted(pattern.components.items())
         )
     return EXIT_OK, out, lines
 
@@ -265,8 +269,8 @@ def _cmd_compare(args):
         gap = None if bound is None else value - bound
         rows.append({"rank": rank, "file": path, "qqd_squared": value, "gap": gap,
                      "route": route})
-        gap_text = "      n/a" if gap is None else f"{gap:9.6f}"
-        lines.append(f"{rank:>4}  {value:.6f}  {gap_text}  {route:<9}  {path}")
+        gap_text = "      n/a" if gap is None else _fixed(gap, 9)
+        lines.append(f"{rank:>4}  {_fixed(value)}  {gap_text}  {route:<9}  {path}")
     if len({r["rank"] for r in rows}) < len(rows):
         lines.append("note: equal ranks are ties")
     return EXIT_OK, rows, lines
@@ -276,8 +280,6 @@ def _cmd_search(args):
     spec = _spec_from_args(args)
     config = SearchConfig(budget=args.budget, restarts=args.restarts, seed=args.seed)
     result = search_uniform(spec, config)
-    if args.out:
-        write_design(result.best_design, args.out)
     out = {
         "best_value": result.best_value,
         "bound": result.bound,
@@ -289,15 +291,15 @@ def _cmd_search(args):
         "out": args.out,
     }
     lines = [
-        f"best qqd^2 = {result.best_value:.6f}",
-        f"bound      = {result.bound:.6f} ({result.bound_source})",
+        f"best qqd^2 = {_fixed(result.best_value)}",
+        f"bound      = {_fixed(result.bound)} ({result.bound_source})",
         f"gap        = {result.gap:.6e}",
         f"terminated by {result.terminated_by}",
     ]
     if args.out:
+        write_design(result.best_design, args.out)
         lines.append(f"wrote {args.out}")
-    attained = result.terminated_by == "bound" or result.gap <= BOUND_TOL
-    return (EXIT_OK if attained else EXIT_BOUND_NOT_REACHED), out, lines
+    return (EXIT_OK if result.terminated_by == "bound" else EXIT_BOUND_NOT_REACHED), out, lines
 
 
 def _cmd_reproduce(args):
@@ -310,7 +312,7 @@ def _cmd_reproduce(args):
         note = f"  [{r.note}]" if r.note else ""
         lines.append(
             f"{status}  {r.label:<{width}}  expected {r.expected:>9.4f}"
-            f"  computed {r.computed:>11.6f}  |err| {r.error:.2e}{note}"
+            f"  computed {_fixed(r.computed, 11)}  |err| {r.error:.2e}{note}"
         )
     passed = sum(r.passed for r in rows)
     lines.append(f"{passed}/{len(rows)} checks passed")

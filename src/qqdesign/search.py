@@ -10,9 +10,9 @@ proposal whose change is at most the current threshold is committed with
 of two equal entries are counted and skipped.  The objective is the
 squared qualitative-quantitative discrepancy; the incrementally tracked
 value of the winner is re-verified by a full recomputation at the end,
-and a disagreement raises ``DriftError``.  The combined analytic lower
-bound doubles as an early-stopping certificate: a design within
-``BOUND_TOL`` of the bound is provably uniform.
+and a disagreement raises ``DriftError``.  A start or new best within
+``BOUND_TOL`` of the combined analytic lower bound is provably uniform,
+so ``_attains``, the one stop rule, always ends the search there.
 
 All randomness flows from numpy's PCG64 generator: each restart draws
 from its own child of the configured seed's sequence, so identical
@@ -65,14 +65,13 @@ class SearchConfig:
     must be non-increasing and end at 0; when omitted, a 20-step geometric
     ladder from 5% of the initial bound gap down to 0 is built per
     restart.  Zero-threshold moves (no worsening) are always accepted so
-    plateaus stay traversable.
+    plateaus stay traversable; nothing turns off the stop at the bound.
     """
 
     budget: int = 10_000
     restarts: int = 4
     threshold_schedule: tuple[float, ...] | None = None
     seed: int = 0
-    stop_at_bound: bool = True
 
     def __post_init__(self) -> None:
         _require_int("budget", self.budget, low=0)
@@ -133,9 +132,7 @@ class SearchResult:
 
 
 def _default_schedule(initial_gap: float) -> tuple[float, ...]:
-    top = 0.05 * max(initial_gap, 0.0)
-    if top <= 0.0:
-        return (0.0,) * 20
+    top = 0.05 * initial_gap  # > 0: a start at the bound builds no ladder
     # 19 geometric steps from top down to top / 1000, then 0
     return tuple(top * 10.0 ** (-k / 6) for k in range(19)) + (0.0,)
 
@@ -152,18 +149,13 @@ def _decode(codes, n: int):
     return column, row_i, row_j + (row_j >= row_i)
 
 
-def _run_restart(
-    spec: DesignSpec,
-    config: SearchConfig,
-    rng: np.random.Generator,
-    bound: float,
-):
+def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generator, bound: float):
     design = random_utype(spec, rng)
     cache = PairCache(design, DEFAULT_CONFIG)
     value = cache.value()
     best_value = value
     trace = [(0, value)]
-    if config.stop_at_bound and best_value <= bound + BOUND_TOL:
+    if _attains(best_value, bound):
         return best_value, design, trace, "bound", SearchStats()
     n = spec.n
     if n < 2:
@@ -203,7 +195,7 @@ def _run_restart(
                 best_value = value
                 best_levels = cache.levels()
                 trace.append((iteration, value))
-                if config.stop_at_bound and value <= bound + BOUND_TOL:
+                if _attains(value, bound):
                     terminated = "bound"
                     break
         if terminated:
@@ -220,6 +212,11 @@ BOUND_TOL = 1e-9
 DRIFT_TOL = 1e-10
 
 
+def _attains(value: float, bound: float) -> bool:
+    """The one stop rule; the same test as ``SearchResult.gap <= BOUND_TOL``."""
+    return value - bound <= BOUND_TOL
+
+
 def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> SearchResult:
     """Best U-type design found across ``config.restarts`` independent restarts.
 
@@ -231,8 +228,7 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
     proposal counts of every restart that ran.
     """
     config = config or SearchConfig()
-    spec.require_utype_feasible()
-    report = lb(spec)
+    report = lb(spec)  # refuses a spec with no U-type designs
     # one child per restart as it starts: a search that stops early spawns no more
     seeds = np.random.SeedSequence(config.seed)
     best = None

@@ -169,6 +169,16 @@ def test_lb2_refuses_non_integer_arguments(args):
     assert lb2(np.int64(4), 1, 1, np.int64(2)) == lb2(4, 1, 1, 2)  # numpy integers are fine
 
 
+@pytest.mark.parametrize("n, p, q, s", [(5, 1, 1, 2), (6, 1, 1, 4), (3, 0, 1, 2), (9, 2, 0, 2)])
+def test_lb2_refuses_classes_with_no_utype_designs(n, p, q, s):
+    spec = DesignSpec(n=n, p=p, q=q, levels=(s,) * p + (2,) * q)
+    with pytest.raises(DomainError, match="no U-type designs exist") as lb2_refusal:
+        lb2(n, p, q, s)
+    with pytest.raises(DomainError) as lb1_refusal:
+        lb1(spec)
+    assert str(lb2_refusal.value) == str(lb1_refusal.value)
+
+
 # --------------------------------------------------------------------------- lb
 
 def test_lb_prefers_lb2_on_the_4run_spec():

@@ -4,8 +4,19 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from qqdesign import DesignSpec, dd, qqd_squared, random_utype, read_design, wd_squared
+from qqdesign import (
+    DesignSpec,
+    SearchConfig,
+    dd,
+    qqd_squared,
+    random_utype,
+    read_design,
+    search_uniform,
+    wd_squared,
+    write_design,
+)
 from qqdesign.cli import main
+from qqdesign.search import BOUND_TOL
 
 
 def data_path(name: str) -> str:
@@ -45,6 +56,28 @@ def test_eval_dd_on_full_factorial(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", str(path), "--criterion", "dd")
     assert code == 0
     assert "dd = 0.000000" in out
+
+
+def test_eval_prints_a_value_that_rounds_to_zero_without_a_sign(capsys, tmp_path):
+    # C and the pair sum cancel, leaving a few units of rounding below zero
+    balanced = tmp_path / "n182.txt"
+    write_design(random_utype(DesignSpec(n=182, p=1, q=2, levels=(2, 7, 13)), 0), str(balanced))
+    cases = [["--criterion", "dd", data_path(f"mcd_16run_{k}")] for k in (1, 2, 3)]
+    for argv in cases + [["--criterion", "dd", "--a", "3.7", "--b", "0.4", str(balanced)]]:
+        code, out, _ = run(capsys, "eval", *argv)
+        assert code == 0
+        assert out.endswith(" route: dd = 0.000000\n")
+        _, out, _ = run(capsys, "eval", "--json", *argv)
+        assert -1e-15 < json.loads(out)["value"] < 0.0  # --json keeps the exact value
+
+
+def test_fixed_point_text_drops_only_the_sign_of_a_rounded_zero():
+    from qqdesign.cli import _fixed
+
+    assert [_fixed(v) for v in (-0.0, -4.4e-16, 4.4e-16, -4e-7, -6e-7, -12.5)] == [
+        "0.000000", "0.000000", "0.000000", "0.000000", "-0.000001", "-12.500000"
+    ]
+    assert [_fixed(v, 9) for v in (-1e-17, -0.25, 3.0)] == [" 0.000000", "-0.250000", " 3.000000"]
 
 
 def test_eval_swd_reports_value_and_refuses_a_mode(capsys):
@@ -589,6 +622,41 @@ def test_search_zero_budget(capsys):
     payload = json.loads(out)
     assert len(payload["trace"]) == 1  # initial design only
     assert code == 4  # bound not attained
+
+
+@pytest.mark.parametrize("budget", [0, 3, 200])
+def test_search_exits_0_exactly_when_it_stopped_at_a_bound_within_tolerance(capsys, budget):
+    # U(4; 2.2) and U(8; 2.2^2) reach their bounds, U(6; 2.3) never does,
+    # and U(1; 1.1)'s one design is its bound
+    outcomes = set()
+    for n, p, q, levels in [(4, 1, 1, "2,2"), (8, 1, 2, "2,2,2"), (6, 1, 1, "2,3"),
+                            (1, 1, 1, "1,1")]:
+        for seed in range(8):
+            code, out, _ = run(
+                capsys, "search", "--json", "--n", str(n), "--p", str(p), "--q", str(q),
+                "--levels", levels, "--budget", str(budget), "--restarts", "2",
+                "--seed", str(seed),
+            )
+            payload = json.loads(out)
+            attained = code == 0
+            assert code in (0, 4)
+            assert attained == (payload["terminated_by"] == "bound")
+            assert attained == (payload["gap"] <= BOUND_TOL)
+            outcomes.add(attained)
+    assert outcomes == {True, False}
+
+
+def test_search_flag_defaults_are_search_config_defaults(capsys):
+    # U(6; 2.3) never reaches its bound, so every restart spends the whole budget
+    spec = DesignSpec(n=6, p=1, q=1, levels=(2, 3))
+    code, out, _ = run(capsys, "search", "--json", "--n", "6", "--p", "1", "--q", "1",
+                       "--levels", "2,3")
+    payload = json.loads(out)
+    result = search_uniform(spec, SearchConfig())
+    assert code == 4
+    assert payload["stats"]["proposals"] == result.stats.proposals == 4 * 10_000
+    assert payload["trace"] == [list(t) for t in result.trace]
+    assert payload["best_value"] == result.best_value
 
 
 def test_search_n_equals_N_attains_formula(capsys):

@@ -30,6 +30,9 @@ from qqdesign.search import EXHAUSTIVE_CAP, EXHAUSTIVE_WEIGHT_CAP, _distinct_bal
 
 SPEC_4RUN = DesignSpec(n=4, p=1, q=2, levels=(4, 2, 2))
 SPEC_PAIR = DesignSpec(n=8, p=1, q=2, levels=(2, 8, 8))
+# U(6; 2.3): the exhaustive optimum (0.02546) lies above the bound (0.02004),
+# so every search on it runs to its budget or schedule
+SPEC_UNREACHABLE = DesignSpec(n=6, p=1, q=1, levels=(2, 3))
 
 
 # ------------------------------------------------------------------ random_utype
@@ -107,9 +110,7 @@ def test_search_is_deterministic():
 
 
 def test_search_trace_strictly_decreases():
-    result = search_uniform(
-        SPEC_PAIR, SearchConfig(budget=5000, restarts=1, seed=2, stop_at_bound=False)
-    )
+    result = search_uniform(SPEC_PAIR, SearchConfig(budget=5000, restarts=1, seed=2))
     values = [v for _, v in result.trace]
     assert all(x > y for x, y in zip(values, values[1:]))
     assert result.gap >= -1e-9
@@ -121,7 +122,7 @@ def test_search_incremental_value_matches_recompute():
 
 
 def test_search_zero_budget_returns_initial_design():
-    config = SearchConfig(budget=0, restarts=1, seed=21, stop_at_bound=False)
+    config = SearchConfig(budget=0, restarts=1, seed=21)
     result = search_uniform(SPEC_PAIR, config)
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(21).spawn(1)[0])
@@ -131,8 +132,8 @@ def test_search_zero_budget_returns_initial_design():
 
 
 def test_search_stats_account_for_every_proposal():
-    config = SearchConfig(budget=3000, restarts=3, seed=4, stop_at_bound=False)
-    result = search_uniform(SPEC_PAIR, config)
+    config = SearchConfig(budget=3000, restarts=3, seed=4)
+    result = search_uniform(SPEC_UNREACHABLE, config)
     stats = result.stats
     assert stats.proposals == 3 * 3000
     assert stats.proposals == stats.noops + stats.accepted + stats.rejected
@@ -140,13 +141,13 @@ def test_search_stats_account_for_every_proposal():
     # the 2-level qualitative column makes equal-entry swaps common
     assert stats.noops > 0 and stats.improving > 0 and stats.rejected > 0
     assert stats.improving >= len(result.trace) - 1
-    assert search_uniform(SPEC_PAIR, config).stats == stats
+    assert search_uniform(SPEC_UNREACHABLE, config).stats == stats
 
 
 def test_search_stats_sum_over_restarts():
     one = search_uniform(SPEC_PAIR, SearchConfig(budget=500, restarts=1, seed=8))
     assert one.stats.proposals == 500
-    config = SearchConfig(budget=0, restarts=2, seed=8, stop_at_bound=False)
+    config = SearchConfig(budget=0, restarts=2, seed=8)
     assert search_uniform(SPEC_PAIR, config).stats == SearchStats()
     assert SearchStats(1, 2, 3, 4, 5, 6) + SearchStats(6, 5, 4, 3, 2, 1) == SearchStats(
         *([7] * 6)
@@ -220,19 +221,11 @@ def test_search_config_refuses_non_integer_counts(kwargs):
 
 
 def test_search_explicit_schedule_runs():
-    config = SearchConfig(
-        budget=300, restarts=1, seed=3, threshold_schedule=(0.01, 0.0), stop_at_bound=False
-    )
-    result = search_uniform(SPEC_4RUN, config)
+    config = SearchConfig(budget=300, restarts=1, seed=3, threshold_schedule=(0.01, 0.0))
+    result = search_uniform(SPEC_UNREACHABLE, config)
     assert result.terminated_by in ("schedule", "budget")
 
 
-# U(6; 2.3): the exhaustive optimum (0.02546) lies above the bound (0.02004),
-# so no search on it can stop at the bound
-SPEC_UNREACHABLE = DesignSpec(n=6, p=1, q=1, levels=(2, 3))
-
-
-@pytest.mark.parametrize("stop_at_bound", [True, False])
 @pytest.mark.parametrize(
     "budget, schedule, proposals, terminated_by",
     [
@@ -245,12 +238,9 @@ SPEC_UNREACHABLE = DesignSpec(n=6, p=1, q=1, levels=(2, 3))
     ],
 )
 def test_search_termination_and_stats_follow_the_budget_rules(
-    budget, schedule, proposals, terminated_by, stop_at_bound
+    budget, schedule, proposals, terminated_by
 ):
-    config = SearchConfig(
-        budget=budget, restarts=2, seed=7, threshold_schedule=schedule,
-        stop_at_bound=stop_at_bound,
-    )
+    config = SearchConfig(budget=budget, restarts=2, seed=7, threshold_schedule=schedule)
     result = search_uniform(SPEC_UNREACHABLE, config)
     assert result.terminated_by == terminated_by
     assert result.stats.proposals == 2 * proposals
@@ -265,9 +255,6 @@ def test_search_stopped_at_the_bound_counts_proposals_up_to_the_hit():
     result = search_uniform(SPEC_4RUN, config)
     assert result.terminated_by == "bound"
     assert result.stats.proposals == result.trace[-1][0]
-    config = SearchConfig(budget=203, restarts=1, seed=1, stop_at_bound=False)
-    result = search_uniform(SPEC_4RUN, config)
-    assert (result.terminated_by, result.stats.proposals) == ("schedule", 200)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
