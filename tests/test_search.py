@@ -226,6 +226,7 @@ def test_search_explicit_schedule_runs():
     assert result.terminated_by in ("schedule", "budget")
 
 
+@pytest.mark.parametrize("numpy_counts", [True, False])
 @pytest.mark.parametrize(
     "budget, schedule, proposals, terminated_by",
     [
@@ -238,9 +239,14 @@ def test_search_explicit_schedule_runs():
     ],
 )
 def test_search_termination_and_stats_follow_the_budget_rules(
-    budget, schedule, proposals, terminated_by
+    budget, schedule, proposals, terminated_by, numpy_counts
 ):
-    config = SearchConfig(budget=budget, restarts=2, seed=7, threshold_schedule=schedule)
+    # numpy integer counts run the same search as Python ints
+    to_count = np.int64 if numpy_counts else int
+    config = SearchConfig(
+        budget=to_count(budget), restarts=to_count(2), seed=to_count(7),
+        threshold_schedule=schedule,
+    )
     result = search_uniform(SPEC_UNREACHABLE, config)
     assert result.terminated_by == terminated_by
     assert result.stats.proposals == 2 * proposals
