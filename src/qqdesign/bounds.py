@@ -78,10 +78,7 @@ def lb_symmetric(n: int, p: int, q: int, s1: int, s2: int) -> float:
     _require_int("lb_symmetric argument", n, p, q, s1, s2)
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s1 < 1 or s2 < 1:
         raise DomainError("lb_symmetric needs n >= 1, s1, s2 >= 1 and at least one factor")
-    if p > 0 and n % s1 != 0:
-        raise DomainError(f"not U-type feasible: {s1} does not divide n={n}")
-    if q > 0 and n % s2 != 0:
-        raise DomainError(f"not U-type feasible: {s2} does not divide n={n}")
+    DesignSpec(n, p, q, (s1,) * p + (s2,) * q).require_utype_feasible()
     C = -(((5 * s1 + 1) / (4 * s1)) ** p) * (4 / 3) ** q
     if n == 1:
         return C + 1.5 ** (p + q)

@@ -11,7 +11,10 @@ value, cross-checked against the quadratic form), "quadratic" (the
 quadratic form over the level grid, which wd, dd and each of compare's
 values take where it is the cheaper route) or "slices" (swd); compare
 names each row's.  Values print at six decimals (banker's rounding), one
-that rounds to zero without a sign; --json emits full precision.
+that rounds to zero without a sign; --json emits full precision.  Each
+command builds only the form it prints, so --json formats no text line.
+search --start FILE begins every restart at that file's design; a file
+of another spec exits 1.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import combinations
 
 from .balance import balance_pattern, balance_pattern_rowform
 from .bounds import full_factorial_qqd, lb
@@ -144,6 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--budget", type=int, default=SearchConfig.budget)
     p_search.add_argument("--restarts", type=int, default=SearchConfig.restarts)
     p_search.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p_search.add_argument(
+        "--start", default=None, help="design file every restart starts from (default: random)"
+    )
     p_search.add_argument("--out", default=None, help="write the best design here")
 
     p_repro = sub.add_parser(
@@ -193,19 +200,21 @@ def _cmd_eval(args):
     )
     value, route = value_of(design, config)
     out: dict = {"criterion": args.criterion, "value": value}
-    lines = [f"{route} route: {label} = {_fixed(value)}"]
-    if args.criterion == "qqd":
-        if design.is_lattice() and design.spec.N <= QUADRATIC_FORM_CAP:
-            quad = qqd_squared_quadratic(design, config)
-            out["quadratic_value"] = quad
-            out["cross_check"] = abs(quad - value)
-            lines.append(
-                f"quadratic form = {_fixed(quad)} (|difference| = {abs(quad - value):.3e})"
-            )
-        else:
-            lines.append("quadratic form not applicable (non-lattice design or N over cap)")
+    quad = None
+    if args.criterion == "qqd" and design.is_lattice() and design.spec.N <= QUADRATIC_FORM_CAP:
+        quad = qqd_squared_quadratic(design, config)
+        out["quadratic_value"] = quad
+        out["cross_check"] = abs(quad - value)
     out["route"] = route
-    return EXIT_OK, out, lines
+
+    def text():
+        yield f"{route} route: {label} = {_fixed(value)}"
+        if quad is not None:
+            yield f"quadratic form = {_fixed(quad)} (|difference| = {abs(quad - value):.3e})"
+        elif args.criterion == "qqd":
+            yield "quadratic form not applicable (non-lattice design or N over cap)"
+
+    return EXIT_OK, out, text
 
 
 def _cmd_bounds(args):
@@ -217,17 +226,20 @@ def _cmd_bounds(args):
         "lb": report.value,
         "source": report.source,
     }
-    lines = [f"LB1 = {_fixed(report.lb1)}"]
-    if report.lb2 is None:
-        lines.append("LB2 = n/a (needs one qualitative level count and 2-level quantitative factors)")
-    else:
-        lines.append(f"LB2 = {_fixed(report.lb2)}")
-    lines.append(f"LB  = {_fixed(report.value)} ({report.source})")
     if spec.n % spec.N == 0:
-        ff = full_factorial_qqd(spec)
-        out["full_factorial"] = ff
-        lines.append(f"full factorial qqd^2 = {_fixed(ff)} (n is a multiple of N)")
-    return EXIT_OK, out, lines
+        out["full_factorial"] = full_factorial_qqd(spec)
+
+    def text():
+        yield f"LB1 = {_fixed(report.lb1)}"
+        if report.lb2 is None:
+            yield "LB2 = n/a (needs one qualitative level count and 2-level quantitative factors)"
+        else:
+            yield f"LB2 = {_fixed(report.lb2)}"
+        yield f"LB  = {_fixed(report.value)} ({report.source})"
+        if "full_factorial" in out:
+            yield f"full factorial qqd^2 = {_fixed(out['full_factorial'])} (n is a multiple of N)"
+
+    return EXIT_OK, out, text
 
 
 def _cmd_balance(args):
@@ -235,15 +247,20 @@ def _cmd_balance(args):
     form = balance_pattern if args.components else balance_pattern_rowform
     pattern = form(read_design(args.file))
     out: dict = {"aggregate": list(pattern.aggregate)}
-    lines = [f"B_{k} = {_fixed(value)}" for k, value in enumerate(pattern.aggregate, start=1)]
     if args.components:
-        out["components"] = {
-            ",".join(map(str, cols)): v for cols, v in pattern.components.items()
-        }
-        lines.extend(
-            f"  columns {cols}: {_fixed(v)}" for cols, v in sorted(pattern.components.items())
-        )
-    return EXIT_OK, out, lines
+        # balance_pattern lists the subsets by size, then in combinations order
+        names = [str(c) for c in range(len(pattern.aggregate))]
+        keys = (",".join(cols) for k in range(1, len(names) + 1) for cols in combinations(names, k))
+        out["components"] = dict(zip(keys, pattern.components.values()))
+
+    def text():
+        for k, value in enumerate(pattern.aggregate, start=1):
+            yield f"B_{k} = {_fixed(value)}"
+        if args.components:
+            for cols, v in sorted(pattern.components.items()):
+                yield f"  columns {cols}: {_fixed(v)}"
+
+    return EXIT_OK, out, text
 
 
 def _cmd_compare(args):
@@ -259,7 +276,6 @@ def _cmd_compare(args):
         scored.append((value, path, route))
     scored.sort(key=lambda t: t[:2])
     rows = []
-    lines = []
     rank = 0
     previous = None
     for i, (value, path, route) in enumerate(scored, start=1):
@@ -269,16 +285,26 @@ def _cmd_compare(args):
         gap = None if bound is None else value - bound
         rows.append({"rank": rank, "file": path, "qqd_squared": value, "gap": gap,
                      "route": route})
-        gap_text = "      n/a" if gap is None else _fixed(gap, 9)
-        lines.append(f"{rank:>4}  {_fixed(value)}  {gap_text}  {route:<9}  {path}")
-    if len({r["rank"] for r in rows}) < len(rows):
-        lines.append("note: equal ranks are ties")
-    return EXIT_OK, rows, lines
+
+    def text():
+        for r in rows:
+            gap_text = "      n/a" if r["gap"] is None else _fixed(r["gap"], 9)
+            yield (f"{r['rank']:>4}  {_fixed(r['qqd_squared'])}  {gap_text}  "
+                   f"{r['route']:<9}  {r['file']}")
+        if len({r["rank"] for r in rows}) < len(rows):
+            yield "note: equal ranks are ties"
+
+    return EXIT_OK, rows, text
 
 
 def _cmd_search(args):
     spec = _spec_from_args(args)
-    config = SearchConfig(budget=args.budget, restarts=args.restarts, seed=args.seed)
+    start = None
+    if args.start is not None:
+        start = read_design(args.start)
+        if start.spec != spec:
+            raise ParseError(f"--start {args.start}: spec differs from the one searched")
+    config = SearchConfig(budget=args.budget, restarts=args.restarts, seed=args.seed, start=start)
     result = search_uniform(spec, config)
     out = {
         "best_value": result.best_value,
@@ -290,38 +316,42 @@ def _cmd_search(args):
         "stats": {**dataclasses.asdict(result.stats), "accepted": result.stats.accepted},
         "out": args.out,
     }
-    lines = [
-        f"best qqd^2 = {_fixed(result.best_value)}",
-        f"bound      = {_fixed(result.bound)} ({result.bound_source})",
-        f"gap        = {result.gap:.6e}",
-        f"terminated by {result.terminated_by}",
-    ]
     if args.out:
         write_design(result.best_design, args.out)
-        lines.append(f"wrote {args.out}")
-    return (EXIT_OK if result.terminated_by == "bound" else EXIT_BOUND_NOT_REACHED), out, lines
+
+    def text():
+        yield f"best qqd^2 = {_fixed(result.best_value)}"
+        yield f"bound      = {_fixed(result.bound)} ({result.bound_source})"
+        yield f"gap        = {result.gap:.6e}"
+        yield f"terminated by {result.terminated_by}"
+        if args.out:
+            yield f"wrote {args.out}"
+
+    return (EXIT_OK if result.terminated_by == "bound" else EXIT_BOUND_NOT_REACHED), out, text
 
 
 def _cmd_reproduce(args):
     rows = run_checks(tol=args.tol)
     keys = ("label", "expected", "computed", "error", "tol", "passed", "note")
-    width = max(len(r.label) for r in rows)
-    lines = []
-    for r in rows:
-        status = "PASS" if r.passed else "FAIL"
-        note = f"  [{r.note}]" if r.note else ""
-        lines.append(
-            f"{status}  {r.label:<{width}}  expected {r.expected:>9.4f}"
-            f"  computed {_fixed(r.computed, 11)}  |err| {r.error:.2e}{note}"
-        )
     passed = sum(r.passed for r in rows)
-    lines.append(f"{passed}/{len(rows)} checks passed")
+
+    def text():
+        width = max(len(r.label) for r in rows)
+        for r in rows:
+            status = "PASS" if r.passed else "FAIL"
+            note = f"  [{r.note}]" if r.note else ""
+            yield (f"{status}  {r.label:<{width}}  expected {r.expected:>9.4f}"
+                   f"  computed {_fixed(r.computed, 11)}  |err| {r.error:.2e}{note}")
+        yield f"{passed}/{len(rows)} checks passed"
+
     code = EXIT_OK if passed == len(rows) else EXIT_REPRODUCE
-    return code, [{key: getattr(r, key) for key in keys} for r in rows], lines
+    return code, [{key: getattr(r, key) for key in keys} for r in rows], text
 
 
-# Each command returns (exit code, --json payload, text lines) and prints
-# nothing itself; main prints one of the two forms.
+# Each command returns (exit code, --json payload, text), where text() yields
+# the text lines, and prints nothing itself.  main prints one of the two
+# forms and calls text() only without --json, so a command builds only the
+# form it prints; side effects (search --out) happen before it returns.
 _COMMANDS = {
     "eval": _cmd_eval,
     "bounds": _cmd_bounds,
@@ -345,8 +375,8 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if value == []:  # some argparse versions parse "--levels=--" to []
                 raise ParseError(f"argument --{name.replace('_', '-')}: expected one argument")
-        code, payload, lines = _COMMANDS[args.command](args)
-        print(json.dumps(payload) if args.json else "\n".join(lines))
+        code, payload, text = _COMMANDS[args.command](args)
+        print(json.dumps(payload) if args.json else "\n".join(text()))
         return code
     except (ParseError, OSError) as exc:
         code, message = EXIT_USAGE, str(exc)

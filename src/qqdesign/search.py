@@ -2,12 +2,13 @@
 
 The search walks the space of U-type designs by swapping two entries
 within one column (which preserves column balance) and lowers its
-acceptance threshold over a fixed schedule.  Each proposal is scored
-first by ``PairCache.delta`` without touching the design (O(n*m) from
-two rows, or O(m) in cell space on small lattice specs); a
-proposal whose change is at most the current threshold is committed with
-``PairCache.apply_swap``, and a rejected one costs nothing more.  Swaps
-of two equal entries are counted and skipped.  The objective is the
+acceptance threshold over a fixed schedule.  Each restart begins at a
+random U-type design, or at ``SearchConfig.start`` when one is given.
+Each proposal is scored first by ``PairCache.delta`` without touching
+the design (O(n*m) from two rows, or O(m) in cell space on small lattice
+specs); a proposal whose change is at most the current threshold is
+committed with ``PairCache.apply_swap``, and a rejected one costs
+nothing more.  Swaps of two equal entries are counted and skipped.  The objective is the
 squared qualitative-quantitative discrepancy; the incrementally tracked
 value of the winner is re-verified by a full recomputation at the end,
 and a disagreement raises ``DriftError``.  A start or new best within
@@ -38,7 +39,14 @@ import numpy as np
 from .bounds import lb
 from .discrepancy import PairCache, _constant_term, kernel_matrix, qqd_squared
 from .errors import CapacityError, DomainError, DriftError
-from .model import DEFAULT_CONFIG, Design, DesignSpec, _require_int, design_from_levels
+from .model import (
+    DEFAULT_CONFIG,
+    Design,
+    DesignSpec,
+    _require_int,
+    design_from_levels,
+    validate_utype,
+)
 
 
 def _balanced_column(spec_n: int, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -66,12 +74,16 @@ class SearchConfig:
     ladder from 5% of the initial bound gap down to 0 is built per
     restart.  Zero-threshold moves (no worsening) are always accepted so
     plateaus stay traversable; nothing turns off the stop at the bound.
+    ``start`` is the U-type design every restart begins at, or None for a
+    random one per restart; with a start, restarts differ only in their
+    proposals.
     """
 
     budget: int = 10_000
     restarts: int = 4
     threshold_schedule: tuple[float, ...] | None = None
     seed: int = 0
+    start: Design | None = None
 
     def __post_init__(self) -> None:
         _require_int("budget", self.budget, low=0)
@@ -92,6 +104,18 @@ class SearchConfig:
             ):
                 raise DomainError("threshold schedule must be non-increasing and >= 0")
             object.__setattr__(self, "threshold_schedule", sched)
+        if self.start is not None:
+            if not isinstance(self.start, Design):
+                raise DomainError(
+                    f"start must be a Design or None, got {type(self.start).__name__}"
+                )
+            # the bound certifies only U-type designs
+            report = validate_utype(self.start)
+            if not report.passed:
+                first = report.defects[0]
+                raise DomainError(
+                    f"start must be a U-type design; column {first.column}: {first.message}"
+                )
 
 
 @dataclass(frozen=True)
@@ -150,17 +174,16 @@ def _decode(codes, n: int):
 
 
 def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generator, bound: float):
-    design = random_utype(spec, rng)
+    design = random_utype(spec, rng) if config.start is None else config.start
     cache = PairCache(design, DEFAULT_CONFIG)
     value = cache.value()
     best_value = value
     trace = [(0, value)]
+    # an n = 1 spec has one design, which meets lb1, so a restart that goes on has n >= 2
     if _attains(best_value, bound):
         return best_value, design, trace, "bound", SearchStats()
-    n = spec.n
-    if n < 2:
-        return best_value, design, trace, "schedule", SearchStats()
 
+    n = spec.n
     schedule = config.threshold_schedule or _default_schedule(value - bound)
     chunk = max(1, config.budget // len(schedule))
     codes_per_draw = spec.m * n * (n - 1)
@@ -225,9 +248,12 @@ def search_uniform(spec: DesignSpec, config: SearchConfig | None = None) -> Sear
     not depend on execution order.  The incrementally tracked objective of
     the winner is re-verified against a full recomputation; a disagreement
     beyond ``DRIFT_TOL`` raises ``DriftError``.  ``stats`` sums the
-    proposal counts of every restart that ran.
+    proposal counts of every restart that ran.  A start of another spec
+    raises ``DomainError``.
     """
     config = config or SearchConfig()
+    if config.start is not None and config.start.spec != spec:
+        raise DomainError("the start design's spec differs from the one searched")
     report = lb(spec)  # refuses a spec with no U-type designs
     # one child per restart as it starts: a search that stops early spawns no more
     seeds = np.random.SeedSequence(config.seed)

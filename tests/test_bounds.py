@@ -128,6 +128,19 @@ def test_lb_symmetric_refuses_inputs_outside_its_domain(n, p, q, s1, s2):
 
 
 @pytest.mark.parametrize(
+    "n, p, q, s1, s2",
+    [(5, 1, 1, 2, 2), (6, 1, 1, 4, 2), (6, 1, 1, 2, 4), (6, 0, 2, 5, 4), (9, 2, 0, 2, 5)],
+)
+def test_lb_symmetric_refuses_classes_with_no_utype_designs(n, p, q, s1, s2):
+    spec = DesignSpec(n=n, p=p, q=q, levels=(s1,) * p + (s2,) * q)
+    with pytest.raises(DomainError, match="no U-type designs exist") as symmetric_refusal:
+        lb_symmetric(n, p, q, s1, s2)
+    with pytest.raises(DomainError) as lb1_refusal:
+        lb1(spec)
+    assert str(symmetric_refusal.value) == str(lb1_refusal.value)
+
+
+@pytest.mark.parametrize(
     "args", [(4.0, 1, 1, 2, 2), (4, 1.0, 1, 2, 2), (4, 1, 1, 2.5, 2), (4, 1, 1, 2, True)]
 )
 def test_lb_symmetric_refuses_non_integer_arguments(args):

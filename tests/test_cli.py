@@ -659,6 +659,29 @@ def test_search_flag_defaults_are_search_config_defaults(capsys):
     assert payload["best_value"] == result.best_value
 
 
+def test_search_from_a_start_file(capsys, tmp_path):
+    spec = ("--n", "4", "--p", "1", "--q", "2", "--levels", "4,2,2")
+    start = data_path("bound_attaining_4run")
+    code, out, _ = run(capsys, "search", "--json", *spec, "--start", start)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["terminated_by"] == "bound"
+    assert payload["stats"]["proposals"] == 0
+    assert payload["trace"] == [[0, payload["best_value"]]]
+    # a start file of another spec is a usage error
+    code, out, err = run(capsys, "search", *spec, "--start", data_path("mcd_8run_1"))
+    assert (code, out) == (1, "")
+    assert err == f"error: --start {data_path('mcd_8run_1')}: spec differs from the one searched\n"
+    # the bound certifies only U-type designs
+    code, out, err = run(capsys, "search", "--n", "10", "--p", "1", "--q", "2", "--levels",
+                         "2,5,5", "--start", data_path("ccd_full_1"))
+    assert (code, out) == (2, "")
+    assert err == "error: start must be a U-type design; column 0: level 0 occurs 6 times, expected 5\n"
+    code, _, err = run(capsys, "search", *spec, "--start", str(tmp_path / "missing.txt"))
+    assert code == 1
+    assert "Traceback" not in err
+
+
 def test_search_n_equals_N_attains_formula(capsys):
     code, out, _ = run(
         capsys,
@@ -722,6 +745,153 @@ def test_tol_refuses_nan_and_negative_values(capsys, argv, tol):
     assert out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: argument --tol: expected a finite non-negative number, got '{tol}'"]
+
+
+# ----------------------------------------------------------------- output forms
+
+REPRODUCE_TEXT = """\
+PASS  qqd^2 mcd_8run_1                                        expected    0.0213  computed    0.021284  |err| 1.57e-05
+PASS  qqd^2 mcd_8run_2                                        expected    0.0164  computed    0.016402  |err| 1.50e-06
+PASS  qqd^2 mcd_16run_1                                       expected    0.0066  computed    0.006585  |err| 1.48e-05
+PASS  qqd^2 mcd_16run_2                                       expected    0.0063  computed    0.006274  |err| 2.60e-05
+PASS  qqd^2 mcd_16run_3                                       expected    0.0060  computed    0.006010  |err| 1.03e-05
+PASS  qqd^2 juxtaposed_16run_1                                expected    0.0822  computed    0.082248  |err| 4.83e-05
+PASS  qqd^2 juxtaposed_16run_2                                expected    0.0545  computed    0.054538  |err| 3.83e-05
+PASS  qqd^2 juxtaposed_16run_same                             expected    0.0813  computed    0.081272  |err| 2.83e-05
+PASS  qqd^2 bound_attaining_4run                              expected    0.1706  computed    0.170573  |err| 2.71e-05
+PASS  qqd^2 bound_attaining_8run                              expected   17.0235  computed   17.023528  |err| 2.77e-05
+PASS  qqd^2 ccd_factorial_1                                   expected    0.2255  computed    0.225477  |err| 2.26e-05
+PASS  qqd^2 ccd_factorial_2                                   expected    0.2255  computed    0.225477  |err| 2.26e-05
+PASS  qqd^2 ccd_factorial_3                                   expected    0.1766  computed    0.176649  |err| 4.93e-05
+PASS  qqd^2 ccd_factorial_4                                   expected    0.1571  computed    0.157118  |err| 1.81e-05
+PASS  qqd^2 ccd_full_1                                        expected    0.0763  computed    0.076316  |err| 1.65e-05
+PASS  qqd^2 ccd_full_2                                        expected    0.0795  computed    0.079477  |err| 2.33e-05
+PASS  qqd^2 ccd_full_3                                        expected    0.0792  computed    0.079209  |err| 8.60e-06
+PASS  qqd^2 ccd_full_4                                        expected    0.0653  computed    0.065281  |err| 1.91e-05
+PASS  is_mcd mcd_8run_1                                       expected    1.0000  computed    1.000000  |err| 0.00e+00
+PASS  is_mcd mcd_8run_2                                       expected    1.0000  computed    1.000000  |err| 0.00e+00
+PASS  is_mcd mcd_16run_1                                      expected    1.0000  computed    1.000000  |err| 0.00e+00
+PASS  is_mcd mcd_16run_2                                      expected    1.0000  computed    1.000000  |err| 0.00e+00
+PASS  is_mcd mcd_16run_3                                      expected    1.0000  computed    1.000000  |err| 0.00e+00
+PASS  swd juxtaposed_16run_2                                  expected    1.1055  computed    1.105527  |err| 2.75e-05
+PASS  swd juxtaposed_16run_same                               expected    1.0999  computed    1.099944  |err| 4.39e-05
+PASS  ordering qqd^2: duplicated-column variant is worse      expected    1.0000  computed    1.000000  |err| 0.00e+00  [difference +0.026733]
+PASS  ordering swd: naive criterion prefers the worse design  expected    1.0000  computed    1.000000  |err| 0.00e+00  [difference -0.005584]
+PASS  lb2(n=4, p=1, q=2, s=4)                                 expected    0.1706  computed    0.170573  |err| 2.71e-05
+PASS  lb1 for U(8, 2^7 4^7)                                   expected   17.0235  computed   17.023528  |err| 2.77e-05
+29/29 checks passed
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["balance", "--components", data_path("ccd_factorial_3")], """\
+B_1 = 0.000000
+B_2 = 1.333333
+B_3 = 2.000000
+  columns (0,): 0.000000
+  columns (0, 1): 4.000000
+  columns (0, 1, 2): 2.000000
+  columns (0, 2): 0.000000
+  columns (1,): 0.000000
+  columns (1, 2): 0.000000
+  columns (2,): 0.000000
+"""),
+        (["balance", "--components", data_path("juxtaposed_16run_1")], """\
+B_1 = 0.000000
+B_2 = 10.666667
+B_3 = 16.000000
+B_4 = 12.000000
+  columns (0,): 0.000000
+  columns (0, 1): 0.000000
+  columns (0, 1, 2): 48.000000
+  columns (0, 1, 2, 3): 12.000000
+  columns (0, 1, 3): 0.000000
+  columns (0, 2): 32.000000
+  columns (0, 2, 3): 8.000000
+  columns (0, 3): 0.000000
+  columns (1,): 0.000000
+  columns (1, 2): 32.000000
+  columns (1, 2, 3): 8.000000
+  columns (1, 3): 0.000000
+  columns (2,): 0.000000
+  columns (2, 3): 0.000000
+  columns (3,): 0.000000
+"""),
+        (["bounds", "--n", "8", "--p", "1", "--q", "2", "--levels", "2,2,2"], """\
+LB1 = 0.137872
+LB2 = 0.155165
+LB  = 0.155165 (lb2)
+full factorial qqd^2 = 0.155165 (n is a multiple of N)
+"""),
+        (["compare", *(data_path(f"mcd_16run_{k}") for k in (1, 2, 3))], f"""\
+   1  0.006010   0.011728  closed     {data_path("mcd_16run_3")}
+   2  0.006274   0.011992  closed     {data_path("mcd_16run_2")}
+   3  0.006585   0.012303  closed     {data_path("mcd_16run_1")}
+"""),
+        (["search", "--n", "6", "--p", "1", "--q", "1", "--levels", "2,3", "--budget", "50",
+          "--restarts", "1"], """\
+best qqd^2 = 0.025463
+bound      = 0.020039 (lb1)
+gap        = 5.424115e-03
+terminated by schedule
+"""),
+        (["reproduce"], REPRODUCE_TEXT),
+    ],
+    ids=["balance-ccd_factorial_3", "balance-juxtaposed_16run_1", "bounds", "compare", "search",
+         "reproduce"],
+)
+def test_text_output_byte_for_byte(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == (4 if argv[0] == "search" else 0)
+    assert (out, err) == (text, "")
+
+
+def test_json_output_builds_no_text(capsys, monkeypatch, tmp_path):
+    import qqdesign.cli as cli
+
+    spec = ("--n", "4", "--p", "1", "--q", "2", "--levels", "4,2,2")
+    design = data_path("bound_attaining_4run")
+    cases = [
+        ("eval", design),
+        ("bounds", *spec),
+        ("balance", "--components", design),
+        ("compare", data_path("mcd_16run_1"), data_path("mcd_16run_2")),
+        ("search", *spec, "--budget", "100", "--seed", "1", "--out", str(tmp_path / "d.txt")),
+        ("search", "--n", "6", "--p", "1", "--q", "1", "--levels", "2,3", "--budget", "20"),
+        ("reproduce",),
+    ]
+    expected = [run(capsys, *argv, "--json") for argv in cases]
+    written = (tmp_path / "d.txt").read_text()
+    (tmp_path / "d.txt").unlink()
+
+    def refuse(*args):
+        raise AssertionError("--json must not format text lines")
+
+    monkeypatch.setattr(cli, "_fixed", refuse)
+    assert [run(capsys, *argv, "--json") for argv in cases] == expected
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 0, 4, 0]
+    assert (tmp_path / "d.txt").read_text() == written  # --out is written all the same
+
+
+def test_balance_json_component_keys_follow_the_pattern_on_12_factors(capsys, tmp_path):
+    from itertools import combinations
+
+    from qqdesign import balance_pattern
+
+    design = random_utype(DesignSpec(n=64, p=3, q=9, levels=(2,) * 12), 0)
+    path = tmp_path / "m12.txt"
+    write_design(design, str(path))
+    pattern = balance_pattern(design)
+    assert list(pattern.components) == [
+        cols for k in range(1, 13) for cols in combinations(range(12), k)
+    ]
+    code, out, _ = run(capsys, "balance", "--json", "--components", str(path))
+    assert code == 0
+    components = json.loads(out)["components"]
+    assert list(components) == [",".join(map(str, cols)) for cols in pattern.components]
+    assert list(components.values()) == list(pattern.components.values())
 
 
 # ------------------------------------------------------------------------- main

@@ -26,6 +26,7 @@ from qqdesign import (
     search_uniform,
     validate_utype,
 )
+from qqdesign.reference import load_reference_design
 from qqdesign.search import EXHAUSTIVE_CAP, EXHAUSTIVE_WEIGHT_CAP, _distinct_balanced_columns
 
 SPEC_4RUN = DesignSpec(n=4, p=1, q=2, levels=(4, 2, 2))
@@ -261,6 +262,78 @@ def test_search_stopped_at_the_bound_counts_proposals_up_to_the_hit():
     result = search_uniform(SPEC_4RUN, config)
     assert result.terminated_by == "bound"
     assert result.stats.proposals == result.trace[-1][0]
+
+
+@pytest.mark.parametrize("budget", [0, 200])
+def test_search_on_one_run_stops_at_the_bound_before_any_proposal(budget):
+    # an n = 1 spec admits only 1-level factors, and its one design meets lb1
+    for m in range(1, 5):
+        for p in range(m + 1):
+            spec = DesignSpec(n=1, p=p, q=m - p, levels=(1,) * m)
+            result = search_uniform(spec, SearchConfig(budget=budget, restarts=2))
+            assert result.terminated_by == "bound", spec
+            assert result.stats == SearchStats()
+            assert len(result.trace) == 1
+
+
+# ------------------------------------------------------------------- given start
+
+def test_search_from_a_start_at_the_bound_makes_no_proposal():
+    start = load_reference_design("bound_attaining_4run")
+    result = search_uniform(SPEC_4RUN, SearchConfig(budget=1000, restarts=3, start=start))
+    assert result.terminated_by == "bound"
+    assert result.stats == SearchStats()
+    assert result.best_design is start
+    assert result.trace == ((0, result.best_value),)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_from_a_start_never_ends_above_it(seed):
+    start = load_reference_design("mcd_16run_3")
+    config = SearchConfig(budget=400, restarts=2, seed=seed, start=start)
+    result = search_uniform(start.spec, config)
+    assert result.trace[0] == (0, pytest.approx(qqd_squared(start), abs=1e-12))
+    assert result.best_value <= result.trace[0][1]
+    assert result.stats.proposals == 2 * 400  # U(16; 2.16^2)'s bound is out of reach
+    assert search_uniform(start.spec, config).trace == result.trace  # deterministic
+
+
+def test_search_restarts_from_a_start_differ_only_in_their_proposals(monkeypatch):
+    start = random_utype(SPEC_UNREACHABLE, 4)
+    restarts = []
+
+    def recorded(*args, _run_restart=search._run_restart):
+        restarts.append(_run_restart(*args))
+        return restarts[-1]
+
+    monkeypatch.setattr(search, "_run_restart", recorded)
+    search_uniform(SPEC_UNREACHABLE, SearchConfig(budget=200, restarts=3, seed=6, start=start))
+    opening = (0, pytest.approx(qqd_squared(start)))
+    assert [trace[0] for _, _, trace, _, _ in restarts] == [opening] * 3
+    # each restart draws from its own child stream
+    assert len({stats for *_, stats in restarts}) == 3
+
+
+def test_search_refuses_a_start_of_another_spec_or_not_u_type():
+    start = random_utype(SPEC_PAIR, 0)
+    with pytest.raises(DomainError, match="spec differs"):
+        search_uniform(SPEC_4RUN, SearchConfig(start=start))
+    unbalanced = design_from_levels(
+        SPEC_4RUN, [[0], [0], [1], [2]], [[0, 0], [1, 1], [0, 0], [1, 1]]
+    )
+    with pytest.raises(DomainError, match="start must be a U-type design; column 0"):
+        SearchConfig(start=unbalanced)
+    with pytest.raises(DomainError, match="start must be a Design or None"):
+        SearchConfig(start="design.txt")
+
+
+def test_search_config_with_a_start_stays_comparable():
+    start = random_utype(SPEC_PAIR, 0)
+    same = design_from_levels(SPEC_PAIR, start.qualitative, start.all_levels()[:, 1:])
+    assert SearchConfig(start=start) == SearchConfig(start=same)
+    assert hash(SearchConfig(start=start)) == hash(SearchConfig(start=same))
+    assert SearchConfig(start=start) != SearchConfig()
+    assert SearchConfig(start=start) != SearchConfig(start=random_utype(SPEC_PAIR, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
