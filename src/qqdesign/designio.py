@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .model import Design, DesignSpec, _lattice_levels, _unit
+from .model import Design, DesignSpec, _unit
 
 
 def _parse_int(token: str, where: str) -> int:
@@ -204,8 +204,7 @@ def design_to_json_dict(design: Design) -> dict:
     """The JSON mirror; its rows hold int levels for lattice columns, float values otherwise."""
     spec = design.spec
     columns = design.qualitative.T.tolist()
-    for values, s in zip(design.quantitative.T, spec.quantitative_levels):
-        levels = _lattice_levels(values, s)
+    for values, levels in zip(design.quantitative.T, design._lattice.T):
         columns.append((levels if levels.min() >= 0 else values).tolist())
     return {
         "n": spec.n,

@@ -29,12 +29,13 @@ takes the quantitative columns in column order, then the qualitative
 block, and sums the square parts plus twice the rests (``np.sum`` per
 part, ``math.fsum`` across them).  Where the walk has several blocks it
 gathers from tables cached per level count: an s-level quantitative
-column whose values are exactly its lattice points reads T[u, v], the
-kernel ``_kernel_step`` gives between levels u and v, and the
-qualitative block (a/b)^(agreements) over its Q level combinations,
-indexed by mixed-radix codes, while s^2 or Q^2 fits in a block.  A table
-entry is the formula on the same floats, so every value is the
-formula's, bit for bit.  The swap evaluator's row route takes, per
+column whose values are exactly its lattice points (its caller passes
+``Design._exact_columns``; swd's rescaled slices and dd pass none)
+reads T[u, v], the kernel ``_kernel_step`` gives between levels u and
+v, and the qualitative block (a/b)^(agreements) over its Q level
+combinations, indexed by mixed-radix codes, while s^2 or Q^2 fits in a
+block.  A table entry is the formula on the same floats, so every value
+is the formula's, bit for bit.  The swap evaluator's row route takes, per
 swapped column, the other factors' steps and the column's own.  Both
 balance-pattern routes histogram every block's codes
 (``_agreement_histogram``).  Setting p = 0 recovers the wrap-around
@@ -219,22 +220,23 @@ def _row_weights(steps, rows, start, out):
     return weights
 
 
-def _closed_form_steps(qualitative, quantitative, levels, config, ratio_powers):
+def _closed_form_steps(qualitative, quantitative, levels, config, ratio_powers, exact=None):
     """The closed form's steps: each quantitative column in turn, then the qualitative block.
 
-    A quantitative column whose values are exactly its lattice points
-    reads its level table, and the qualitative block its agreement table
-    over the Q level combinations, where a table pays: small against a
-    block (s^2 or Q^2 <= PAIR_BLOCK) and reused over several (n^2 >
-    PAIR_BLOCK).  The others compute their weights from the formula.
+    A quantitative column with exact levels reads its level table, and the
+    qualitative block its agreement table over the Q level combinations,
+    where a table pays: small against a block (s^2 or Q^2 <= PAIR_BLOCK)
+    and reused over several (n^2 > PAIR_BLOCK).  ``exact`` is the
+    design's ``_exact_columns``, called only then, or None: no column is.
+    The others compute their weights from the formula.
     """
     n, p = qualitative.shape
     several = n * n > PAIR_BLOCK
+    columns = exact() if exact and several else [None] * quantitative.shape[1]
     steps = []
-    for values, s in zip(quantitative.T, levels[p:]):
-        codes = _exact_levels(values, s) if several and s * s <= PAIR_BLOCK else None
-        steps.append(partial(_kernel_step, values) if codes is None
-                     else partial(_gather, codes, _quantitative_table(s)))
+    for values, s, codes in zip(quantitative.T, levels[p:], columns):
+        steps.append(partial(_kernel_step, values) if codes is None or s * s > PAIR_BLOCK
+                     else partial(_gather, np.ascontiguousarray(codes), _quantitative_table(s)))
     s_qual = levels[:p]
     if several and p and math.prod(s_qual) ** 2 <= PAIR_BLOCK:
         codes = np.ravel_multi_index(tuple(qualitative.T), s_qual)
@@ -311,13 +313,13 @@ def _constant_term(s_qual, q: int, a: float, b: float) -> float:
 
 
 def _qqd_squared_arrays(
-    qualitative: np.ndarray, quantitative: np.ndarray, levels, config: CriterionConfig
+    qualitative: np.ndarray, quantitative: np.ndarray, levels, config: CriterionConfig, exact=None
 ) -> float:
     """The closed form of the columns, whose level counts are ``levels`` (qualitative first).
 
-    A quantitative column reads its table only where its values are exactly
-    the lattice points of its count (``_closed_form_steps``), so any counts
-    give the formula's value.
+    A quantitative column reads its table only with its exact levels from
+    ``exact`` (``_closed_form_steps``); a table entry is the formula on the
+    same floats, so either step gives the formula's value.
     """
     n, p = qualitative.shape
     # np.sum per square part and per rest, and fsum across those partials,
@@ -325,7 +327,7 @@ def _qqd_squared_arrays(
     # 10^3; weights that overflow (numpy's power gives inf) are refused below
     with np.errstate(all="ignore"):
         ratio_powers = _ratio_powers(config, p)
-        steps = _closed_form_steps(qualitative, quantitative, levels, config, ratio_powers)
+        steps = _closed_form_steps(qualitative, quantitative, levels, config, ratio_powers, exact)
         partials = []
         for rows, start, out in _row_blocks(n, _buffers):
             weights = _row_weights(steps, rows, start, out)
@@ -359,7 +361,8 @@ def _finite(constant: float, pairs: float, config: CriterionConfig) -> float:
 def qqd_squared(design: Design, config: CriterionConfig | None = None) -> float:
     """Squared qualitative-quantitative discrepancy via the pairwise closed form."""
     config = config or DEFAULT_CONFIG
-    return _qqd_squared_arrays(design.qualitative, design.quantitative, design.spec.levels, config)
+    return _qqd_squared_arrays(design.qualitative, design.quantitative, design.spec.levels, config,
+                               design._exact_columns)
 
 
 def wd_squared(design: Design) -> float:
@@ -367,9 +370,8 @@ def wd_squared(design: Design) -> float:
     if design.spec.q == 0:
         raise DomainError("wd_squared needs at least one quantitative factor")
     empty = np.zeros((design.spec.n, 0), dtype=np.int64)
-    return _qqd_squared_arrays(
-        empty, design.quantitative, design.spec.quantitative_levels, DEFAULT_CONFIG
-    )
+    return _qqd_squared_arrays(empty, design.quantitative, design.spec.quantitative_levels,
+                               DEFAULT_CONFIG, design._exact_columns)
 
 
 def dd(design: Design, config: CriterionConfig | None = None) -> float:
@@ -508,9 +510,9 @@ def _cheaper_quadratic_form(design: Design, config: CriterionConfig, qualitative
     N = math.prod(counts)
     if not counts or n * n <= PAIR_BLOCK or N > QUADRATIC_FORM_CAP or N * sum(counts) > n * n:
         return None
-    quant = _exact_levels(design.quantitative[:, : len(s_quant)], np.array(s_quant, np.float64))
-    if quant is None:
+    if quantitative and any(codes is None for codes in design._exact_columns()):
         return None
+    quant = design._lattice if quantitative else design.qualitative[:, :0]  # dd decodes nothing
     return _quadratic_form(np.concatenate((design.qualitative[:, :p], quant), axis=1),
                            counts, p, config)
 
@@ -600,22 +602,6 @@ def _circulant(row: np.ndarray) -> np.ndarray:
                       strides=(-line.itemsize, line.itemsize))
 
 
-def _exact_levels(values: np.ndarray, s) -> np.ndarray | None:
-    """Integer levels of values that are all exactly lattice points of s levels, else None.
-
-    ``s`` is one level count, or one per column of an n x q block.
-    """
-    level = np.rint(values * s - 0.5)
-    return level.astype(np.intp) if (_unit(level, s) == values).all() else None
-
-
-def _exact_lattice_levels(design: Design) -> np.ndarray | None:
-    """n x m integer levels if every quantitative entry is exactly its lattice point, else None."""
-    s = np.array(design.spec.quantitative_levels, dtype=np.float64)
-    quant = _exact_levels(design.quantitative, s)
-    return None if quant is None else np.concatenate((design.qualitative, quant), axis=1)
-
-
 class PairCache:
     """Incremental evaluator for entry-swap moves: score first, commit second.
 
@@ -670,20 +656,19 @@ class PairCache:
         n, p = spec.n, spec.p
         self._qual = np.array(design.qualitative)
         self._quant = np.array(design.quantitative)
-        self._value = _qqd_squared_arrays(self._qual, self._quant, spec.levels, config)
+        self._value = _qqd_squared_arrays(self._qual, self._quant, spec.levels, config,
+                                          design._exact_columns)
         self._ratio_powers = _ratio_powers(config, p)
         self._scale = 2.0 * config.b**p / n**2
         self._scored: tuple[int, int, int, float] | None = None
         # live views of the level columns, qualitative first: read, never write
         self.columns = [*self._qual.T, *self._quant.T]
-        tables = levels = None
-        if spec.N <= CELL_RATIO * n:
-            tables = _cell_tables(spec, config)
-            levels = None if tables is None else _exact_lattice_levels(design)
-        self._cell_route = levels is not None
+        tables = _cell_tables(spec, config) if spec.N <= CELL_RATIO * n else None
+        self._cell_route = tables is not None and all(
+            codes is not None for codes in design._exact_columns())
         self._buffers, self._steps = None, {}  # the row route's, made on first use
         if self._cell_route:
-            self._set_up_cells(levels, tables)
+            self._set_up_cells(np.concatenate((self._qual, design._lattice), axis=1), tables)
 
     def _set_up_cells(self, levels: np.ndarray, tables: _CellTables) -> None:
         self._tables = tables

@@ -8,11 +8,17 @@ quantitative factor is "lattice-valued" when every entry equals
 levels in equal cells of [0, 1].  Raw (non-lattice) quantitative values
 are also supported, e.g. rescaled axial points of a central composite
 design.
+
+``_lattice_levels`` alone turns values into levels, within LATTICE_TOL.
+A Design runs it once, on first use (``Design._lattice``), for every
+reader: U-type checks, ``is_lattice`` and the writer by this tolerant
+meaning, every route choice by the exact one of ``Design._exact_columns``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -145,9 +151,15 @@ def level_to_unit(level: int, s: int) -> float:
     return _unit(level, s)
 
 
-def _lattice_levels(values, s: int) -> np.ndarray:
-    """Integer levels behind lattice values of an s-level factor; -1 marks an off-lattice value."""
+def _lattice_levels(values, counts) -> np.ndarray:
+    """Integer levels behind lattice values; -1 marks a value off the lattice.
+
+    The one decoder of a quantitative value: a value is on the lattice
+    within ``LATTICE_TOL``.  ``counts`` holds the level count of each
+    column, the last axis of ``values``.
+    """
     values = np.asarray(values, dtype=np.float64)
+    s = np.array(counts, dtype=np.uint64)
     level = np.clip(np.rint(values * s - 0.5), 0, s - 1)
     on = np.abs(values - _unit(level, s)) <= LATTICE_TOL
     # float(s - 1) rounds up to s for level counts beyond 2^53
@@ -210,7 +222,7 @@ def unit_to_level(value: float, s: int) -> int:
     _require_int("level count", s, low=1)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"a lattice value must be a number, got {value!r}")
-    level = int(_lattice_levels([value], s)[0])
+    level = int(_lattice_levels(value, (s,))[0])
     if level < 0:
         raise DomainError(f"value {value!r} is not a lattice point of a factor with {s} levels")
     return level
@@ -259,12 +271,25 @@ class Design:
         object.__setattr__(self, "qualitative", qual)
         object.__setattr__(self, "quantitative", quant)
 
+    @functools.cached_property
+    def _lattice(self) -> np.ndarray:
+        """Read-only n x q int64 quantitative levels, -1 off the lattice; decoded on first use."""
+        levels = _lattice_levels(self.quantitative, self.spec.quantitative_levels)
+        levels.setflags(write=False)
+        return levels
+
+    def _exact_columns(self) -> list[np.ndarray | None]:
+        """Each quantitative column's levels, or None unless their lattice points are its values.
+
+        Equal bit for bit: this exact meaning, not ``LATTICE_TOL``'s, chooses every route.
+        """
+        counts = np.array(self.spec.quantitative_levels, dtype=np.uint64)
+        exact = (_unit(self._lattice, counts) == self.quantitative).all(axis=0)
+        return [levels if on else None for levels, on in zip(self._lattice.T, exact)]
+
     def quantitative_as_levels(self) -> np.ndarray:
         """Integer-level view of the quantitative columns; raises DomainError off-lattice."""
-        out = np.empty((self.spec.n, self.spec.q), dtype=np.int64)
-        for k, s in enumerate(self.spec.quantitative_levels):
-            out[:, k] = _lattice_levels(self.quantitative[:, k], s)
-        bad = _first_bad(out < 0)
+        bad = _first_bad(self._lattice < 0)
         if bad:
             r, k = bad
             raise DomainError(
@@ -272,13 +297,10 @@ class Design:
                 " is not a lattice point of a factor with"
                 f" {self.spec.quantitative_levels[k]} levels"
             )
-        return out
+        return self._lattice.copy()
 
     def is_lattice(self) -> bool:
-        return all(
-            _lattice_levels(col, s).min() >= 0
-            for col, s in zip(self.quantitative.T, self.spec.quantitative_levels)
-        )
+        return not (self._lattice < 0).any()
 
     def all_levels(self) -> np.ndarray:
         """n x (p+q) integer-level matrix (requires lattice-valued quantitative columns)."""
@@ -295,6 +317,9 @@ class Design:
 
     def __hash__(self) -> int:
         return hash((self.spec, self.qualitative.tobytes(), self.quantitative.tobytes()))
+
+    def __reduce__(self):  # copies and pickles run __init__: read-only arrays, no stale decode
+        return Design, (self.spec, self.qualitative, self.quantitative)
 
 
 def design_from_levels(
@@ -315,7 +340,11 @@ def design_from_levels(
     except DomainError:
         _qualitative_levels(qualitative_levels, spec)  # its columns come first: name theirs
         raise
-    return Design(spec, np.asarray(qualitative_levels), _unit(quant_levels, counts))
+    design = Design(spec, np.asarray(qualitative_levels), _unit(quant_levels, counts))
+    if max(spec.quantitative_levels, default=1) <= 1 << 50:  # then (L + 0.5)/s decodes to L
+        quant_levels.setflags(write=False)
+        design.__dict__["_lattice"] = quant_levels
+    return design
 
 
 @dataclass(frozen=True)
@@ -359,7 +388,7 @@ def validate_utype(design: Design) -> CheckReport:
         if k < spec.p:
             col = design.qualitative[:, k]
         else:
-            col = _lattice_levels(design.quantitative[:, k - spec.p], s)
+            col = design._lattice[:, k - spec.p]
             if col.min() < 0:
                 defects.append(Defect("non-lattice quantitative column", column=k))
                 continue

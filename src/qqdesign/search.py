@@ -69,11 +69,12 @@ def random_utype(spec: DesignSpec, seed) -> Design:
 class SearchConfig:
     """Stochastic search knobs.
 
-    ``budget`` is the iteration cap per restart.  ``threshold_schedule``
-    must be non-increasing and end at 0; when omitted, a 20-step geometric
-    ladder from 5% of the initial bound gap down to 0 is built per
-    restart.  Zero-threshold moves (no worsening) are always accepted so
-    plateaus stay traversable; nothing turns off the stop at the bound.
+    ``budget`` is the iteration cap per restart.  Each of the 20 steps of
+    the threshold ladder (``_default_schedule``: geometric from 5% of the
+    restart's initial bound gap, then 0) runs max(1, budget // 20)
+    proposals until the cap.  Zero-threshold moves (no worsening) are
+    always accepted so plateaus stay traversable; nothing turns off the
+    stop at the bound.
     ``start`` is the U-type design every restart begins at, or None for a
     random one per restart; with a start, restarts differ only in their
     proposals.
@@ -81,7 +82,6 @@ class SearchConfig:
 
     budget: int = 10_000
     restarts: int = 4
-    threshold_schedule: tuple[float, ...] | None = None
     seed: int = 0
     start: Design | None = None
 
@@ -89,21 +89,6 @@ class SearchConfig:
         _require_int("budget", self.budget, low=0)
         _require_int("restarts", self.restarts, low=1)
         _require_int("seed", self.seed, low=0)
-        if self.threshold_schedule is not None:
-            try:
-                sched = tuple(float(t) for t in self.threshold_schedule)
-            except (TypeError, ValueError):
-                raise DomainError(
-                    f"threshold schedule must be numbers, got {self.threshold_schedule!r}"
-                ) from None
-            if not sched or sched[-1] != 0.0:
-                raise DomainError("threshold schedule must end at 0")
-            # a NaN step would compare false everywhere and accept every proposal
-            if any(not t >= 0 for t in sched) or any(
-                x < y for x, y in zip(sched, sched[1:])
-            ):
-                raise DomainError("threshold schedule must be non-increasing and >= 0")
-            object.__setattr__(self, "threshold_schedule", sched)
         if self.start is not None:
             if not isinstance(self.start, Design):
                 raise DomainError(
@@ -184,7 +169,7 @@ def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generato
         return best_value, design, trace, "bound", SearchStats()
 
     n = spec.n
-    schedule = config.threshold_schedule or _default_schedule(value - bound)
+    schedule = _default_schedule(value - bound)
     chunk = max(1, config.budget // len(schedule))
     codes_per_draw = spec.m * n * (n - 1)
     columns, delta, apply_swap = cache.columns, cache.delta, cache.apply_swap

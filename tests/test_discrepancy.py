@@ -216,7 +216,7 @@ def test_row_weights_from_a_column_start_match_the_full_rows():
         [*kernels, partial(agreement, qual, ratio_powers, None)],
         [*kernels, partial(agreement, qual, ratio_powers, 0)],
         [kernels[0], partial(agreement, qual, ratio_powers, 3)],
-        [partial(gather, discrepancy._exact_levels(narrow, 8), discrepancy._quantitative_table(8)),
+        [partial(gather, mixed._exact_columns()[1], discrepancy._quantitative_table(8)),
          partial(gather, np.ravel_multi_index(tuple(qual.T), (4, 3)),
                  discrepancy._qualitative_table((4, 3), DEFAULT_CONFIG))],
     ]
@@ -386,7 +386,8 @@ def test_table_gathers_equal_the_formula_bit_for_bit(shape, seed, kinds, ratio, 
         )
     # the tables are taken exactly where they pay: several blocks, s^2 and Q^2 within a block
     steps = discrepancy._closed_form_steps(
-        design.qualitative, design.quantitative, spec.levels, DEFAULT_CONFIG, np.ones(spec.p + 1)
+        design.qualitative, design.quantitative, spec.levels, DEFAULT_CONFIG, np.ones(spec.p + 1),
+        design._exact_columns,
     )
     several = n * n > discrepancy.PAIR_BLOCK
     gather, kernel, agreement = (discrepancy._gather, discrepancy._kernel_step,

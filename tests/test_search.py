@@ -34,6 +34,7 @@ SPEC_PAIR = DesignSpec(n=8, p=1, q=2, levels=(2, 8, 8))
 # U(6; 2.3): the exhaustive optimum (0.02546) lies above the bound (0.02004),
 # so every search on it runs to its budget or schedule
 SPEC_UNREACHABLE = DesignSpec(n=6, p=1, q=1, levels=(2, 3))
+UNREACHABLE_START = random_utype(SPEC_UNREACHABLE, 0)
 
 
 # ------------------------------------------------------------------ random_utype
@@ -197,18 +198,6 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(DomainError):
         SearchConfig(seed=-1)
-    with pytest.raises(DomainError):
-        SearchConfig(threshold_schedule=(0.1, 0.2, 0.0))
-    with pytest.raises(DomainError):
-        SearchConfig(threshold_schedule=(0.1, 0.05))
-    # NaN compares false with every change, so it would accept every proposal
-    for schedule in [(math.nan, 0.0), (0.1, math.nan, 0.0)]:
-        with pytest.raises(DomainError, match="non-increasing and >= 0"):
-            SearchConfig(threshold_schedule=schedule)
-    with pytest.raises(DomainError, match="must be numbers"):
-        SearchConfig(threshold_schedule=("a",))
-    SearchConfig(threshold_schedule=(0.1, 0.05, 0.0))  # fine
-    SearchConfig(threshold_schedule=(math.inf, 0.0))  # an infinite first step accepts anything
 
 
 @pytest.mark.parametrize(
@@ -221,32 +210,26 @@ def test_search_config_refuses_non_integer_counts(kwargs):
     SearchConfig(**{name: np.int64(2) for name in kwargs})  # numpy integers are fine
 
 
-def test_search_explicit_schedule_runs():
-    config = SearchConfig(budget=300, restarts=1, seed=3, threshold_schedule=(0.01, 0.0))
-    result = search_uniform(SPEC_UNREACHABLE, config)
-    assert result.terminated_by in ("schedule", "budget")
-
-
 @pytest.mark.parametrize("numpy_counts", [True, False])
 @pytest.mark.parametrize(
-    "budget, schedule, proposals, terminated_by",
+    "budget, start, proposals, terminated_by",
     [
         (0, None, 0, "budget"),
-        (5, None, 5, "budget"),  # 20 default steps: one proposal per step
+        (5, None, 5, "budget"),  # 20 threshold steps: one proposal per step
         (203, None, 200, "schedule"),  # 10 per step; the 3 left over go unused
-        (300, (0.01, 0.0), 300, "schedule"),
-        (3, (0.01, 0.0), 2, "schedule"),
-        (1, (0.01, 0.0), 1, "budget"),
+        (300, UNREACHABLE_START, 300, "schedule"),  # 15 per step, none left over
+        (59, UNREACHABLE_START, 40, "schedule"),  # 2 per step; the 19 left over go unused
+        (1, UNREACHABLE_START, 1, "budget"),  # below the step count: the cap ends step 2
     ],
 )
 def test_search_termination_and_stats_follow_the_budget_rules(
-    budget, schedule, proposals, terminated_by, numpy_counts
+    budget, start, proposals, terminated_by, numpy_counts
 ):
-    # numpy integer counts run the same search as Python ints
+    # numpy integer counts run the same search as Python ints; a given start
+    # (None: a random one per restart) follows the same budget rules
     to_count = np.int64 if numpy_counts else int
     config = SearchConfig(
-        budget=to_count(budget), restarts=to_count(2), seed=to_count(7),
-        threshold_schedule=schedule,
+        budget=to_count(budget), restarts=to_count(2), seed=to_count(7), start=start,
     )
     result = search_uniform(SPEC_UNREACHABLE, config)
     assert result.terminated_by == terminated_by
