@@ -20,7 +20,6 @@ of another spec exits 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -313,7 +312,8 @@ def _cmd_search(args):
         "gap": result.gap,
         "terminated_by": result.terminated_by,
         "trace": [list(t) for t in result.trace],
-        "stats": {**dataclasses.asdict(result.stats), "accepted": result.stats.accepted},
+        # a dataclass's __dict__ holds its fields in order; asdict would deep-copy them
+        "stats": {**vars(result.stats), "accepted": result.stats.accepted},
         "out": args.out,
     }
     if args.out:

@@ -204,8 +204,9 @@ def design_to_json_dict(design: Design) -> dict:
     """The JSON mirror; its rows hold int levels for lattice columns, float values otherwise."""
     spec = design.spec
     columns = design.qualitative.T.tolist()
-    for values, levels in zip(design.quantitative.T, design._lattice.T):
-        columns.append((levels if levels.min() >= 0 else values).tolist())
+    lattice = design._lattice
+    for k, low in enumerate(lattice.min(axis=0).tolist()):  # one reduction for all columns
+        columns.append((lattice[:, k] if low >= 0 else design.quantitative[:, k]).tolist())
     return {
         "n": spec.n,
         "p": spec.p,

@@ -36,7 +36,9 @@ v, and the qualitative block (a/b)^(agreements) over its Q level
 combinations, indexed by mixed-radix codes, while s^2 or Q^2 fits in a
 block.  A table entry is the formula on the same floats, so every value
 is the formula's, bit for bit.  The swap evaluator's row route takes, per
-swapped column, the other factors' steps and the column's own.  Both
+swapped column, the other factors' steps and the column's own: its
+kernel, or for a qualitative column its agreements (``_same_step``),
+scaled by a/b - 1 once the two rows are subtracted.  Both
 balance-pattern routes histogram every block's codes
 (``_agreement_histogram``).  Setting p = 0 recovers the wrap-around
 discrepancy (WD), q = 0 the discrete discrepancy (DD).
@@ -198,6 +200,14 @@ def _agreement_step(levels, ratio_powers, skip, rows, start, target, out):
     _agreements(levels, rows, start, out[3:], False, skip)
     # mode="clip" lets take write into the buffer unbuffered; counts are in range
     return ratio_powers.take(out[3], None, target, "clip")
+
+
+def _same_step(levels, rows, start, target, out):
+    """1.0 where a pair agrees on one qualitative column, else 0.0; ``out[5]`` is scratch."""
+    same = out[5]
+    np.equal(levels[rows, None], levels[start:], same)
+    np.copyto(target, same)
+    return target
 
 
 def _row_weights(steps, rows, start, out):
@@ -510,7 +520,7 @@ def _cheaper_quadratic_form(design: Design, config: CriterionConfig, qualitative
     N = math.prod(counts)
     if not counts or n * n <= PAIR_BLOCK or N > QUADRATIC_FORM_CAP or N * sum(counts) > n * n:
         return None
-    if quantitative and any(codes is None for codes in design._exact_columns()):
+    if quantitative and not all(design._exact):
         return None
     quant = design._lattice if quantitative else design.qualitative[:, :0]  # dd decodes nothing
     return _quadratic_form(np.concatenate((design.qualitative[:, :p], quant), axis=1),
@@ -607,11 +617,12 @@ class PairCache:
 
     Swapping two entries of one column keeps the column balanced.  ``delta``
     scores a swap without changing anything; ``apply_swap`` commits it and
-    adds its change to the tracked value, reusing the change just scored
-    for the same swap.  The initial value is ``qqd_squared``'s, bit for
-    bit; afterwards ``value`` is O(1).  The tracked value collects rounding
-    from every commit, so callers that need it exact re-verify with
-    ``qqd_squared``.  Single-owner mutable: not for concurrent use.
+    adds its change to the tracked value, taking the change just scored,
+    unchecked, when given the very index objects ``delta`` validated.  The
+    initial value is ``qqd_squared``'s, bit for bit; afterwards ``value``
+    is O(1).  The tracked value collects rounding from every commit, so
+    callers that need it exact re-verify with ``qqd_squared``.
+    Single-owner mutable: not for concurrent use.
 
     Two routes score a swap, picked at set-up from the design and the
     config alone.
@@ -648,6 +659,13 @@ class PairCache:
     n x n state is kept.  The steps, per column, and one (2, n) buffer
     set for B, f and B_i - B_j are made on first use, so later scores
     allocate nothing of size n.
+
+    The cache carries the start's ``Design._lattice`` and swaps its
+    entries with every committed quantitative swap.  A decode is per
+    entry, so it stays the decode of the current values, near-lattice
+    ones included; ``lattice()`` copies it for a design built from
+    ``levels()`` to take over.  The route test reads the start's
+    ``Design._exact``, which ``design_from_levels`` hands over.
     """
 
     def __init__(self, design: Design, config: CriterionConfig | None = None):
@@ -663,12 +681,14 @@ class PairCache:
         self._scored: tuple[int, int, int, float] | None = None
         # live views of the level columns, qualitative first: read, never write
         self.columns = [*self._qual.T, *self._quant.T]
+        # the decode of the values, swapped along with them (a decode is per entry)
+        self._lattice = np.array(design._lattice)
+        self._decoded = [None] * p + [*self._lattice.T]
         tables = _cell_tables(spec, config) if spec.N <= CELL_RATIO * n else None
-        self._cell_route = tables is not None and all(
-            codes is not None for codes in design._exact_columns())
+        self._cell_route = tables is not None and all(design._exact)
         self._buffers, self._steps = None, {}  # the row route's, made on first use
         if self._cell_route:
-            self._set_up_cells(np.concatenate((self._qual, design._lattice), axis=1), tables)
+            self._set_up_cells(np.concatenate((self._qual, self._lattice), axis=1), tables)
 
     def _set_up_cells(self, levels: np.ndarray, tables: _CellTables) -> None:
         self._tables = tables
@@ -685,6 +705,14 @@ class PairCache:
         """Copies of the current qualitative levels and quantitative values."""
         return self._qual.copy(), self._quant.copy()
 
+    def lattice(self) -> np.ndarray:
+        """A copy of the current quantitative values' ``Design._lattice`` decode.
+
+        The start's decode with every committed swap made in it too, so a
+        design built from ``levels()`` can take it over (``model._hand_over``).
+        """
+        return self._lattice.copy()
+
     def value(self) -> float:
         """Current squared discrepancy as tracked through the committed swaps."""
         return self._value
@@ -695,7 +723,7 @@ class PairCache:
             _require_int("column index", column)
             _require_int("row index", row_i, row_j)
         spec = self.spec
-        if not 0 <= column < spec.m:
+        if not 0 <= column < len(self.columns):  # m columns, without the property call
             raise DomainError(f"column index {column} out of range for {spec.m} factors")
         n = spec.n
         if not (0 <= row_i < n and 0 <= row_j < n):
@@ -735,15 +763,22 @@ class PairCache:
         return (2 * linear + quadratic) / tables.denominator
 
     def _row_steps(self, column: int):
-        """The steps of the factors other than ``column``, and that column's own step."""
+        """The steps of the factors other than ``column``, that column's own step, and its scale.
+
+        A qualitative column's weight is 1 or a/b, so its difference between
+        two rows is (a/b - 1) times that of their agreements: its own step
+        writes the agreements, which the scale a/b - 1 multiplies.  The
+        products round as the weights' differences do, 1 - a/b being the
+        negation of a/b - 1.  A quantitative column has no scale (None).
+        """
         p, ratio_powers = self.spec.p, self._ratio_powers
         others = [partial(_kernel_step, values) for k, values in enumerate(self.columns)
                   if p <= k != column]
         if p - (column < p):  # a qualitative column is left in
             others.append(partial(_agreement_step, self._qual, ratio_powers, column))
-        own = (partial(_agreement_step, self._qual[:, column : column + 1], ratio_powers, None)
-               if column < p else partial(_kernel_step, self.columns[column]))
-        return others, own
+        if column < p:
+            return others, partial(_same_step, self.columns[column]), ratio_powers[1] - 1.0
+        return others, partial(_kernel_step, self.columns[column]), None
 
     def _row_change(self, column: int, row_i: int, row_j: int) -> float:
         # the change is symmetric in i and j, so order them and take both
@@ -755,13 +790,15 @@ class PairCache:
         buffers = self._buffers
         if column not in self._steps:
             self._steps[column] = self._row_steps(column)
-        others, own = self._steps[column]
+        others, own, scale = self._steps[column]
         # weights: the pair weights of rows lo and hi without the swapped column
         weights = _row_weights(others, rows, 0, buffers)
         _, kernel, work = buffers[:3]
         # f: that column's kernel against every row r, row hi minus row lo
         own(rows, 0, kernel, buffers)
         f = np.subtract(kernel[1], kernel[0], work[0])
+        if scale is not None:
+            np.multiply(f, scale, f)
         f[lo] = f[hi] = 0.0
         return self._scale * float(np.dot(np.subtract(weights[0], weights[1], kernel[0]), f))
 
@@ -790,21 +827,26 @@ class PairCache:
     def apply_swap(self, column: int, row_i: int, row_j: int) -> float:
         """Swap two entries within one column; returns the new tracked value.
 
-        Equal entries are a no-op.  The change comes from the preceding
-        ``delta`` call when it scored the same swap, and is computed
-        otherwise.
+        Equal entries are a no-op.  Given the very index objects of the
+        preceding ``delta``, which validated and scored that swap, it
+        commits that change at once; any other call is validated and scored
+        here.  Identity, not equality, so True or 1.0 never passes for 1.
         """
-        col = self._column(column, row_i, row_j)
-        if col[row_i] == col[row_j]:
-            return self._value
         scored = self._scored
-        if scored is not None and scored[:3] == (column, row_i, row_j):
+        if scored and scored[0] is column and scored[1] is row_i and scored[2] is row_j:
             change = scored[3]
         else:
+            col = self._column(column, row_i, row_j)
+            if col[row_i] == col[row_j]:
+                return self._value
             change = self.delta(column, row_i, row_j)
         self._scored = None
         if self._cell_route:
             self._commit_cells(column, row_i, row_j)
+        col = self.columns[column]
         col[row_i], col[row_j] = col[row_j], col[row_i]
+        decoded = self._decoded[column]
+        if decoded is not None:
+            decoded[row_i], decoded[row_j] = decoded[row_j], decoded[row_i]
         self._value += change
         return self._value

@@ -12,7 +12,9 @@ design.
 ``_lattice_levels`` alone turns values into levels, within LATTICE_TOL.
 A Design runs it once, on first use (``Design._lattice``), for every
 reader: U-type checks, ``is_lattice`` and the writer by this tolerant
-meaning, every route choice by the exact one of ``Design._exact_columns``.
+meaning, every route choice by the exact one of ``Design._exact``.  A
+caller that already holds the decode hands it over instead
+(``_hand_over``): ``design_from_levels``, and the search for its winner.
 """
 
 from __future__ import annotations
@@ -278,14 +280,18 @@ class Design:
         levels.setflags(write=False)
         return levels
 
-    def _exact_columns(self) -> list[np.ndarray | None]:
-        """Each quantitative column's levels, or None unless their lattice points are its values.
+    @functools.cached_property
+    def _exact(self) -> tuple[bool, ...]:
+        """Per quantitative column: are its levels' lattice points its values, bit for bit?
 
-        Equal bit for bit: this exact meaning, not ``LATTICE_TOL``'s, chooses every route.
+        This exact meaning, not ``LATTICE_TOL``'s, chooses every route.
         """
         counts = np.array(self.spec.quantitative_levels, dtype=np.uint64)
-        exact = (_unit(self._lattice, counts) == self.quantitative).all(axis=0)
-        return [levels if on else None for levels, on in zip(self._lattice.T, exact)]
+        return tuple((_unit(self._lattice, counts) == self.quantitative).all(axis=0).tolist())
+
+    def _exact_columns(self) -> list[np.ndarray | None]:
+        """Each quantitative column's levels, or None unless it is exact (``_exact``)."""
+        return [levels if on else None for levels, on in zip(self._lattice.T, self._exact)]
 
     def quantitative_as_levels(self) -> np.ndarray:
         """Integer-level view of the quantitative columns; raises DomainError off-lattice."""
@@ -342,8 +348,20 @@ def design_from_levels(
         raise
     design = Design(spec, np.asarray(qualitative_levels), _unit(quant_levels, counts))
     if max(spec.quantitative_levels, default=1) <= 1 << 50:  # then (L + 0.5)/s decodes to L
-        quant_levels.setflags(write=False)
-        design.__dict__["_lattice"] = quant_levels
+        _hand_over(design, quant_levels, (True,) * spec.q)  # its values are _unit of its levels
+    return design
+
+
+def _hand_over(design: Design, lattice: np.ndarray, exact: tuple[bool, ...] | None = None):
+    """``design``, its decode (and given ``exact``, its exactness) filled instead of computed.
+
+    For a caller that already holds them: ``lattice`` must be what
+    ``_lattice_levels`` gives for the design's values, and is made read-only.
+    """
+    lattice.setflags(write=False)
+    design.__dict__["_lattice"] = lattice
+    if exact is not None:
+        design.__dict__["_exact"] = exact
     return design
 
 

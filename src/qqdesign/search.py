@@ -7,13 +7,21 @@ random U-type design, or at ``SearchConfig.start`` when one is given.
 Each proposal is scored first by ``PairCache.delta`` without touching
 the design (O(n*m) from two rows, or O(m) in cell space on small lattice
 specs); a proposal whose change is at most the current threshold is
-committed with ``PairCache.apply_swap``, and a rejected one costs
-nothing more.  Swaps of two equal entries are counted and skipped.  The objective is the
-squared qualitative-quantitative discrepancy; the incrementally tracked
-value of the winner is re-verified by a full recomputation at the end,
-and a disagreement raises ``DriftError``.  A start or new best within
-``BOUND_TOL`` of the combined analytic lower bound is provably uniform,
-so ``_attains``, the one stop rule, always ends the search there.
+committed with ``PairCache.apply_swap``, which takes the change just
+scored without checking the swap again, and a rejected one costs
+nothing more.  Swaps of two equal entries are counted and skipped.  The
+objective is the squared qualitative-quantitative discrepancy; the
+incrementally tracked value of the winner is re-verified by a full
+recomputation at the end, and a disagreement raises ``DriftError``.  A
+start or new best within ``BOUND_TOL`` of the combined analytic lower
+bound is provably uniform, so ``_attains``, the one stop rule, always
+ends the search there.
+
+Each new best copies the evaluator's levels and the lattice decode it
+carries; the winner is built from them once per restart and takes the
+decode over (``model._hand_over``), so the final check and a writer
+decode nothing.  A random start comes from ``design_from_levels``, which
+hands over its own, so such a search decodes no design at all.
 
 All randomness flows from numpy's PCG64 generator: each restart draws
 from its own child of the configured seed's sequence, so identical
@@ -31,7 +39,8 @@ of last-factor candidates per matrix-vector product of ``kernel_matrix`` weights
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -43,6 +52,7 @@ from .model import (
     DEFAULT_CONFIG,
     Design,
     DesignSpec,
+    _hand_over,
     _require_int,
     design_from_levels,
     validate_utype,
@@ -125,7 +135,8 @@ class SearchStats:
         return self.improving + self.equal + self.worsening
 
     def __add__(self, other: SearchStats) -> SearchStats:
-        return SearchStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+        # a dataclass's __dict__ holds its fields in order
+        return SearchStats(*map(operator.add, vars(self).values(), vars(other).values()))
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,13 @@ class SearchResult:
     stats: SearchStats
 
 
+# the ladder's 19 geometric ratios, from 1 down to 1/1000, computed once
+_LADDER = tuple(10.0 ** (-k / 6) for k in range(19))
+
+
 def _default_schedule(initial_gap: float) -> tuple[float, ...]:
     top = 0.05 * initial_gap  # > 0: a start at the bound builds no ladder
-    # 19 geometric steps from top down to top / 1000, then 0
-    return tuple(top * 10.0 ** (-k / 6) for k in range(19)) + (0.0,)
+    return tuple(top * ratio for ratio in _LADDER) + (0.0,)  # then 0
 
 
 def _decode(codes, n: int):
@@ -181,8 +195,8 @@ def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generato
         if steps <= 0:
             terminated = "budget"
             break
-        draws = _decode(rng.integers(codes_per_draw, size=steps), n)
-        for column, row_i, row_j in zip(*(d.tolist() for d in draws)):
+        drawn_columns, drawn_i, drawn_j = _decode(rng.integers(codes_per_draw, size=steps), n)
+        for column, row_i, row_j in zip(drawn_columns.tolist(), drawn_i.tolist(), drawn_j.tolist()):
             iteration += 1
             col = columns[column]
             if col[row_i] == col[row_j]:
@@ -201,15 +215,16 @@ def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generato
                 improving += 1
             if value < best_value:
                 best_value = value
-                best_levels = cache.levels()
+                best_levels = (*cache.levels(), cache.lattice())
                 trace.append((iteration, value))
                 if _attains(value, bound):
                     terminated = "bound"
                     break
         if terminated:
             break
-    if best_levels is not None:
-        design = Design(spec, *best_levels)
+    if best_levels is not None:  # validated once, its decode handed over
+        qualitative, quantitative, lattice = best_levels
+        design = _hand_over(Design(spec, qualitative, quantitative), lattice)
     stats = SearchStats(iteration, noops, improving, equal, worsening, rejected)
     return best_value, design, trace, terminated or "schedule", stats
 

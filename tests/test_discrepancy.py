@@ -255,8 +255,8 @@ def test_in_place_kernel_is_the_formula_bit_for_bit():
         assert got.tobytes() == want.tobytes()
     # the only column skipped leaves no step: all ones, whatever the buffers held
     design = random_utype(DesignSpec(n=6, p=0, q=1, levels=(6,)), 1)
-    others, own = PairCache(design)._row_steps(0)
-    assert others == [] and own.func is discrepancy._kernel_step
+    others, own, scale = PairCache(design)._row_steps(0)
+    assert others == [] and own.func is discrepancy._kernel_step and scale is None
     weights = discrepancy._row_weights(others, slice(2, 4), 2, _dirty_buffers(2, 4))
     assert weights.tobytes() == np.ones((2, 4)).tobytes()
 
@@ -831,6 +831,55 @@ def test_swap_matches_full_recompute_on_random_designs():
             value = cache.apply_swap(col, i, j)
             assert value == before + change
             assert value == pytest.approx(qqd_squared(Design(cache.spec, *cache.levels())), abs=1e-10)
+            assert cache.lattice().tolist() == Design(spec, *cache.levels())._lattice.tolist()
+
+
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, CriterionConfig(a=3.7, b=0.4),
+                                    CriterionConfig(a=1.0 + 2**-40, b=1.0)])
+def test_row_route_scores_a_qualitative_column_as_its_weights_bit_for_bit(config):
+    # the own step writes agreements scaled by a/b - 1; the weights' difference,
+    # (a/b)^agreement of the column from the formula, must give the same bits
+    design = random_utype(DesignSpec(n=64, p=2, q=2, levels=(4, 2, 64, 64)), 0)
+    cache, weights = PairCache(design, config), PairCache(design, config)
+    assert not cache._cell_route
+    for column in range(2):
+        others, own, scale = weights._row_steps(column)
+        assert own.func is discrepancy._same_step and scale == config.a / config.b - 1.0
+        formula = partial(discrepancy._agreement_step, weights._qual[:, column : column + 1],
+                          weights._ratio_powers, None)
+        weights._steps[column] = (others, formula, None)
+    rng = np.random.default_rng(2)
+    scored = 0
+    while scored < 60:
+        column = int(rng.integers(2))
+        i, j = (int(v) for v in rng.choice(64, size=2, replace=False))
+        if cache.columns[column][i] != cache.columns[column][j]:
+            assert cache.delta(column, i, j).hex() == weights.delta(column, i, j).hex()
+            cache.apply_swap(column, i, j)
+            weights.apply_swap(column, i, j)
+            scored += 1
+
+
+@pytest.mark.parametrize("kind", ["near", "raw"])
+def test_swaps_carry_the_decode_of_values_off_the_lattice(kind):
+    # the decode is per entry, so swapping it with the values decodes the swapped values
+    design = random_utype(DesignSpec(n=12, p=1, q=2, levels=(2, 3, 4)), 3)
+    rng = np.random.default_rng(1)
+    quant = design.quantitative.copy()
+    if kind == "near":  # inside LATTICE_TOL, off the lattice points: every value still decodes
+        quant[::3] += 1e-12
+    else:
+        quant[::3, 1] = rng.random(4)  # column 2 decodes to -1 in these rows
+    start = Design(design.spec, design.qualitative, quant)
+    cache = PairCache(start)
+    assert not cache._cell_route
+    for _ in range(30):
+        col = int(rng.integers(3))
+        i, j = (int(v) for v in rng.choice(12, size=2, replace=False))
+        cache.apply_swap(col, i, j)
+        current = Design(start.spec, *cache.levels())
+        assert cache.lattice().tolist() == current._lattice.tolist()
+    assert (cache.lattice().min() >= 0) == (kind == "near")
 
 
 def test_swap_rejects_out_of_range_indices():
@@ -864,6 +913,48 @@ def test_swap_refuses_indices_that_are_not_integers(method, config, cell_route, 
     j = column.index(1 - column[0])
     expected = getattr(PairCache(design, config), method)(0, 0, j)
     assert getattr(cache, method)(np.int64(0), np.int64(0), np.int64(j)) == expected
+
+
+@pytest.mark.parametrize(
+    "config, cell_route",
+    [(DEFAULT_CONFIG, True), (CriterionConfig(a=3.7, b=0.4), False)],
+    ids=["cell", "row"],
+)
+def test_apply_swap_takes_the_scored_change_only_for_the_scored_index_objects(
+    config, cell_route, monkeypatch
+):
+    design = random_utype(DesignSpec(n=8, p=1, q=2, levels=(2, 2, 2)), 0)
+    cache, twin = PairCache(design, config), PairCache(design, config)
+    assert cache._cell_route is cell_route
+    scored = []
+    monkeypatch.setattr(cache, "delta", lambda *args: scored.append(args)
+                        or PairCache.delta(cache, *args))
+    levels = design.quantitative_as_levels()
+    i = 1
+    j = levels[:, 0].tolist().index(1 - levels[i, 0])
+    same = next(r for r in range(8) if r != i and levels[r, 0] == levels[i, 0])
+    other = levels[:, 1].tolist().index(1 - levels[0, 1])
+    before = cache.value()
+    change = cache.delta(1, i, j)
+    # a bool or a float equal to a scored index is refused, never taken for it
+    for args in [(True, i, j), (1.0, i, j), (1, True, j), (1, float(i), j)]:
+        with pytest.raises(DomainError, match="must be an integer"):
+            cache.apply_swap(*args)
+    # two equal entries are a no-op, and leave the scored swap as it was
+    assert cache.apply_swap(1, i, same) == before
+    assert scored == [(1, i, j)]
+    # the scored swap commits without a second score
+    assert cache.apply_swap(1, i, j) == before + change
+    assert scored == [(1, i, j)]
+    assert twin.apply_swap(1, i, j) == before + change
+    # another swap is validated and scored again
+    with pytest.raises(DomainError, match="out of range"):
+        cache.apply_swap(2, 0, 8)
+    expected = twin.apply_swap(2, 0, other)
+    assert cache.apply_swap(2, 0, other) == expected
+    assert scored == [(1, i, j), (2, 0, other)]
+    assert Design(cache.spec, *cache.levels()) == Design(twin.spec, *twin.levels())
+    assert cache.lattice().tolist() == twin.lattice().tolist()
 
 
 def test_pair_cache_supports_general_weights():

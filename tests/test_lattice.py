@@ -26,6 +26,7 @@ from qqdesign import (
     DesignSpec,
     DomainError,
     PairCache,
+    SearchConfig,
     design_from_levels,
     design_to_json_dict,
     frequency_vector,
@@ -34,6 +35,7 @@ from qqdesign import (
     qqd_squared,
     qqd_squared_quadratic,
     random_utype,
+    search_uniform,
     validate_utype,
     wd_squared,
     write_design,
@@ -185,12 +187,13 @@ def test_levels_filled_by_design_from_levels_equal_the_decode(levels):
     built = design_from_levels(spec, rng.integers(0, levels[0], (12, 1)), quant)
     decoded = Design(spec, built.qualitative, built.quantitative)
     # filled from the levels up to 2^50 levels, decoded on first use above
-    assert ("_lattice" in built.__dict__) == (max(levels[1:]) <= 2**50)
-    assert "_lattice" not in decoded.__dict__
+    assert ("_lattice" in built.__dict__) == ("_exact" in built.__dict__) == (max(levels[1:]) <= 2**50)
+    assert "_lattice" not in decoded.__dict__ and "_exact" not in decoded.__dict__
     for design in (built, decoded):
         assert not design._lattice.flags.writeable
     assert built._lattice.dtype == decoded._lattice.dtype == np.int64
     assert built._lattice.tolist() == decoded._lattice.tolist()
+    assert built._exact == decoded._exact == (True, True)
 
 
 def test_level_arrays_are_fresh_and_the_decode_read_only():
@@ -258,3 +261,37 @@ def test_each_design_is_decoded_at_most_once(tmp_path, capsys):
     with _decodes() as shapes:
         assert PairCache(design)._cell_route
     assert shapes == [(256, 2)]
+
+
+@pytest.mark.parametrize("n, levels, cells", [("16", "4,2,2", True), ("64", "4,64,64", False)],
+                         ids=["cells", "rows"])
+def test_a_search_decodes_only_a_start_it_reads(n, levels, cells, tmp_path, capsys):
+    spec = DesignSpec(n=int(n), p=1, q=2, levels=tuple(map(int, levels.split(","))))
+    assert PairCache(random_utype(spec, 0))._cell_route == cells
+    search = ["search", "--json", "--n", n, "--p", "1", "--q", "2", "--levels", levels,
+              "--budget", "200", "--restarts", "2"]
+    written = tmp_path / "random.txt"
+    # random starts hand their levels over, and the winner the decode it was searched with
+    with _decodes() as shapes:
+        assert main([*search, "--out", str(written)]) in (0, 4)
+    assert json.loads(capsys.readouterr().out)["trace"][-1][0] > 0  # the winner is not the start
+    assert shapes == []
+    with _decodes() as shapes:
+        assert main([*search, "--start", str(written), "--seed", "1",
+                     "--out", str(tmp_path / "from-start.txt")]) in (0, 4)
+    capsys.readouterr()
+    assert shapes == [(spec.n, 2)]
+
+
+def test_the_winner_takes_over_the_decode_of_its_values():
+    spec = DesignSpec(n=16, p=1, q=2, levels=(4, 2, 2))
+    lattice = random_utype(spec, 5)
+    nudge = np.where(np.arange(16)[:, None] % 2, 1e-12, -1e-12)  # inside LATTICE_TOL
+    near = Design(spec, lattice.qualitative, lattice.quantitative + nudge)
+    for start in (None, near):
+        result = search_uniform(spec, SearchConfig(budget=200, restarts=2, seed=3, start=start))
+        winner = result.best_design
+        assert len(result.trace) > 1 and winner is not start
+        assert "_lattice" in winner.__dict__ and not winner._lattice.flags.writeable
+        assert winner._lattice.tolist() == _fresh(winner)._lattice.tolist()
+        assert winner._exact == _fresh(winner)._exact == (start is None,) * 2

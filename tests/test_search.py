@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -26,6 +27,7 @@ from qqdesign import (
     search_uniform,
     validate_utype,
 )
+from qqdesign.cli import main
 from qqdesign.reference import load_reference_design
 from qqdesign.search import EXHAUSTIVE_CAP, EXHAUSTIVE_WEIGHT_CAP, _distinct_balanced_columns
 
@@ -328,6 +330,67 @@ def test_proposal_decode_covers_every_column_and_ordered_row_pair_once(n, m):
     decoded = list(zip(*(d.tolist() for d in _decode(codes, n))))
     expected = [(c, i, j) for c in range(m) for i in range(n) for j in range(n) if i != j]
     assert sorted(decoded) == expected
+
+
+# ----------------------------------------------------------------- golden digests
+
+def _start_file(path, n, levels, seed, near=False):
+    """A U-type design file with one qualitative factor: integer levels, or values near them."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.permutation(np.repeat(np.arange(s), n // s)) for s in levels]
+    lines = [f"{n} 1 {len(levels) - 1}", " ".join(map(str, levels))]
+    for r in range(n):
+        tokens = [str(cols[0][r])]
+        for k, s in enumerate(levels[1:], 1):
+            level = int(cols[k][r])
+            # within LATTICE_TOL of the lattice point, not on it: scored from rows
+            tokens.append(repr((level + 0.5) / s + (r % 3 - 1) * 1e-12) if near else str(level))
+        lines.append(" ".join(tokens))
+    path.write_text("\n".join(lines) + "\n")
+
+
+SEARCH_SMALL = [("8", "2,2,2"), ("12", "3,2,2"), ("16", "4,2,2")]
+# one sha256 per group over each job's exit code, search --json stdout and --out
+# file, recorded at the commit before the winner kept its decode; a change to a
+# search trace or to the writer changes them, and must say why
+GOLDEN = {
+    # the benchmark's search_small specs, scored in cell space, seeds 0-39 each
+    "cells": (
+        [["--n", n, "--levels", levels, "--seed", str(seed)]
+         for n, levels in SEARCH_SMALL for seed in range(40)],
+        "299390b8a3a357ea4e8b7a17c4b5fac33bd53442d06619bfc783ccd2b454a77b",
+    ),
+    # U(64; 4.64^2) is scored from rows
+    "rows": (
+        [["--n", "64", "--levels", "4,64,64", "--seed", str(seed)] for seed in range(3)],
+        "ccde1d507a69d6b35652375d9129dcd43838e84dfa214064c326e4ac567a97f3",
+    ),
+    # a lattice start on each route, and a near-lattice one, which is scored from rows
+    "start": (
+        [["--n", "16", "--levels", "4,2,2", "--start", "cells.txt"],
+         ["--n", "64", "--levels", "4,64,64", "--start", "rows.txt"],
+         ["--n", "16", "--levels", "4,2,2", "--start", "near.txt"]],
+        "624a6096f7cb07da44e1bf8816549b0e8e8daefcc4e2781bc83587c1ab3abf68",
+    ),
+}
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="the digests were recorded with numpy 2")
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_search_output_matches_the_golden_digests(group, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _start_file(tmp_path / "cells.txt", 16, (4, 2, 2), 0)
+    _start_file(tmp_path / "rows.txt", 64, (4, 64, 64), 1)
+    _start_file(tmp_path / "near.txt", 16, (4, 2, 2), 2, near=True)
+    jobs, expected = GOLDEN[group]
+    digest = hashlib.sha256()
+    for argv in jobs:
+        code = main(["search", "--json", "--p", "1", "--q", "2", *argv, "--budget", "200",
+                     "--restarts", "2", "--out", "design.txt"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        digest.update((tmp_path / "design.txt").read_bytes())
+    assert digest.hexdigest() == expected
 
 
 # ------------------------------------------------------------- exhaustive oracle
