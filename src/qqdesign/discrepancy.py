@@ -829,17 +829,16 @@ class PairCache:
 
         Equal entries are a no-op.  Given the very index objects of the
         preceding ``delta``, which validated and scored that swap, it
-        commits that change at once; any other call is validated and scored
-        here.  Identity, not equality, so True or 1.0 never passes for 1.
+        commits that change at once; ``delta`` validates and scores any
+        other call.  Identity, not equality, so True or 1.0 never passes for 1.
         """
         scored = self._scored
-        if scored and scored[0] is column and scored[1] is row_i and scored[2] is row_j:
-            change = scored[3]
-        else:
-            col = self._column(column, row_i, row_j)
-            if col[row_i] == col[row_j]:
+        if not (scored and scored[0] is column and scored[1] is row_i and scored[2] is row_j):
+            self.delta(column, row_i, row_j)
+            if self._scored is scored:  # equal entries: delta recorded nothing
                 return self._value
-            change = self.delta(column, row_i, row_j)
+            scored = self._scored
+        change = scored[3]
         self._scored = None
         if self._cell_route:
             self._commit_cells(column, row_i, row_j)

@@ -13,7 +13,7 @@ design.
 A Design runs it once, on first use (``Design._lattice``), for every
 reader: U-type checks, ``is_lattice`` and the writer by this tolerant
 meaning, every route choice by the exact one of ``Design._exact``.  A
-caller that already holds the decode hands it over instead
+caller that holds the decode and its exactness hands them over instead
 (``_hand_over``): ``design_from_levels``, and the search for its winner.
 """
 
@@ -352,16 +352,15 @@ def design_from_levels(
     return design
 
 
-def _hand_over(design: Design, lattice: np.ndarray, exact: tuple[bool, ...] | None = None):
-    """``design``, its decode (and given ``exact``, its exactness) filled instead of computed.
+def _hand_over(design: Design, lattice: np.ndarray, exact: tuple[bool, ...]):
+    """``design``, its decode and its exactness filled instead of computed.
 
     For a caller that already holds them: ``lattice`` must be what
     ``_lattice_levels`` gives for the design's values, and is made read-only.
     """
     lattice.setflags(write=False)
     design.__dict__["_lattice"] = lattice
-    if exact is not None:
-        design.__dict__["_exact"] = exact
+    design.__dict__["_exact"] = exact
     return design
 
 

@@ -19,18 +19,20 @@ ends the search there.
 
 Each new best copies the evaluator's levels and the lattice decode it
 carries; the winner is built from them once per restart and takes the
-decode over (``model._hand_over``), so the final check and a writer
-decode nothing.  A random start comes from ``design_from_levels``, which
-hands over its own, so such a search decodes no design at all.
+decode and the start's exactness over (``model._hand_over``), so the
+final check and a writer recompute neither.  A random start comes from
+``design_from_levels``, which hands over its own, so such a search
+decodes no design at all.
 
 All randomness flows from numpy's PCG64 generator: each restart draws
 from its own child of the configured seed's sequence, so identical
-inputs give bit-identical results on every platform.  A threshold step
-draws all of its proposals with one call, as integer codes uniform on
-range(m * n * (n - 1)); ``_decode`` splits a code with two divmods into a
-column and an ordered pair of distinct rows, so each column and each
-ordered pair is equally likely.  Draws left over when a restart stops at
-the bound are discarded.
+inputs give bit-identical results on every platform.  ``_proposals``
+draws a restart's proposals ``_BLOCK`` integer codes at a time, uniform
+on range(m * n * (n - 1)), so memory does not grow with the budget; two
+divmods split a code into a column and an ordered pair of distinct rows,
+each equally likely.  The generator gives the same codes however its
+draws are split; codes left when a restart stops at the bound are
+discarded.
 
 The oracle ``exhaustive_uniform`` scores every U-type design exactly: one row
 of last-factor candidates per matrix-vector product of ``kernel_matrix`` weights.
@@ -70,7 +72,10 @@ def random_utype(spec: DesignSpec, seed) -> Design:
     if not isinstance(seed, np.random.Generator):
         _require_int("seed", seed, low=0)
         rng = np.random.default_rng(seed)
-    cols = [_balanced_column(spec.n, s, rng) for s in spec.levels]
+    try:
+        cols = [_balanced_column(spec.n, s, rng) for s in spec.levels]
+    except (MemoryError, OverflowError):  # numpy cannot allocate or size n entries
+        raise CapacityError(f"cannot allocate a random design with n={spec.n}") from None
     levels = np.column_stack(cols)
     return design_from_levels(spec, levels[:, : spec.p], levels[:, spec.p :])
 
@@ -160,16 +165,20 @@ def _default_schedule(initial_gap: float) -> tuple[float, ...]:
     return tuple(top * ratio for ratio in _LADDER) + (0.0,)  # then 0
 
 
-def _decode(codes, n: int):
-    """Columns, rows i and rows j != i of an array of codes in range(m * n * (n - 1)).
+# codes per draw: a whole search_small (200) or search_large (1000) restart in one
+_BLOCK = 1 << 12
 
-    Every (column, i, j) with i != j comes from exactly one code, so
-    uniform codes give a uniform column and a uniform ordered pair of
-    distinct rows.
+
+def _proposals(rng: np.random.Generator, m: int, n: int, count: int):
+    """``count`` uniform proposals (column, i, j != i), drawn ``_BLOCK`` codes at a time.
+
+    Each (column, i, j) with i != j comes from exactly one code in range(m * n * (n - 1)).
     """
-    column, pair = divmod(codes, n * (n - 1))
-    row_i, row_j = divmod(pair, n - 1)
-    return column, row_i, row_j + (row_j >= row_i)
+    pairs = n * (n - 1)
+    for done in range(0, count, _BLOCK):
+        column, pair = divmod(rng.integers(m * pairs, size=min(_BLOCK, count - done)), pairs)
+        row_i, row_j = divmod(pair, n - 1)
+        yield from zip(column.tolist(), row_i.tolist(), (row_j + (row_j >= row_i)).tolist())
 
 
 def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generator, bound: float):
@@ -182,51 +191,44 @@ def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generato
     if _attains(best_value, bound):
         return best_value, design, trace, "bound", SearchStats()
 
-    n = spec.n
     schedule = _default_schedule(value - bound)
     chunk = max(1, config.budget // len(schedule))
-    codes_per_draw = spec.m * n * (n - 1)
+    # each ladder value for chunk proposals; range, not repeat, takes any budget
+    thresholds = (threshold for threshold in schedule for _ in range(chunk))
+    proposals = _proposals(rng, spec.m, spec.n, min(config.budget, len(schedule) * chunk))
+    terminated = "budget" if config.budget < len(schedule) * chunk else "schedule"
     columns, delta, apply_swap = cache.columns, cache.delta, cache.apply_swap
     best_levels = None
     iteration = noops = improving = equal = worsening = rejected = 0
-    terminated = None
-    for threshold in schedule:
-        steps = min(chunk, config.budget - iteration)
-        if steps <= 0:
-            terminated = "budget"
-            break
-        drawn_columns, drawn_i, drawn_j = _decode(rng.integers(codes_per_draw, size=steps), n)
-        for column, row_i, row_j in zip(drawn_columns.tolist(), drawn_i.tolist(), drawn_j.tolist()):
-            iteration += 1
-            col = columns[column]
-            if col[row_i] == col[row_j]:
-                noops += 1
-                continue
-            change = delta(column, row_i, row_j)
-            if change > threshold:
-                rejected += 1
-                continue
-            value = apply_swap(column, row_i, row_j)
-            if change > 0.0:
-                worsening += 1
-            elif change == 0.0:
-                equal += 1
-            else:
-                improving += 1
-            if value < best_value:
-                best_value = value
-                best_levels = (*cache.levels(), cache.lattice())
-                trace.append((iteration, value))
-                if _attains(value, bound):
-                    terminated = "bound"
-                    break
-        if terminated:
-            break
-    if best_levels is not None:  # validated once, its decode handed over
+    for threshold, (column, row_i, row_j) in zip(thresholds, proposals):
+        iteration += 1
+        col = columns[column]
+        if col[row_i] == col[row_j]:
+            noops += 1
+            continue
+        change = delta(column, row_i, row_j)
+        if change > threshold:
+            rejected += 1
+            continue
+        value = apply_swap(column, row_i, row_j)
+        if change > 0.0:
+            worsening += 1
+        elif change == 0.0:
+            equal += 1
+        else:
+            improving += 1
+        if value < best_value:
+            best_value = value
+            best_levels = (*cache.levels(), cache.lattice())
+            trace.append((iteration, value))
+            if _attains(value, bound):
+                terminated = "bound"
+                break
+    if best_levels is not None:  # validated once; swaps keep each column's exactness
         qualitative, quantitative, lattice = best_levels
-        design = _hand_over(Design(spec, qualitative, quantitative), lattice)
+        design = _hand_over(Design(spec, qualitative, quantitative), lattice, design._exact)
     stats = SearchStats(iteration, noops, improving, equal, worsening, rejected)
-    return best_value, design, trace, terminated or "schedule", stats
+    return best_value, design, trace, terminated, stats
 
 
 # a value this close to the lower bound counts as attaining it

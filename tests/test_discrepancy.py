@@ -937,22 +937,25 @@ def test_apply_swap_takes_the_scored_change_only_for_the_scored_index_objects(
     before = cache.value()
     change = cache.delta(1, i, j)
     # a bool or a float equal to a scored index is refused, never taken for it
-    for args in [(True, i, j), (1.0, i, j), (1, True, j), (1, float(i), j)]:
+    refused = [(True, i, j), (1.0, i, j), (1, True, j), (1, float(i), j)]
+    for args in refused:
         with pytest.raises(DomainError, match="must be an integer"):
             cache.apply_swap(*args)
     # two equal entries are a no-op, and leave the scored swap as it was
     assert cache.apply_swap(1, i, same) == before
-    assert scored == [(1, i, j)]
+    # every call but the scored swap's own went through delta
+    assert scored == [(1, i, j), *refused, (1, i, same)]
+    scored.clear()
     # the scored swap commits without a second score
     assert cache.apply_swap(1, i, j) == before + change
-    assert scored == [(1, i, j)]
+    assert scored == []
     assert twin.apply_swap(1, i, j) == before + change
-    # another swap is validated and scored again
+    # another swap is validated and scored again, by delta
     with pytest.raises(DomainError, match="out of range"):
         cache.apply_swap(2, 0, 8)
     expected = twin.apply_swap(2, 0, other)
     assert cache.apply_swap(2, 0, other) == expected
-    assert scored == [(1, i, j), (2, 0, other)]
+    assert scored == [(2, 0, 8), (2, 0, other)]
     assert Design(cache.spec, *cache.levels()) == Design(twin.spec, *twin.levels())
     assert cache.lattice().tolist() == twin.lattice().tolist()
 

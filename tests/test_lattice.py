@@ -8,6 +8,7 @@ They are the reference the property test holds the shared decode to.
 """
 
 import copy
+import functools
 import json
 import math
 import pickle
@@ -225,42 +226,70 @@ def _decodes():
         yield shapes
 
 
+@contextmanager
+def _exactness_tests():
+    """The quantitative blocks whose ``Design._exact`` is computed, in call order."""
+    shapes, real = [], model.Design.__dict__["_exact"].func
+
+    def count(design):
+        shapes.append(design.quantitative.shape)
+        return real(design)
+
+    counted = functools.cached_property(count)
+    counted.__set_name__(model.Design, "_exact")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model.Design, "_exact", counted)
+        yield shapes
+
+
 def _fresh(design):
     """The same design, built from its values, so nothing is decoded yet."""
     return Design(design.spec, design.qualitative, design.quantitative)
 
 
 def test_each_design_is_decoded_at_most_once(tmp_path, capsys):
+    """And its exactness tested at most once."""
     lattice = tmp_path / "lattice.txt"
     write_design(random_utype(DesignSpec(n=512, p=2, q=2, levels=(4, 4, 8, 16)), 0), lattice)
     two_level = tmp_path / "two-level.txt"
     write_design(random_utype(DesignSpec(n=64, p=4, q=8, levels=(2,) * 12), 0), two_level)
 
-    with _decodes() as shapes:
+    with _decodes() as shapes, _exactness_tests() as tested:
         assert main(["eval", "--json", str(lattice)]) == 0
     assert "cross_check" in json.loads(capsys.readouterr().out)
-    assert shapes == [(512, 2)]
+    assert shapes == tested == [(512, 2)]
 
-    with _decodes() as shapes:
+    with _decodes() as shapes, _exactness_tests() as tested:
         assert main(["balance", "--json", str(two_level)]) == 0
     capsys.readouterr()
-    assert shapes == [(64, 8)]
+    assert shapes == [(64, 8)] and tested == []
 
     mcd = _fresh(load_reference_design("mcd_16run_1"))
-    with _decodes() as shapes:
+    with _decodes() as shapes, _exactness_tests() as tested:
         assert validate_utype(mcd).passed and is_mcd(mcd).passed
-    assert shapes == [(16, mcd.spec.q)]
+    assert shapes == [(16, mcd.spec.q)] and tested == []
 
     design = _fresh(random_utype(DesignSpec(n=64, p=4, q=8, levels=(2,) * 12), 1))
-    with _decodes() as shapes:
+    with _decodes() as shapes, _exactness_tests() as tested:
         assert qqd_squared_quadratic(design) == pytest.approx(qqd_from_balance(design), abs=1e-12)
         assert frequency_vector(design).sum() == 64
-    assert shapes == [(64, 8)]
+    assert shapes == [(64, 8)] and tested == []
 
     design = _fresh(random_utype(DesignSpec(n=256, p=1, q=2, levels=(2, 4, 8)), 0))
-    with _decodes() as shapes:
+    with _decodes() as shapes, _exactness_tests() as tested:
         assert PairCache(design)._cell_route
-    assert shapes == [(256, 2)]
+    assert shapes == tested == [(256, 2)]
+
+    # n^2 > PAIR_BLOCK, so the final check reads the winner's exactness: a search
+    # hands over its start's, which a random start has and a start file tests once
+    search = ["search", "--json", "--n", "256", "--p", "1", "--q", "2", "--levels", "2,4,8",
+              "--budget", "40", "--restarts", "2"]
+    written = tmp_path / "winner.txt"
+    for extra, once in [(["--out", str(written)], []), (["--start", str(written)], [(256, 2)])]:
+        with _decodes() as shapes, _exactness_tests() as tested:
+            assert main([*search, *extra]) in (0, 4)
+        assert json.loads(capsys.readouterr().out)["trace"][-1][0] > 0  # the winner is not the start
+        assert shapes == tested == once
 
 
 @pytest.mark.parametrize("n, levels, cells", [("16", "4,2,2", True), ("64", "4,64,64", False)],

@@ -55,6 +55,16 @@ def test_random_utype_rejects_infeasible_spec():
         random_utype(DesignSpec(n=5, p=1, q=1, levels=(2, 5)), 0)
 
 
+@pytest.mark.parametrize("n", [2 * 10**15, 10**30], ids=["memory", "overflow"])
+def test_a_search_refuses_a_random_design_it_cannot_allocate(n, capsys):
+    # 14.2 PiB of int64 columns, or more entries than a C long counts: neither is allocated
+    argv = ["search", "--n", str(n), "--p", "1", "--q", "1", "--levels", "2,2", "--budget", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot allocate a random design with n={n}\n"
+
+
 @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
 def test_random_utype_rejects_negative_seed(seed):
     with pytest.raises(DomainError, match="seed must be >= 0"):
@@ -321,15 +331,44 @@ def test_search_config_with_a_start_stays_comparable():
     assert SearchConfig(start=start) != SearchConfig(start=random_utype(SPEC_PAIR, 1))
 
 
+class _Consecutive:
+    """A stand-in generator whose draws are the codes 0, 1, 2, ... in order."""
+
+    def __init__(self):
+        self.drawn = []
+
+    def integers(self, high, size):
+        start = sum(self.drawn)
+        self.drawn.append(size)
+        assert start + size <= high
+        return np.arange(start, start + size)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("m", [1, 3])
-def test_proposal_decode_covers_every_column_and_ordered_row_pair_once(n, m):
-    from qqdesign.search import _decode
-
-    codes = np.arange(m * n * (n - 1))
-    decoded = list(zip(*(d.tolist() for d in _decode(codes, n))))
+def test_proposal_decode_covers_every_column_and_ordered_row_pair_once(n, m, monkeypatch):
+    monkeypatch.setattr(search, "_BLOCK", 5)  # several draws, the last one short
+    rng, count = _Consecutive(), m * n * (n - 1)
+    decoded = list(search._proposals(rng, m, n, count))
     expected = [(c, i, j) for c in range(m) for i in range(n) for j in range(n) if i != j]
     assert sorted(decoded) == expected
+    assert rng.drawn == [5] * (count // 5) + [count % 5] * (count % 5 > 0)
+
+
+class _BoundedDraws(np.random.Generator):
+    """A generator that refuses a draw of more than ``search._BLOCK`` values."""
+
+    def integers(self, *args, size=None, **kwargs):
+        assert size is None or np.prod(size) <= search._BLOCK, f"a draw of {size} values"
+        return super().integers(*args, size=size, **kwargs)
+
+
+@pytest.mark.parametrize("budget", [10**12, 10**30], ids=["1e12", "1e30"])
+def test_a_huge_budget_is_drawn_in_bounded_blocks_up_to_the_bound(budget, monkeypatch):
+    monkeypatch.setattr(np.random, "Generator", _BoundedDraws)
+    result = search_uniform(DesignSpec(n=8, p=1, q=2, levels=(2, 2, 2)),
+                            SearchConfig(budget=budget, seed=0))
+    assert result.terminated_by == "bound"
 
 
 # ----------------------------------------------------------------- golden digests
