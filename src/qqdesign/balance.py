@@ -28,7 +28,6 @@ the uniform reference term here and for lb2's residues.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,16 +35,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .discrepancy import _agreement_histogram, _lattice_kernel, _qualitative_head
+from .discrepancy import _agreement_histogram, _lattice_kernel
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, Design, _require_int, validate_utype
 
 # the listing holds one Python entry per subset (about 230 MB at 20 factors)
 # besides a 2^(p+q) int64 table of pair counts (8 MB); refuse beyond this
 SUBSET_FACTOR_CAP = 20
-# natural-log units by which an estimate must pass the largest float's logarithm
-# before the balance form is refused unevaluated
-OVERFLOW_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -201,10 +197,13 @@ def _full_factorial(s_qual, s_quant) -> Fraction:
     """Exact squared discrepancy of any repetition of the full factorial on these level counts.
 
     The pair sum is the product of the kernels' row means: (a + (s - 1) b)/s
-    per qualitative factor (the head), (8 s^2 + 1)/(6 s^2) per quantitative.
+    per qualitative factor, (8 s^2 + 1)/(6 s^2) per quantitative.  Each
+    distinct level count's mean is raised to its multiplicity: one
+    big-integer power per level count, however many factors share it.
     """
-    head = _qualitative_head(s_qual, Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b))
-    tail = math.prod(Fraction(8 * s * s + 1, 6 * s * s) for s in s_quant)
+    a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
+    head = math.prod(((a + (s - 1) * b) / s) ** c for s, c in Counter(s_qual).items())
+    tail = math.prod(Fraction(8 * s * s + 1, 6 * s * s) ** c for s, c in Counter(s_quant).items())
     return head * (tail - Fraction(4, 3) ** len(s_quant))
 
 
@@ -216,46 +215,27 @@ def _to_float(value: Fraction) -> float:
         raise DomainError("the exact value overflows a float") from None
 
 
-def _refuse_overflow(s_qual, s_quant) -> None:
-    """DomainError when the full-factorial value on these level counts clearly overflows a float.
-
-    Its logarithm, log head + log tail + log(1 - (4/3)^q / tail) with
-    tail = prod (8 s^2 + 1)/(6 s^2), is summed in floats; a refusal needs
-    it to pass the largest float's by ``OVERFLOW_MARGIN``, far beyond the
-    rounding of the sum, so a value near the edge is left to ``_to_float``.
-    """
-    if not s_quant:  # the value is 0
-        return
-    a, b = DEFAULT_CONFIG.a, DEFAULT_CONFIG.b
-    log_value = (
-        math.fsum(math.log((a + (s - 1) * b) / s) for s in s_qual)
-        + math.fsum(math.log((8 * s * s + 1) / (6 * s * s)) for s in s_quant)
-        + math.log(-math.expm1(-math.fsum(math.log1p(1 / (8 * s * s)) for s in s_quant)))
-    )
-    if log_value > math.log(sys.float_info.max) + OVERFLOW_MARGIN:
-        raise DomainError("the exact value overflows a float")
-
-
 def balance_form(n: int, p: int, q: int, s: int, sums) -> float:
     """Squared discrepancy of a U(n; s^p 2^q) design from per-size balance sums.
 
     ``sums`` yields, for k = 1..p+q, the sum of the balance components
-    over all k-column subsets.  Every sum is non-negative, so the value is
-    at least the full factorial's, and ``sums`` is read only after
-    ``_refuse_overflow`` has passed that.  The two-level wrap-around
-    kernel takes the values f0 (distance 0) and f1 (distance 1/2); f0/f1
-    equals the qualitative ratio a/b of DEFAULT_CONFIG (both 6/5), so
-    every pair product is b^p f1^q (a/b)^(agreements), a polynomial in the
-    per-column agreement indicators and hence in the balance components.
-    With every component zero the value is the full factorial's, the
-    constant term here.  Exact rationals throughout; one final float
-    rounding.
+    over all k-column subsets.  The two-level wrap-around kernel takes the
+    values f0 (distance 0) and f1 (distance 1/2); f0/f1 equals the
+    qualitative ratio a/b of DEFAULT_CONFIG (both 6/5), so every pair
+    product is b^p f1^q (a/b)^(agreements), a polynomial in the per-column
+    agreement indicators and hence in the balance components.  With every
+    component zero the value is the full factorial's, the constant term
+    here.  Every sum is non-negative, so the value is at least that
+    constant: it is rounded by ``_to_float`` before ``sums`` is read, and
+    a constant that overflows a float refuses the whole value unread.
+    Exact rationals throughout; one final float rounding.
     """
-    _refuse_overflow((s,) * p, (2,) * q)
+    constant = _full_factorial((s,) * p, (2,) * q)
+    _to_float(constant)  # the value is at least this: refuse before any sum is read
     a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
     f1 = Fraction(_lattice_kernel(1, 2))
     acc = sum((a / b - 1) ** k * v for k, v in enumerate(sums, start=1))
-    return _to_float(_full_factorial((s,) * p, (2,) * q) + b**p * f1**q / (n * n) * acc)
+    return _to_float(constant + b**p * f1**q / (n * n) * acc)
 
 
 def qqd_from_balance(design: Design) -> float:

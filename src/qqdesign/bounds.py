@@ -136,17 +136,20 @@ class BoundReport:
 # search job asks for it; an error is raised afresh on every call, never cached
 @functools.lru_cache(maxsize=256)
 def lb(spec: DesignSpec) -> BoundReport:
-    """max(lb1, lb2) with a tag naming the winner; lb2 only for s^p 2^q specs."""
-    v1 = lb1(spec)
+    """The largest applicable bound with its name; lb2 only for s^p 2^q specs.
+
+    The first named of equal values wins; "max" when another bound agrees
+    with the winner to within 1e-12 relative.
+    """
+    bounds = {"lb1": lb1(spec)}
     shape = _two_type_shape(spec)
-    if shape is None or shape[1] != 2:
-        return BoundReport(value=v1, source="lb1", lb1=v1, lb2=None)
-    v2 = lb2(spec.n, spec.p, spec.q, shape[0])
-    if abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1), abs(v2)):
-        return BoundReport(value=max(v1, v2), source="max", lb1=v1, lb2=v2)
-    if v1 > v2:
-        return BoundReport(value=v1, source="lb1", lb1=v1, lb2=v2)
-    return BoundReport(value=v2, source="lb2", lb1=v1, lb2=v2)
+    if shape is not None and shape[1] == 2:
+        bounds["lb2"] = lb2(spec.n, spec.p, spec.q, shape[0])
+    source = max(bounds, key=bounds.get)
+    value = bounds[source]
+    if sum(abs(value - v) <= 1e-12 * max(1.0, abs(value), abs(v)) for v in bounds.values()) > 1:
+        source = "max"
+    return BoundReport(value=value, source=source, lb1=bounds["lb1"], lb2=bounds.get("lb2"))
 
 
 def full_factorial_qqd(spec: DesignSpec) -> float:

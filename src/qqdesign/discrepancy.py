@@ -37,10 +37,9 @@ combinations, indexed by mixed-radix codes, while s^2 or Q^2 fits in a
 block.  A table entry is the formula on the same floats, so every value
 is the formula's, bit for bit.  The swap evaluator's row route takes, per
 swapped column, the other factors' steps and the column's own: its
-kernel, or for a qualitative column its agreements (``_same_step``),
-scaled by a/b - 1 once the two rows are subtracted.  Both
-balance-pattern routes histogram every block's codes
-(``_agreement_histogram``).  Setting p = 0 recovers the wrap-around
+kernel, or for a qualitative column its agreements scaled by a/b - 1
+(``_same_step``).  Both balance-pattern routes histogram every block's
+codes (``_agreement_histogram``).  Setting p = 0 recovers the wrap-around
 discrepancy (WD), q = 0 the discrete discrepancy (DD).
 
 For lattice designs the same value is C + y' A y / n^2, a quadratic form
@@ -202,12 +201,12 @@ def _agreement_step(levels, ratio_powers, skip, rows, start, target, out):
     return ratio_powers.take(out[3], None, target, "clip")
 
 
-def _same_step(levels, rows, start, target, out):
-    """1.0 where a pair agrees on one qualitative column, else 0.0; ``out[5]`` is scratch."""
+def _same_step(levels, scale, rows, start, target, out):
+    """``scale`` where a pair agrees on one qualitative column, else 0.0; ``out[5]`` is scratch."""
     same = out[5]
     np.equal(levels[rows, None], levels[start:], same)
-    np.copyto(target, same)
-    return target
+    np.copyto(target, same)  # a bool operand of multiply would be cast through a buffer
+    return np.multiply(target, scale, target)
 
 
 def _row_weights(steps, rows, start, out):
@@ -309,15 +308,10 @@ def _agreement_histogram(levels: np.ndarray, masks: bool) -> np.ndarray:
     return hist
 
 
-def _qualitative_head(s_qual, a, b):
-    """prod_k (a + (s_k - 1) b) / s_k; exact when a and b are Fractions."""
-    return math.prod((a + (s - 1) * b) / s for s in s_qual)
-
-
 def _constant_term(s_qual, q: int, a: float, b: float) -> float:
     """The constant C, or -inf once (4/3)^q overflows, for the callers' finiteness checks."""
     try:
-        return -_qualitative_head(s_qual, a, b) * (4.0 / 3.0) ** q
+        return -math.prod((a + (s - 1) * b) / s for s in s_qual) * (4.0 / 3.0) ** q
     except OverflowError:  # a float power raises where numpy's gives inf
         return -math.inf
 
@@ -763,13 +757,12 @@ class PairCache:
         return (2 * linear + quadratic) / tables.denominator
 
     def _row_steps(self, column: int):
-        """The steps of the factors other than ``column``, that column's own step, and its scale.
+        """The steps of the factors other than ``column``, and that column's own step.
 
         A qualitative column's weight is 1 or a/b, so its difference between
-        two rows is (a/b - 1) times that of their agreements: its own step
-        writes the agreements, which the scale a/b - 1 multiplies.  The
-        products round as the weights' differences do, 1 - a/b being the
-        negation of a/b - 1.  A quantitative column has no scale (None).
+        two rows is that of their agreements scaled by a/b - 1: its own step
+        writes each agreement as a/b - 1.  The differences round as the
+        weights' do, 1 - a/b being the negation of a/b - 1.
         """
         p, ratio_powers = self.spec.p, self._ratio_powers
         others = [partial(_kernel_step, values) for k, values in enumerate(self.columns)
@@ -777,8 +770,8 @@ class PairCache:
         if p - (column < p):  # a qualitative column is left in
             others.append(partial(_agreement_step, self._qual, ratio_powers, column))
         if column < p:
-            return others, partial(_same_step, self.columns[column]), ratio_powers[1] - 1.0
-        return others, partial(_kernel_step, self.columns[column]), None
+            return others, partial(_same_step, self.columns[column], ratio_powers[1] - 1.0)
+        return others, partial(_kernel_step, self.columns[column])
 
     def _row_change(self, column: int, row_i: int, row_j: int) -> float:
         # the change is symmetric in i and j, so order them and take both
@@ -790,15 +783,13 @@ class PairCache:
         buffers = self._buffers
         if column not in self._steps:
             self._steps[column] = self._row_steps(column)
-        others, own, scale = self._steps[column]
+        others, own = self._steps[column]
         # weights: the pair weights of rows lo and hi without the swapped column
         weights = _row_weights(others, rows, 0, buffers)
         _, kernel, work = buffers[:3]
         # f: that column's kernel against every row r, row hi minus row lo
         own(rows, 0, kernel, buffers)
         f = np.subtract(kernel[1], kernel[0], work[0])
-        if scale is not None:
-            np.multiply(f, scale, f)
         f[lo] = f[hi] = 0.0
         return self._scale * float(np.dot(np.subtract(weights[0], weights[1], kernel[0]), f))
 

@@ -296,6 +296,28 @@ def test_balance_form_refuses_a_clear_overflow_before_any_exact_sum(monkeypatch)
         lb2(2, 0, 1753, 2)
     assert terms
     assert math.isfinite(lb2(2, 0, 1752, 2))
+    # the exact full-factorial part alone overflows from q = 2229 at n = 2, p = 0,
+    # s = 2 and from p = 2622 at q = 1, s = 4: no sum is read from there on
+    for args in [(2, 0, 2229, 2), (2, 0, 2231, 2), (4, 2622, 1, 4)]:
+        terms.clear()
+        with pytest.raises(DomainError, match="overflows a float"):
+            lb2(*args)
+        assert terms == []
+
+
+def test_full_factorial_powers_each_level_count_exactly():
+    from qqdesign.balance import _full_factorial
+
+    a, b = Fraction(3, 2), Fraction(5, 4)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        s_qual, s_quant = (rng.choice([1, 2, 3, 5, 16], rng.integers(0, 30)).tolist()
+                           for _ in range(2))
+        head = math.prod(((a + (s - 1) * b) / s for s in s_qual), start=Fraction(1))
+        tail = math.prod((Fraction(8 * s * s + 1, 6 * s * s) for s in s_quant), start=Fraction(1))
+        want = head * (tail - Fraction(4, 3) ** len(s_quant))
+        got = _full_factorial(s_qual, s_quant)
+        assert isinstance(got, Fraction) and got == want
 
 
 def test_lb_is_memoised_per_spec_and_never_memoises_a_refusal():

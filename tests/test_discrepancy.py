@@ -255,8 +255,8 @@ def test_in_place_kernel_is_the_formula_bit_for_bit():
         assert got.tobytes() == want.tobytes()
     # the only column skipped leaves no step: all ones, whatever the buffers held
     design = random_utype(DesignSpec(n=6, p=0, q=1, levels=(6,)), 1)
-    others, own, scale = PairCache(design)._row_steps(0)
-    assert others == [] and own.func is discrepancy._kernel_step and scale is None
+    others, own = PairCache(design)._row_steps(0)
+    assert others == [] and own.func is discrepancy._kernel_step
     weights = discrepancy._row_weights(others, slice(2, 4), 2, _dirty_buffers(2, 4))
     assert weights.tobytes() == np.ones((2, 4)).tobytes()
 
@@ -837,17 +837,17 @@ def test_swap_matches_full_recompute_on_random_designs():
 @pytest.mark.parametrize("config", [DEFAULT_CONFIG, CriterionConfig(a=3.7, b=0.4),
                                     CriterionConfig(a=1.0 + 2**-40, b=1.0)])
 def test_row_route_scores_a_qualitative_column_as_its_weights_bit_for_bit(config):
-    # the own step writes agreements scaled by a/b - 1; the weights' difference,
+    # the own step writes agreements as a/b - 1; the weights' difference,
     # (a/b)^agreement of the column from the formula, must give the same bits
     design = random_utype(DesignSpec(n=64, p=2, q=2, levels=(4, 2, 64, 64)), 0)
     cache, weights = PairCache(design, config), PairCache(design, config)
     assert not cache._cell_route
     for column in range(2):
-        others, own, scale = weights._row_steps(column)
-        assert own.func is discrepancy._same_step and scale == config.a / config.b - 1.0
+        others, own = weights._row_steps(column)
+        assert own.func is discrepancy._same_step and own.args[1] == config.a / config.b - 1.0
         formula = partial(discrepancy._agreement_step, weights._qual[:, column : column + 1],
                           weights._ratio_powers, None)
-        weights._steps[column] = (others, formula, None)
+        weights._steps[column] = (others, formula)
     rng = np.random.default_rng(2)
     scored = 0
     while scored < 60:

@@ -432,6 +432,26 @@ def test_search_output_matches_the_golden_digests(group, tmp_path, monkeypatch, 
     assert digest.hexdigest() == expected
 
 
+def _search_bytes(spec, budget, seed):
+    result = search_uniform(spec, SearchConfig(budget=budget, restarts=2, seed=seed))
+    best = result.best_design
+    return (result.best_value.hex(), [(i, v.hex()) for i, v in result.trace], result.stats,
+            result.terminated_by, best.qualitative.tobytes(), best.quantitative.tobytes())
+
+
+# no numpy-version skip: the golden digests check the default block on numpy 2 only
+@pytest.mark.parametrize("spec, budget, seed", [
+    *((DesignSpec(n=int(n), p=1, q=2, levels=tuple(map(int, levels.split(",")))), 200, seed)
+      for n, levels in SEARCH_SMALL for seed in range(4)),
+    (DesignSpec(n=64, p=1, q=2, levels=(4, 64, 64)), 50, 0),
+])
+def test_the_proposal_block_size_changes_no_search(spec, budget, seed, monkeypatch):
+    expected = _search_bytes(spec, budget, seed)
+    for block in (1, 7):
+        monkeypatch.setattr(search, "_BLOCK", block)
+        assert _search_bytes(spec, budget, seed) == expected
+
+
 # ------------------------------------------------------------- exhaustive oracle
 
 def test_exhaustive_two_level_pair():
