@@ -610,9 +610,9 @@ class PairCache:
     """Incremental evaluator for entry-swap moves: score first, commit second.
 
     Swapping two entries of one column keeps the column balanced.  ``delta``
-    scores a swap without changing anything; ``apply_swap`` commits it and
-    adds its change to the tracked value, taking the change just scored,
-    unchecked, when given the very index objects ``delta`` validated.  The
+    scores a swap and changes nothing; ``apply_swap`` commits it, adding its
+    change to the tracked value; both validate every call.  The search, whose
+    proposals are valid and of different entries, calls ``_score`` and ``_commit``.  The
     initial value is ``qqd_squared``'s, bit for bit; afterwards ``value``
     is O(1).  The tracked value collects rounding from every commit, so
     callers that need it exact re-verify with ``qqd_squared``.
@@ -672,7 +672,6 @@ class PairCache:
                                           design._exact_columns)
         self._ratio_powers = _ratio_powers(config, p)
         self._scale = 2.0 * config.b**p / n**2
-        self._scored: tuple[int, int, int, float] | None = None
         # live views of the level columns, qualitative first: read, never write
         self.columns = [*self._qual.T, *self._quant.T]
         # the decode of the values, swapped along with them (a decode is per entry)
@@ -712,10 +711,8 @@ class PairCache:
         return self._value
 
     def _column(self, column: int, row_i: int, row_j: int) -> np.ndarray:
-        # one type test lets Python ints, the search's indices, skip the isinstance walk
-        if not (type(column) is type(row_i) is type(row_j) is int):
-            _require_int("column index", column)
-            _require_int("row index", row_i, row_j)
+        _require_int("column index", column)
+        _require_int("row index", row_i, row_j)
         spec = self.spec
         if not 0 <= column < len(self.columns):  # m columns, without the property call
             raise DomainError(f"column index {column} out of range for {spec.m} factors")
@@ -727,19 +724,16 @@ class PairCache:
     def delta(self, column: int, row_i: int, row_j: int) -> float:
         """Change in the squared discrepancy if the two entries were swapped.
 
-        Leaves the design and the tracked value unchanged; it only
-        remembers the result for ``apply_swap``.  Equal entries give
-        exactly 0.0.
+        Validates the indices and changes nothing.  Equal entries give exactly 0.0.
         """
         col = self._column(column, row_i, row_j)
-        if col[row_i] == col[row_j]:
-            return 0.0
+        return 0.0 if col[row_i] == col[row_j] else self._score(column, row_i, row_j)
+
+    def _score(self, column: int, row_i: int, row_j: int) -> float:
+        """``delta`` of two different entries at valid indices, unchecked."""
         if self._cell_route:
-            change = self._cell_change(column, row_i, row_j)
-        else:
-            change = self._row_change(column, row_i, row_j)
-        self._scored = (column, row_i, row_j, change)
-        return change
+            return self._cell_change(column, row_i, row_j)
+        return self._row_change(column, row_i, row_j)
 
     def _cell_change(self, column: int, row_i: int, row_j: int) -> float:
         level, tables = self._level, self._tables
@@ -815,22 +809,8 @@ class PairCache:
         self._cell[row_j] -= shift
         level[column][row_i], level[column][row_j] = v, u
 
-    def apply_swap(self, column: int, row_i: int, row_j: int) -> float:
-        """Swap two entries within one column; returns the new tracked value.
-
-        Equal entries are a no-op.  Given the very index objects of the
-        preceding ``delta``, which validated and scored that swap, it
-        commits that change at once; ``delta`` validates and scores any
-        other call.  Identity, not equality, so True or 1.0 never passes for 1.
-        """
-        scored = self._scored
-        if not (scored and scored[0] is column and scored[1] is row_i and scored[2] is row_j):
-            self.delta(column, row_i, row_j)
-            if self._scored is scored:  # equal entries: delta recorded nothing
-                return self._value
-            scored = self._scored
-        change = scored[3]
-        self._scored = None
+    def _commit(self, column: int, row_i: int, row_j: int, change: float) -> float:
+        """Swap two different entries and their decode, unchecked; the value plus ``change``."""
         if self._cell_route:
             self._commit_cells(column, row_i, row_j)
         col = self.columns[column]
@@ -840,3 +820,10 @@ class PairCache:
             decoded[row_i], decoded[row_j] = decoded[row_j], decoded[row_i]
         self._value += change
         return self._value
+
+    def apply_swap(self, column: int, row_i: int, row_j: int) -> float:
+        """Validate, then swap two entries of one column (equal: a no-op); the new value."""
+        col = self._column(column, row_i, row_j)
+        if col[row_i] == col[row_j]:
+            return self._value
+        return self._commit(column, row_i, row_j, self._score(column, row_i, row_j))

@@ -322,7 +322,8 @@ class Design:
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.qualitative.tobytes(), self.quantitative.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ takes for equal
+        return hash((self.spec, self.qualitative.tobytes(), (self.quantitative + 0.0).tobytes()))
 
     def __reduce__(self):  # copies and pickles run __init__: read-only arrays, no stale decode
         return Design, (self.spec, self.qualitative, self.quantitative)
@@ -488,7 +489,10 @@ def frequency_vector(design: Design) -> np.ndarray:
     levels = design.all_levels()
     if spec.N > np.iinfo(np.intp).max:
         raise CapacityError(f"{spec.N} level combinations are more than an array can index")
-    counts = _combination_counts(levels, spec.levels)
+    try:
+        counts = _combination_counts(levels, spec.levels)
+    except (MemoryError, ValueError):  # numpy cannot allocate or size N entries
+        raise CapacityError(f"cannot allocate counts of {spec.N} level combinations") from None
     counts.setflags(write=False)
     return counts
 

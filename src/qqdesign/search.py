@@ -4,12 +4,12 @@ The search walks the space of U-type designs by swapping two entries
 within one column (which preserves column balance) and lowers its
 acceptance threshold over a fixed schedule.  Each restart begins at a
 random U-type design, or at ``SearchConfig.start`` when one is given.
-Each proposal is scored first by ``PairCache.delta`` without touching
-the design (O(n*m) from two rows, or O(m) in cell space on small lattice
-specs); a proposal whose change is at most the current threshold is
-committed with ``PairCache.apply_swap``, which takes the change just
-scored without checking the swap again, and a rejected one costs
-nothing more.  Swaps of two equal entries are counted and skipped.  The
+Swaps of two equal entries are counted and skipped.  Every other
+proposal is valid by construction, so it is scored by ``PairCache._score``
+without a check or a change to the design (O(n*m) from two rows, or
+O(m) in cell space on small lattice specs); one whose change is at most
+the current threshold is committed with that change by
+``PairCache._commit``, and a rejected one costs nothing more.  The
 objective is the squared qualitative-quantitative discrepancy; the
 incrementally tracked value of the winner is re-verified by a full
 recomputation at the end, and a disagreement raises ``DriftError``.  A
@@ -197,7 +197,7 @@ def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generato
     thresholds = (threshold for threshold in schedule for _ in range(chunk))
     proposals = _proposals(rng, spec.m, spec.n, min(config.budget, len(schedule) * chunk))
     terminated = "budget" if config.budget < len(schedule) * chunk else "schedule"
-    columns, delta, apply_swap = cache.columns, cache.delta, cache.apply_swap
+    columns, score, commit = cache.columns, cache._score, cache._commit
     best_levels = None
     iteration = noops = improving = equal = worsening = rejected = 0
     for threshold, (column, row_i, row_j) in zip(thresholds, proposals):
@@ -206,11 +206,11 @@ def _run_restart(spec: DesignSpec, config: SearchConfig, rng: np.random.Generato
         if col[row_i] == col[row_j]:
             noops += 1
             continue
-        change = delta(column, row_i, row_j)
+        change = score(column, row_i, row_j)
         if change > threshold:
             rejected += 1
             continue
-        value = apply_swap(column, row_i, row_j)
+        value = commit(column, row_i, row_j, change)
         if change > 0.0:
             worsening += 1
         elif change == 0.0:

@@ -44,6 +44,17 @@ def test_integer_tokens_are_levels_and_decimals_are_raw():
     assert design.quantitative[1, 0] == 0.5  # verbatim
 
 
+def test_a_negative_zero_token_hashes_as_the_equal_design_with_zero(tmp_path):
+    text = "2 0 1\n4\n{}\n0.5\n"
+    negative, zero = (loads_design_text(text.format(token)) for token in ("-0.0", "0.0"))
+    assert np.signbit(negative.quantitative[0, 0]) and negative == zero
+    path = tmp_path / "d.txt"
+    path.write_text(text.format("-0.0"))
+    for design in (negative, read_design(path)):
+        assert design == zero and hash(design) == hash(zero)
+        assert len({design, zero}) == 1
+
+
 def test_text_round_trip_lattice(tmp_path):
     design = load_reference_design("mcd_16run_2")
     path = tmp_path / "d.txt"

@@ -787,7 +787,7 @@ def test_swap_and_swap_back_restores_design_exactly():
         value = cache.apply_swap(1, 2, 9)
         assert value == pytest.approx(before, abs=1e-15)
         assert Design(cache.spec, *cache.levels()) == design
-        # unscored commits compute their own change, never reuse a stale one
+        # apply_swap without delta scores the swap it commits itself
         cache.apply_swap(1, 2, 9)
         assert cache.apply_swap(1, 2, 9) == pytest.approx(before, abs=1e-15)
 
@@ -915,49 +915,46 @@ def test_swap_refuses_indices_that_are_not_integers(method, config, cell_route, 
     assert getattr(cache, method)(np.int64(0), np.int64(0), np.int64(j)) == expected
 
 
-@pytest.mark.parametrize(
-    "config, cell_route",
-    [(DEFAULT_CONFIG, True), (CriterionConfig(a=3.7, b=0.4), False)],
-    ids=["cell", "row"],
-)
-def test_apply_swap_takes_the_scored_change_only_for_the_scored_index_objects(
-    config, cell_route, monkeypatch
-):
-    design = random_utype(DesignSpec(n=8, p=1, q=2, levels=(2, 2, 2)), 0)
-    cache, twin = PairCache(design, config), PairCache(design, config)
-    assert cache._cell_route is cell_route
-    scored = []
-    monkeypatch.setattr(cache, "delta", lambda *args: scored.append(args)
-                        or PairCache.delta(cache, *args))
-    levels = design.quantitative_as_levels()
-    i = 1
-    j = levels[:, 0].tolist().index(1 - levels[i, 0])
-    same = next(r for r in range(8) if r != i and levels[r, 0] == levels[i, 0])
-    other = levels[:, 1].tolist().index(1 - levels[0, 1])
-    before = cache.value()
-    change = cache.delta(1, i, j)
-    # a bool or a float equal to a scored index is refused, never taken for it
-    refused = [(True, i, j), (1.0, i, j), (1, True, j), (1, float(i), j)]
-    for args in refused:
-        with pytest.raises(DomainError, match="must be an integer"):
-            cache.apply_swap(*args)
-    # two equal entries are a no-op, and leave the scored swap as it was
-    assert cache.apply_swap(1, i, same) == before
-    # every call but the scored swap's own went through delta
-    assert scored == [(1, i, j), *refused, (1, i, same)]
-    scored.clear()
-    # the scored swap commits without a second score
-    assert cache.apply_swap(1, i, j) == before + change
-    assert scored == []
-    assert twin.apply_swap(1, i, j) == before + change
-    # another swap is validated and scored again, by delta
-    with pytest.raises(DomainError, match="out of range"):
-        cache.apply_swap(2, 0, 8)
-    expected = twin.apply_swap(2, 0, other)
-    assert cache.apply_swap(2, 0, other) == expected
-    assert scored == [(2, 0, 8), (2, 0, other)]
-    assert Design(cache.spec, *cache.levels()) == Design(twin.spec, *twin.levels())
-    assert cache.lattice().tolist() == twin.lattice().tolist()
+@pytest.mark.parametrize("raw", [False, True], ids=["cell", "row"])
+def test_the_search_calls_and_the_public_calls_commit_the_same_swaps(raw):
+    # a: _score and _commit of the proposals the search makes; b: apply_swap
+    # alone; c: delta, up to three times, before each apply_swap
+    design = random_utype(DesignSpec(n=12, p=1, q=2, levels=(2, 3, 4)), 3)
+    if raw:  # raw values in column 2 decode to -1, and send the cache to rows
+        quant = design.quantitative.copy()
+        quant[::3, 1] = np.random.default_rng(1).random(4)
+        design = Design(design.spec, design.qualitative, quant)
+    a, b, c = (PairCache(design) for _ in range(3))
+    assert a._cell_route is (not raw)
+    rng = np.random.default_rng(4)
+    committed = 0
+    for _ in range(300):
+        column, i, j = int(rng.integers(3)), int(rng.integers(12)), int(rng.integers(12))
+        if i != j and a.columns[column][i] != a.columns[column][j]:
+            a._commit(column, i, j, a._score(column, i, j))
+            committed += 1
+        b.apply_swap(column, i, j)
+        state = (c.value(), *c.levels(), c.lattice())
+        for _ in range(int(rng.integers(4))):
+            c.delta(column, i, j)
+        after = (c.value(), *c.levels(), c.lattice())
+        assert state[0] == after[0] and all(map(np.array_equal, state[1:], after[1:]))
+        c.apply_swap(column, i, j)
+    assert committed > 100
+    for cache in (b, c):
+        assert cache.value().hex() == a.value().hex()
+        assert all(map(np.array_equal, cache.levels(), a.levels()))
+        assert np.array_equal(cache.lattice(), a.lattice())
+    assert a.value() == pytest.approx(qqd_squared(Design(a.spec, *a.levels())), abs=1e-12)
+    # a scored swap does not let a bool, a float or an out-of-range index through
+    i = 0
+    j = next(r for r in range(12) if a.columns[1][r] != a.columns[1][i])
+    before = a.value()
+    a.delta(1, i, j)
+    for args in [(True, i, j), (1.0, i, j), (1, True, j), (1, float(i), j), (1, i, 12), (3, i, j)]:
+        with pytest.raises(DomainError):
+            a.apply_swap(*args)
+    assert a.value() == before
 
 
 def test_pair_cache_supports_general_weights():

@@ -492,6 +492,14 @@ def test_frequency_vector_refuses_more_level_combinations_than_an_array_can_inde
         frequency_vector(design)
 
 
+@pytest.mark.parametrize("s", [2**31, 2**29])  # numpy: "array is too big", MemoryError
+def test_frequency_vector_refuses_level_combinations_it_cannot_allocate(s):
+    spec = DesignSpec(n=2, p=0, q=2, levels=(s, s))
+    design = design_from_levels(spec, [[], []], [[0, 1], [1, 0]])
+    with pytest.raises(CapacityError, match=f"{s * s} level combinations"):
+        frequency_vector(design)
+
+
 def test_frequency_vector_lexicographic_order_first_factor_slowest():
     spec = DesignSpec(n=2, p=1, q=1, levels=(2, 3))
     design = design_from_levels(spec, [[1], [1]], [[0], [2]])

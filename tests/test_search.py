@@ -13,6 +13,7 @@ from qqdesign import (
     DesignSpec,
     DomainError,
     DriftError,
+    PairCache,
     SearchConfig,
     SearchStats,
     count_utype_designs,
@@ -133,6 +134,26 @@ def test_search_trace_strictly_decreases():
 def test_search_incremental_value_matches_recompute():
     result = search_uniform(SPEC_PAIR, SearchConfig(budget=3000, restarts=1, seed=9))
     assert abs(qqd_squared(result.best_design) - result.best_value) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec, budget, cell_route",
+    [(DesignSpec(n=16, p=1, q=2, levels=(4, 2, 2)), 2000, True),
+     (DesignSpec(n=64, p=1, q=2, levels=(4, 64, 64)), 50, False)],
+    ids=["cell", "row"],
+)
+def test_search_scores_and_commits_without_the_public_swap_calls(spec, budget, cell_route,
+                                                                monkeypatch):
+    # the proposals are valid by construction, so no public call checks them again
+    assert PairCache(random_utype(spec, 0))._cell_route is cell_route
+
+    def refuse(*args):
+        raise AssertionError("the search made a public PairCache swap call")
+
+    monkeypatch.setattr(PairCache, "delta", refuse)
+    monkeypatch.setattr(PairCache, "apply_swap", refuse)
+    result = search_uniform(spec, SearchConfig(budget=budget, restarts=1, seed=0))
+    assert result.stats.accepted > 0 and result.stats.rejected > 0
 
 
 def test_search_zero_budget_returns_initial_design():
