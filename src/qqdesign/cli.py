@@ -97,6 +97,8 @@ def _fixed(value: float, width: int = 0) -> str:
 
 
 def _spec_from_args(args) -> DesignSpec:
+    if args.p < 0 or args.q < 0:  # p + q would cap --levels at a meaningless count
+        raise DomainError("factor counts must be non-negative")
     levels = _parse_levels(args.levels, args.p + args.q)
     return DesignSpec(n=args.n, p=args.p, q=args.q, levels=levels)
 

@@ -5,13 +5,12 @@ the second the p+q level counts, then n rows of p+q tokens.  In the
 quantitative block an integer token is a lattice level and a decimal
 token is a raw unit-interval value, so ``3`` means level 3 while ``0.5``
 means the value one half.  A JSON mirror carries the same content under
-the keys n, p, q, levels, rows.
+the keys n, p, q, levels, rows.  Files are UTF-8, with or without a BOM.
 
-Both are decoded a column at a time, with the meaning above: a column
-of integers is levels, a decimal token a raw value.  Each column is
-typed, range-checked and placed on the lattice in one pass; one that
-mixes integers and decimals, or holds signed integers, is typed token by
-token.  A refused entry sends the rows through the row-major walk
+Text rows are parsed by one C-level call, ``np.loadtxt``, JSON rows by
+``json``; both are then typed a column at a time.  A refused token, or a
+column that cannot be typed exactly (signed integers, integers mixed
+with decimals), sends the rows through the row-major walk
 ``_design_from_rows``, which raises what an entry-by-entry decoder
 would, in its order: the first unparseable token, the row count, each
 row's width then entries, then Design's checks.
@@ -20,7 +19,6 @@ row's width then entries, then Design's checks.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -46,46 +44,51 @@ def loads_design_text(text: str) -> Design:
     n, p, q = (_parse_int(tok, "line 1") for tok in head)
     levels = tuple(_parse_int(tok, "line 2") for tok in lines[1].split())
     spec = DesignSpec(n=n, p=p, q=q, levels=levels)
-    rows = list(map(str.split, lines[2:]))
-    design = _decode_columns(spec, rows, _text_column)
-    if design is None:  # a refused entry: the row-major walk names the first
-        typed = [[_token_value(t, r, k) for k, t in enumerate(row)] for r, row in enumerate(rows)]
-        design = _design_from_rows(spec, typed)
-    return design
-
-
-def _typed(token: str) -> int | float:
-    """The number a text token stands for, typed as JSON would type it; ValueError if none."""
-    body = token[1:] if token[:1] in "+-" else token
-    return int(token) if body.isdecimal() else float(token)
+    rows = lines[2:]  # if the parse cannot type them exactly, the row-major walk decides
+    return _parse_block(spec, rows) or _design_from_rows(spec, [
+        [_token_value(t, r, k) for k, t in enumerate(row.split())] for r, row in enumerate(rows)
+    ])
 
 
 def _token_value(token: str, r: int, k: int) -> int | float:
+    """The number a text token stands for, typed as JSON would type it."""
+    body = token[1:] if token[:1] in "+-" else token
     try:
-        return _typed(token)
+        return int(token) if body.isdecimal() else float(token)
     except ValueError:
         raise ParseError(f"row {r}, column {k}: not a number: {token!r}") from None
 
 
-def _text_column(tokens: tuple) -> list | None:
-    """A column's tokens typed as ``_typed`` types them; None when one is not a number."""
-    try:
-        if all(map(str.isdecimal, tokens)):
-            return list(map(int, tokens))
-        values = list(map(float, tokens))
-        # only a whole or infinite value can come from a signed integer token
-        if any(map(float.is_integer, values)) or any(map(math.isinf, values)):
-            return list(map(_typed, tokens))
-        return values
+def _parse_block(spec: DesignSpec, data: list) -> Design | None:
+    """The Design of the data lines parsed in C, or None to let the walk decide.
+
+    Unsigned integer tokens are levels, exact in float64 below 2^53.  Other
+    quantitative tokens are raw values unless one is whole or infinite, as
+    a signed integer is.
+    """
+    tokens = " ".join(data).split()
+    if len(tokens) != spec.n * spec.m:
+        return None
+    try:  # refuses rows of unequal width and tokens float() might still take
+        block = np.loadtxt(data, comments=None, ndmin=2)
     except ValueError:
         return None
+    if block.shape != (spec.n, spec.m):  # with the count, the C fields are the tokens
+        return None
+    for k, s in enumerate(spec.levels):
+        values = block[:, k]
+        if "".join(tokens[k :: spec.m]).isdecimal():  # every token, as none is empty
+            if values.max() >= min(s, 2**53):  # out of range, or not exact: the walk decides
+                return None
+            if k >= spec.p:
+                block[:, k] = _unit(values, s)
+        elif k < spec.p or (values == np.floor(values)).any():
+            return None
+    return Design(spec, block[:, : spec.p].astype(np.int64), block[:, spec.p :])
 
 
 def _column(values, s: int, qualitative: bool) -> np.ndarray | None:
-    """Entries as int64 levels (qualitative) or unit values, or None to let the walk decide.
-
-    None when ``_entry_value`` would refuse an entry or a level overflows int64.
-    """
+    """A column as int64 levels or unit values; None if the walk refuses it or int64 overflows."""
     kinds = set(map(type, values))
     if not kinds <= ({int} if qualitative else {int, float}):
         return None
@@ -105,18 +108,14 @@ def _column(values, s: int, qualitative: bool) -> np.ndarray | None:
     return np.where([type(v) is float for v in values], values, units) if mixed else units
 
 
-def _decode_columns(spec: DesignSpec, rows: list, typed) -> Design | None:
-    """The Design of ``rows`` decoded a column at a time, or None when an entry is refused.
-
-    ``typed`` turns a column of the rows into a list of numbers, or None.
-    """
+def _decode_columns(spec: DesignSpec, rows: list) -> Design | None:
+    """The Design of JSON ``rows`` decoded a column at a time, or None when an entry is refused."""
     if len(rows) != spec.n or set(map(type, rows)) != {list} or set(map(len, rows)) != {spec.m}:
         return None
     qual = np.empty((spec.n, spec.p), np.int64)
     quant = np.empty((spec.n, spec.q))
     for k, (column, s) in enumerate(zip(zip(*rows), spec.levels)):
-        values = typed(column)
-        array = None if values is None else _column(values, s, k < spec.p)
+        array = _column(column, s, k < spec.p)
         if array is None:
             return None
         if k < spec.p:
@@ -174,13 +173,13 @@ def design_from_json_dict(data: dict) -> Design:
         q=_json_int(data["q"], "q"),
         levels=tuple(_json_int(s, "levels") for s in data["levels"]),
     )
-    return _decode_columns(spec, data["rows"], list) or _design_from_rows(spec, data["rows"])
+    return _decode_columns(spec, data["rows"]) or _design_from_rows(spec, data["rows"])
 
 
 def read_design(path) -> Design:
     """Parse a design file; JSON when the content starts with '{'; ParseError if unreadable."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read design file {str(path)!r}: {exc}") from None
     if text.lstrip().startswith("{"):

@@ -1,3 +1,4 @@
+import codecs
 import json
 from importlib.resources import files
 
@@ -274,6 +275,25 @@ def test_eval_binary_file_is_an_unreadable_file(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_design_files_are_read_as_utf8_with_or_without_a_byte_order_mark(capsys, tmp_path):
+    design = read_design(data_path("ccd_full_3"))
+    for name in ("design.txt", "design.json"):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        write_design(design, plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert read_design(marked) == read_design(plain) == design
+        code, out, err = run(capsys, "eval", "--json", str(marked))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == qqd_squared(design)
+    invalid = tmp_path / "invalid.txt"
+    invalid.write_bytes(b"2 1 1\n2 2\n0 0.5\n1 0.\xe9\n")
+    code, out, err = run(capsys, "eval", str(invalid))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read design file {str(invalid)!r}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -424,6 +444,16 @@ def test_bounds_infeasible_spec(capsys):
     )
     assert code == 2
     assert "does not divide" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "search"])
+@pytest.mark.parametrize("p, q", [("-3", "1"), ("1", "-1")])
+def test_a_negative_factor_count_is_refused_before_the_levels(capsys, command, p, q):
+    # the level list is not measured against a negative p + q
+    code, out, err = run(capsys, command, "--n", "4", "--p", p, "--q", q, "--levels", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: factor counts must be non-negative\n"
 
 
 # ---------------------------------------------------------------------- balance

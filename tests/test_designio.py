@@ -134,10 +134,24 @@ def test_dumps_text_reparses_identically():
     assert loads_design_text(dumps_design_text(design)) == design
 
 
+def _counted(base, calls):
+    """A stand-in for the builtin ``base`` that records each token it converts.
+
+    Its results are its own instances, so they pass designio's type tests by that name.
+    """
+
+    class Counted(base):
+        def __new__(cls, token):
+            calls.append(token)
+            return super().__new__(cls, token)
+
+    return Counted
+
+
 def test_a_valid_file_is_decoded_without_the_entry_walk(tmp_path, monkeypatch):
     lattice = random_utype(DesignSpec(n=2048, p=2, q=2, levels=(4, 4, 16, 32)), 0)
     raw = Design(lattice.spec, lattice.qualitative, lattice.quantitative * 0.999)
-    calls = []
+    calls, conversions = [], []
 
     def counted(*args):
         calls.append(args)
@@ -149,11 +163,42 @@ def test_a_valid_file_is_decoded_without_the_entry_walk(tmp_path, monkeypatch):
         for name in ("design.txt", "design.json"):
             write_design(design, tmp_path / name)
             assert read_design(tmp_path / name) == design
+        # text files, also with CRLF line ends or tabs, convert no token in Python:
+        # only the two header lines reach int()
+        text = dumps_design_text(design)
+        header = text.split(None, 3 + design.spec.m)[:-1]
+        for copy in (text, text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+            (tmp_path / "copy.txt").write_bytes(copy.encode())
+            with monkeypatch.context() as patch:
+                patch.setattr(designio, "int", _counted(int, conversions), raising=False)
+                patch.setattr(designio, "float", _counted(float, conversions), raising=False)
+                assert read_design(tmp_path / "copy.txt") == design
+            assert conversions == header
+            conversions.clear()
     assert calls == []
     # a refused entry still takes it, to name the refusal
     with pytest.raises(DomainError, match="row 1, column 1"):
         loads_design_text("2 1 1\n2 2\n0 0\n1 5\n")
     assert calls
+
+
+def test_the_parse_gives_each_raw_value_as_float_does(monkeypatch):
+    # raw tokens as repr, %e and %f write them, over the whole exponent range
+    # of the unit interval, subnormals included; none is whole, so no column
+    # leaves the C parse for the walk
+    rng = np.random.default_rng(2028)
+    values = rng.random(5000) * 10.0 ** -rng.integers(0, 324, 5000)
+    digits = rng.integers(1, 25, 5000).tolist()
+    tokens = [repr(v) for v in values.tolist()]
+    tokens += [f"{v:.{k}e}" for v, k in zip(values.tolist(), digits)]
+    tokens += [f"{v:.{k}f}" for v, k in zip(values.tolist(), digits)]
+    tokens = [t for t in tokens if 0.0 < float(t) < 1.0][: 8 * 1250]
+    monkeypatch.setattr(designio, "_design_from_rows", None)  # the walk would fail
+    rows = [" ".join(tokens[r : r + 8]) for r in range(0, len(tokens), 8)]
+    design = loads_design_text("\n".join([f"{len(rows)} 0 8", " ".join(["2"] * 8), *rows]))
+    assert len(tokens) == 8 * 1250
+    expected = np.array([float(t) for t in tokens]).reshape(len(rows), 8)
+    assert design.quantitative.tobytes() == expected.tobytes()
 
 
 def test_columns_typed_token_by_token_keep_their_meaning():

@@ -282,6 +282,20 @@ BIG = str(2**63)
 @example(content="3 1 1\n2 2\n0 5\n0 0 0\n1 x")  # ... and an unparseable token after both
 @example(content="2 1 1\n2 2\n0 1\n1 0 1\n1 1")  # too many rows
 @example(content="2 2 1\n2 2 2\n5 0 1.5\n0 -3 0")  # Design's column-major checks
+# hazards of the C-level parse of the data block
+@example(content="2 0 1\n2\n0.2_5\n0.5")  # float() takes an underscore, the C parse does not
+@example(content="2 1 1\n2 2\n0 0.5 # a note\n1 0.25")  # '#' mid-row is a token
+@example(content="2 0 1\n2\n0.5\nnan")
+@example(content="2 0 1\n2\n0.5\n-inf")
+@example(content="2 0 1\n2\n0.5\nInfinity")
+@example(content="2 0 1\n2\n0.5\n-0.0")
+@example(content="2 0 1\n4\n0.5\n+1")  # a signed level among raw values
+@example(content="2 0 1\n2\n0.5\n١.٥")  # Arabic-Indic digits: float() only
+@example(content="2 1 1\r\n2 2\r\n0\t0.5\r\n1\t0.25\r\n")  # tab and CRLF
+@example(content="2 1 1\n2 2\n0\x0c0.5\n1 0.25")  # a form feed also ends a line
+@example(content="2 1 1\n2 2\n0\u20030.5\n1\u20030.25")  # an em space separates tokens
+@example(content="2 1 1\n2 4\n0000000000000001 0000000000000003\n0 00000000000000000002")
+@example(content="2 1 1\n2 2\n0 1 1\n1")  # n*m tokens in rows one too wide and one too narrow
 def test_read_design_matches_the_entry_by_entry_decoder(tmp_path_factory, content):
     path = tmp_path_factory.getbasetemp() / "differential-design.txt"
     path.write_text(content)
