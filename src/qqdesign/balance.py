@@ -20,9 +20,16 @@ is floating point, so the two routes agree exactly; ``balance_component``
 counts one subset's level combinations directly.  ``balance_form`` turns
 per-size sums into the squared discrepancy, with the exact full-factorial
 value as its constant; ``qqd_from_balance`` feeds it the row-form sums
-and ``bounds.lb2`` residue bounds on them.  ``_split_sum`` sums a term of
-the cell count over the qualitative/quantitative splits of each size, for
-the uniform reference term here and for lb2's residues.
+and ``bounds.lb2`` residue bounds on them.  ``_split_sum`` sums an integer
+numerator over the cell count across the qualitative/quantitative splits
+of each size, for the uniform reference term here and for lb2's residues.
+
+Every exact sum is an integer over one common denominator, the size's
+largest cell count (and, in ``balance_form``, its product with the
+kernel ratio's powers): a size's sum is one (numerator, denominator)
+pair, never a chain of rationals, and each value is rounded once by
+one integer division.  Cell counts reach s^m, past 64 bits, so the
+arithmetic stays on Python integers.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import mul, sub, truediv
 
 import numpy as np
 
@@ -118,7 +126,9 @@ def balance_pattern(design: Design) -> BalancePattern:
     The component of subset S is (pairs agreeing on S) - n^2/cells(S), with
     the pair counts from ``_subset_agreements``; each is rounded once from
     the exact rational, and ``components`` lists the subsets by size, then
-    in ``combinations`` order.
+    in ``combinations`` order.  The subsets are put in that order by numpy
+    (``_combination_masks``) and their values computed by C-level maps over
+    exact integers, with no Python statement per subset.
     """
     spec = design.spec
     if spec.m > SUBSET_FACTOR_CAP:
@@ -127,21 +137,42 @@ def balance_pattern(design: Design) -> BalancePattern:
         )
     levels, s1, s2 = _two_type_levels(design)
     n, p, q, m = spec.n, spec.p, spec.q, spec.m
-    agreeing = _subset_agreements(levels).tolist()
-    bits, qual_bits = [1 << c for c in range(m)], (1 << p) - 1
-    components: dict[tuple[int, ...], float] = {}
-    aggregate = []
+    masks, k1, k2 = _combination_masks(m, p)
+    pairs = _subset_agreements(levels)[masks].tolist()
+    # cells(S) = s1^k1 s2^k2, read from a table by its column split (k1, k2)
+    cell_table = [s1**i * s2**j for i in range(p + 1) for j in range(q + 1)]
+    cells = list(map(cell_table.__getitem__, (k1 * (q + 1) + k2).tolist()))
+    numerators = map(sub, map(mul, pairs, cells), repeat(n * n))
+    keys = chain.from_iterable(combinations(range(m), k) for k in range(1, m + 1))
+    components = dict(zip(keys, map(truediv, numerators, cells)))  # each int / int rounds once
+    aggregate, start = [], 0
     for k in range(1, m + 1):
-        cells = [s1**k1 * s2 ** (k - k1) for k1 in range(k + 1)]
-        total = 0
-        for cols, col_bits in zip(combinations(range(m), k), combinations(bits, k)):
-            mask = sum(col_bits)
-            pairs, cell_count = agreeing[mask], cells[(mask & qual_bits).bit_count()]
-            components[cols] = (pairs * cell_count - n * n) / cell_count  # int / int rounds once
-            total += pairs
-        reference = _split_sum(p, q, s1, s2, k, lambda cells: Fraction(n * n, cells))
-        aggregate.append(float((total - reference) / math.comb(m, k)))
+        count = math.comb(m, k)
+        reference, common = _split_sum(p, q, s1, s2, k, lambda cells: n * n)
+        total = sum(pairs[start : start + count])
+        aggregate.append((total * common - reference) / (common * count))
+        start += count
     return BalancePattern(aggregate=tuple(aggregate), components=components)
+
+
+def _combination_masks(m: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonempty column subset as a mask (bit c for column c), in ``combinations`` order.
+
+    That order is by size, then by the bit-mirrored mask (column 0 as the
+    top bit) descending.  Also returns each subset's qualitative column
+    count k1 (columns below p) and its quantitative count k2.
+    """
+    size = 1 << m
+    ones = np.zeros(size, np.uint8)  # ones[v]: the set bits of v (a radix-sortable key)
+    mirror = np.zeros(size, np.intp)
+    for c in range(m):
+        ones[1 << c : 2 << c] = ones[: 1 << c] + 1
+        mirror[1 << c : 2 << c] = mirror[: 1 << c] + (1 << (m - 1 - c))
+    # mirror is its own inverse and keeps the bit count: walk the mirrored
+    # masks down from 2^m - 1 to 1, then sort stably by size
+    masks = mirror[:0:-1][np.argsort(ones[:0:-1], kind="stable")]
+    k1 = ones[masks & ((1 << p) - 1)].astype(np.intp)
+    return masks, k1, ones[masks] - k1
 
 
 def _subset_agreements(levels: np.ndarray) -> np.ndarray:
@@ -161,27 +192,35 @@ def _size_sums(levels: np.ndarray, p: int, q: int, s1: int, s2: int):
 
     A subset counts the pair (i, j) iff the rows agree on all its columns,
     so the pair counts collapse to binomials of the per-pair agreement
-    count; only the uniform reference term needs the column split.  A
-    generator: the row pairs are histogrammed when the first sum is asked for.
+    count; only the uniform reference term needs the column split.  Each
+    sum is a (numerator, denominator) pair of integers, over ``_split_sum``'s
+    common denominator.  A generator: the row pairs are histogrammed when
+    the first sum is asked for.
     """
     n, m = levels.shape
     # the pairs agree on few distinct counts, and C(a, k) is 0 for a < k
     hist = [(a, h) for a, h in enumerate(_agreement_histogram(levels, masks=False).tolist()) if h]
     for k in range(1, m + 1):
-        yield (sum(h * math.comb(a, k) for a, h in hist)
-               - _split_sum(p, q, s1, s2, k, lambda cells: Fraction(n * n, cells)))
+        reference, common = _split_sum(p, q, s1, s2, k, lambda cells: n * n)
+        yield sum(h * math.comb(a, k) for a, h in hist) * common - reference, common
 
 
-def _split_sum(p: int, q: int, s1: int, s2: int, k: int, term) -> Fraction:
-    """Exact sum of ``term(cells)`` over all k-column subsets.
+def _split_sum(p: int, q: int, s1: int, s2: int, k: int, term) -> tuple[int, int]:
+    """Exact sum of ``term(cells) / cells`` over all k-column subsets, as (numerator, denominator).
 
     C(p, k1) C(q, k - k1) subsets have k1 qualitative columns and
-    cells = s1^k1 s2^(k - k1) level combinations.
+    cells = s1^k1 s2^(k - k1) level combinations; ``term`` gives each
+    split's integer numerator.  Every split's cell count divides the
+    size's largest, s1^min(p, k) s2^min(q, k), so each term is multiplied
+    up to that common denominator and the sum is one integer over it.
     """
-    return sum(
-        math.comb(p, k1) * math.comb(q, k - k1) * term(s1**k1 * s2 ** (k - k1))
-        for k1 in range(max(0, k - q), min(p, k) + 1)
-    )
+    top1, top2 = min(p, k), min(q, k)
+    total = 0
+    for k1 in range(max(0, k - q), top1 + 1):
+        k2 = k - k1
+        scale = s1 ** (top1 - k1) * s2 ** (top2 - k2)  # the common denominator over cells
+        total += math.comb(p, k1) * math.comb(q, k2) * term(s1**k1 * s2**k2) * scale
+    return total, s1**top1 * s2**top2
 
 
 def balance_pattern_rowform(design: Design) -> BalancePattern:
@@ -189,8 +228,8 @@ def balance_pattern_rowform(design: Design) -> BalancePattern:
     spec = design.spec
     levels, s1, s2 = _two_type_levels(design)
     sums = _size_sums(levels, spec.p, spec.q, s1, s2)
-    aggregate = (v / math.comb(spec.m, k) for k, v in enumerate(sums, start=1))
-    return BalancePattern(aggregate=tuple(float(v) for v in aggregate), components=None)
+    aggregate = (v / (d * math.comb(spec.m, k)) for k, (v, d) in enumerate(sums, start=1))
+    return BalancePattern(aggregate=tuple(aggregate), components=None)
 
 
 def _full_factorial(s_qual, s_quant) -> Fraction:
@@ -207,10 +246,10 @@ def _full_factorial(s_qual, s_quant) -> Fraction:
     return head * (tail - Fraction(4, 3) ** len(s_quant))
 
 
-def _to_float(value: Fraction) -> float:
-    """The exact ``value`` rounded once; DomainError when it overflows a float."""
+def _to_float(numerator: int, denominator: int) -> float:
+    """The exact ``numerator / denominator`` rounded once; DomainError when it overflows a float."""
     try:
-        return float(value)
+        return numerator / denominator  # int / int is correctly rounded
     except OverflowError:
         raise DomainError("the exact value overflows a float") from None
 
@@ -219,23 +258,35 @@ def balance_form(n: int, p: int, q: int, s: int, sums) -> float:
     """Squared discrepancy of a U(n; s^p 2^q) design from per-size balance sums.
 
     ``sums`` yields, for k = 1..p+q, the sum of the balance components
-    over all k-column subsets.  The two-level wrap-around kernel takes the
-    values f0 (distance 0) and f1 (distance 1/2); f0/f1 equals the
-    qualitative ratio a/b of DEFAULT_CONFIG (both 6/5), so every pair
-    product is b^p f1^q (a/b)^(agreements), a polynomial in the per-column
-    agreement indicators and hence in the balance components.  With every
-    component zero the value is the full factorial's, the constant term
-    here.  Every sum is non-negative, so the value is at least that
-    constant: it is rounded by ``_to_float`` before ``sums`` is read, and
-    a constant that overflows a float refuses the whole value unread.
-    Exact rationals throughout; one final float rounding.
+    over all k-column subsets as a (numerator, denominator) pair of
+    integers.  The two-level wrap-around kernel takes the values f0
+    (distance 0) and f1 (distance 1/2); f0/f1 equals the qualitative ratio
+    a/b of DEFAULT_CONFIG (both 6/5), so every pair product is
+    b^p f1^q (a/b)^(agreements), a polynomial in the per-column agreement
+    indicators and hence in the balance components.  With every component
+    zero the value is the full factorial's, the constant term here.  Every
+    sum is non-negative, so the value is at least that constant: it is
+    rounded by ``_to_float`` before ``sums`` is read, and a constant that
+    overflows a float refuses the whole value unread.  The terms
+    (a/b - 1)^k v_k are multiplied up to one common denominator and
+    summed as integers; the value is one integer fraction, rounded once.
     """
-    constant = _full_factorial((s,) * p, (2,) * q)
-    _to_float(constant)  # the value is at least this: refuse before any sum is read
+    c_num, c_den = _full_factorial((s,) * p, (2,) * q).as_integer_ratio()
+    _to_float(c_num, c_den)  # the value is at least this: refuse before any sum is read
     a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
-    f1 = Fraction(_lattice_kernel(1, 2))
-    acc = sum((a / b - 1) ** k * v for k, v in enumerate(sums, start=1))
-    return _to_float(constant + b**p * f1**q / (n * n) * acc)
+    ratio = a / b - 1
+    terms = [
+        (ratio.numerator**k * v, ratio.denominator**k * d)
+        for k, (v, d) in enumerate(sums, start=1)
+    ]
+    common = math.lcm(*(d for _, d in terms))
+    acc = sum(v * (common // d) for v, d in terms)
+    scale = b**p * Fraction(_lattice_kernel(1, 2)) ** q / (n * n)
+    # constant + scale * acc / common, over one denominator
+    return _to_float(
+        c_num * scale.denominator * common + c_den * scale.numerator * acc,
+        c_den * scale.denominator * common,
+    )
 
 
 def qqd_from_balance(design: Design) -> float:

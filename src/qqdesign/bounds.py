@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .balance import _full_factorial, _split_sum, _to_float, _two_type_shape, balance_form
 from .discrepancy import _constant_term, _lattice_kernel
@@ -103,15 +102,16 @@ def lb2(n: int, p: int, q: int, s: int) -> float:
     A k1 + k2 column subset has at least r (1 - r / cells) as its
     component, with cells = s^k1 * 2^k2 and r = n mod cells.  Residuals
     are taken in exact integer arithmetic (the moduli outgrow 64 bits
-    quickly), summed per size by ``balance._split_sum``, and
-    ``balance_form`` rounds the exact value once.
+    quickly): each split's r (cells - r) is the integer numerator that
+    ``balance._split_sum`` sums over the size's common denominator, and
+    ``balance_form`` sums the sizes as integers and rounds once.
     """
     _require_int("lb2 argument", n, p, q, s)
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s < 1:
         raise DomainError("lb2 needs n >= 1, s >= 1 and at least one factor")
     DesignSpec(n, p, q, (s,) * p + (2,) * q).require_utype_feasible()
     sums = (
-        _split_sum(p, q, s, 2, k, lambda cells: Fraction(n % cells * (cells - n % cells), cells))
+        _split_sum(p, q, s, 2, k, lambda cells: n % cells * (cells - n % cells))
         for k in range(1, p + q + 1)
     )
     return balance_form(n, p, q, s, sums)
@@ -158,4 +158,5 @@ def full_factorial_qqd(spec: DesignSpec) -> float:
     The value does not depend on the repetition count: it is the minimum
     over designs whose frequency vector is constant.
     """
-    return _to_float(_full_factorial(spec.qualitative_levels, spec.quantitative_levels))
+    exact = _full_factorial(spec.qualitative_levels, spec.quantitative_levels)
+    return _to_float(*exact.as_integer_ratio())

@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 
 from .balance import balance_pattern, balance_pattern_rowform
 from .bounds import full_factorial_qqd, lb
@@ -97,8 +97,11 @@ def _fixed(value: float, width: int = 0) -> str:
 
 
 def _spec_from_args(args) -> DesignSpec:
-    if args.p < 0 or args.q < 0:  # p + q would cap --levels at a meaningless count
+    # DesignSpec's own refusals, before p + q caps --levels at a meaningless count
+    if args.p < 0 or args.q < 0:
         raise DomainError("factor counts must be non-negative")
+    if args.p + args.q < 1:
+        raise DomainError("at least one factor is required")
     levels = _parse_levels(args.levels, args.p + args.q)
     return DesignSpec(n=args.n, p=args.p, q=args.q, levels=levels)
 
@@ -251,8 +254,8 @@ def _cmd_balance(args):
     if args.components:
         # balance_pattern lists the subsets by size, then in combinations order
         names = [str(c) for c in range(len(pattern.aggregate))]
-        keys = (",".join(cols) for k in range(1, len(names) + 1) for cols in combinations(names, k))
-        out["components"] = dict(zip(keys, pattern.components.values()))
+        subsets = chain.from_iterable(combinations(names, k) for k in range(1, len(names) + 1))
+        out["components"] = dict(zip(map(",".join, subsets), pattern.components.values()))
 
     def text():
         for k, value in enumerate(pattern.aggregate, start=1):

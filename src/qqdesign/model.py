@@ -394,39 +394,40 @@ def validate_utype(design: Design) -> CheckReport:
 
     Quantitative columns must be lattice-valued to be checkable; a
     non-lattice column is a defect, an unbalanced one names its first off level.
+    Every column whose level count divides n is counted in one ``bincount``:
+    its s + 1 codes follow the previous such column's, first the decode's
+    -1 off the lattice, which must not occur, then one per level, which
+    must occur n/s times.  Each such s is at most n, so there are at most
+    m (n + 1) codes.
     """
     spec = design.spec
-    defects: list[Defect] = []
-    for k, s in enumerate(spec.levels):
-        if spec.n % s != 0:
-            defects.append(
-                Defect(f"level count {s} does not divide run count {spec.n}", column=k)
-            )
-            continue
-        if k < spec.p:
-            col = design.qualitative[:, k]
-        else:
-            col = design._lattice[:, k - spec.p]
-            if col.min() < 0:
-                defects.append(Defect("non-lattice quantitative column", column=k))
-                continue
-        defects += _balance_defects(col, s, k)
-    return CheckReport(tuple(defects))
-
-
-def _balance_defects(col: np.ndarray, s: int, k: int) -> list[Defect]:
-    """Balance defects of column k, given as integer levels: [] or its first off level.
-
-    A balanced column takes each of its s levels len(col)/s times.
-    """
-    counts = np.bincount(col, minlength=s)
-    want = col.shape[0] // s
-    off = np.nonzero(counts != want)[0]
-    if not off.size:
-        return []
-    lev = int(off[0])
-    message = f"level {lev} occurs {int(counts[lev])} times, expected {want}"
-    return [Defect(message, column=k, level=lev)]
+    n = spec.n
+    checked = [k for k, s in enumerate(spec.levels) if n % s == 0]
+    sizes = np.array([spec.levels[k] for k in checked], dtype=np.int64)
+    starts = np.cumsum(sizes + 1) - sizes  # the code of each column's level 0
+    want = np.repeat(n // sizes, sizes + 1)
+    want[starts - 1] = 0
+    levels = np.concatenate((design.qualitative, design._lattice), axis=1)
+    if len(checked) < spec.m:
+        levels = levels[:, checked]
+    counts = np.bincount((levels + starts).ravel(), minlength=want.size)
+    off = np.flatnonzero(counts != want)
+    defects = {
+        k: Defect(f"level count {s} does not divide run count {n}", column=k)
+        for k, s in enumerate(spec.levels)
+        if n % s != 0
+    }
+    if off.size:
+        # off is ascending, so each column's first entry is its first off code
+        columns, first = np.unique(np.searchsorted(starts - 1, off, "right") - 1, return_index=True)
+        for i, code in zip(columns.tolist(), off[first].tolist()):
+            k, lev = checked[i], code - int(starts[i])
+            if lev < 0:
+                defects[k] = Defect("non-lattice quantitative column", column=k)
+            else:
+                message = f"level {lev} occurs {counts[code]} times, expected {want[code]}"
+                defects[k] = Defect(message, column=k, level=lev)
+    return CheckReport(tuple(defects[k] for k in sorted(defects)))
 
 
 def is_mcd(design: Design) -> CheckReport:
@@ -465,8 +466,7 @@ def is_mcd(design: Design) -> CheckReport:
         Defect("qualitative column is not balanced", level=d.level, factor=d.column)
         if d.column < spec.p
         else Defect(f"not a Latin hypercube column: {d.message}", column=d.column)
-        for k, (col, s) in enumerate(zip(levels.T, spec.levels))
-        for d in _balance_defects(col, s, k)
+        for d in validate_utype(design).defects
     ]
     unbalanced = {d.factor for d in defects}
     for k, s in enumerate(spec.qualitative_levels):

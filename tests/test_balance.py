@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,12 @@ from qqdesign import (
     balance_pattern_rowform,
     design_from_levels,
     full_factorial,
+    lb2,
     qqd_from_balance,
     qqd_squared,
     random_utype,
 )
+from qqdesign.balance import _full_factorial
 from qqdesign.discrepancy import _lattice_kernel
 from qqdesign.reference import load_reference_design
 
@@ -154,6 +157,7 @@ def test_pattern_components_and_aggregates_match_direct_counts(design):
         DesignSpec(n=64, p=3, q=9, levels=(2,) * 12),
         DesignSpec(n=4, p=1, q=0, levels=(2,)),
         DesignSpec(n=12, p=2, q=2, levels=(2, 2, 3, 3)),
+        DesignSpec(n=2, p=8, q=8, levels=(2,) * 16),
     ],
 )
 def test_pattern_does_not_count_level_combinations_per_subset(monkeypatch, spec):
@@ -264,3 +268,101 @@ def test_balance_form_has_no_factor_cap(monkeypatch):
     monkeypatch.setattr(balance_module, "_component_exact", refuse)
     # the value is about 1.1e4, where one ulp is 1.8e-12
     assert qqd_from_balance(design) == pytest.approx(qqd_squared(design), rel=1e-12, abs=0)
+
+
+# ------------------------------------------------- per-term Fraction references
+#
+# The library sums every size over one common integer denominator and
+# rounds once; these references take one Fraction per term, as a direct
+# reading of the formulas, and the results must agree bit for bit.
+
+def _fraction_component(levels, cols, p, s1, s2):
+    """Squared count deviations of one column subset, by counting its level combinations."""
+    n = levels.shape[0]
+    k1 = sum(1 for c in cols if c < p)
+    counts = Counter(map(tuple, levels[:, list(cols)].tolist()))
+    return sum(c * c for c in counts.values()) - Fraction(n * n, s1**k1 * s2 ** (len(cols) - k1))
+
+
+def _fraction_balance_form(n, p, q, s, sums):
+    a, b = Fraction(DEFAULT_CONFIG.a), Fraction(DEFAULT_CONFIG.b)
+    f1 = Fraction(_lattice_kernel(1, 2))
+    acc = sum((a / b - 1) ** k * v for k, v in enumerate(sums, start=1))
+    return float(_full_factorial((s,) * p, (2,) * q) + b**p * f1**q / (n * n) * acc)
+
+
+def _fraction_lb2(n, p, q, s):
+    def residues(k):
+        total = Fraction(0)
+        for k1 in range(max(0, k - q), min(p, k) + 1):
+            cells = s**k1 * 2 ** (k - k1)
+            r = n % cells
+            total += math.comb(p, k1) * math.comb(q, k - k1) * Fraction(r * (cells - r), cells)
+        return total
+
+    return _fraction_balance_form(n, p, q, s, (residues(k) for k in range(1, p + q + 1)))
+
+
+def _fraction_pattern(design):
+    """Every component and each size's mean component, one Fraction per subset."""
+    spec = design.spec
+    s1 = spec.qualitative_levels[0] if spec.p else 2
+    s2 = spec.quantitative_levels[0] if spec.q else 2
+    levels = design.all_levels()
+    components = {
+        cols: _fraction_component(levels, cols, spec.p, s1, s2)
+        for k in range(1, spec.m + 1)
+        for cols in itertools.combinations(range(spec.m), k)
+    }
+    sums = [sum(v for cols, v in components.items() if len(cols) == k)
+            for k in range(1, spec.m + 1)]
+    return components, sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(0, 4),
+    q=st.integers(0, 6),
+    s=st.one_of(st.integers(1, 9), st.integers(0, 40).map(lambda e: 2**e),
+                st.integers(2, 2**40)),
+    runs=st.integers(1, 9),
+)
+def test_lb2_matches_a_per_term_fraction_sum(p, q, s, runs):
+    # s up to 2^40: the cell counts s^k1 2^k2 run far past 64 bits
+    if p + q == 0:
+        p = 1
+    n = math.lcm(s if p else 1, 2 if q else 1) * runs
+    assert lb2(n, p, q, s) == _fraction_lb2(n, p, q, s)
+
+
+# U(64; 64^9) has cells up to 2^54 and n^2 cells = 2^66; the 4-level
+# qualitative block takes them to 2^58.  Those cell counts are powers of
+# two; U(60; 3 60^9)'s are not, so its numerators pairs * cells - n^2,
+# past 2^60, are not floats
+PATTERN_SPECS = [
+    DesignSpec(n=64, p=0, q=9, levels=(64,) * 9),
+    DesignSpec(n=64, p=2, q=9, levels=(4, 4) + (64,) * 9),
+    DesignSpec(n=60, p=1, q=9, levels=(3,) + (60,) * 9),
+    DesignSpec(n=16, p=3, q=4, levels=(4, 4, 4, 2, 2, 2, 2)),
+    DesignSpec(n=64, p=2, q=8, levels=(4, 4) + (2,) * 8),
+    DesignSpec(n=12, p=2, q=3, levels=(3, 3, 2, 2, 2)),
+    DesignSpec(n=8, p=0, q=1, levels=(2,)),
+    DesignSpec(n=6, p=1, q=0, levels=(3,)),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(PATTERN_SPECS), seed=st.integers(0, 2**32 - 1))
+def test_pattern_matches_a_per_subset_fraction_reference(spec, seed):
+    design = random_utype(spec, seed)
+    components, sums = _fraction_pattern(design)
+    pattern = balance_pattern(design)
+    assert list(pattern.components) == list(components)
+    assert pattern.components == {cols: float(v) for cols, v in components.items()}
+    means = tuple(float(v / math.comb(spec.m, k)) for k, v in enumerate(sums, start=1))
+    assert pattern.aggregate == means
+    assert balance_pattern_rowform(design).aggregate == means
+    if set(spec.quantitative_levels) <= {2}:
+        s = spec.qualitative_levels[0] if spec.p else 2
+        want = _fraction_balance_form(spec.n, spec.p, spec.q, s, sums)
+        assert qqd_from_balance(design) == want

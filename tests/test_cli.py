@@ -456,6 +456,16 @@ def test_a_negative_factor_count_is_refused_before_the_levels(capsys, command, p
     assert err == "error: factor counts must be non-negative\n"
 
 
+@pytest.mark.parametrize("command", ["bounds", "search"])
+@pytest.mark.parametrize("levels", ["2", "", "2,x"])
+def test_no_factors_is_refused_before_the_levels(capsys, command, levels):
+    # p + q = 0 gives the spec's refusal, whatever --levels says
+    code, out, err = run(capsys, command, "--n", "4", "--p", "0", "--q", "0", "--levels", levels)
+    assert code == 2
+    assert out == ""
+    assert err == "error: at least one factor is required\n"
+
+
 # ---------------------------------------------------------------------- balance
 
 def test_balance_command(capsys):

@@ -42,7 +42,7 @@ from qqdesign import (
     write_design,
 )
 from qqdesign.cli import main
-from qqdesign.model import LATTICE_TOL, _balance_defects
+from qqdesign.model import LATTICE_TOL
 from qqdesign.reference import load_reference_design
 
 
@@ -70,10 +70,14 @@ def _reference_defects(design):
             continue
         col = (design.qualitative[:, k] if k < spec.p
                else _tolerant_levels(design.quantitative[:, k - spec.p], s))
+        counts = np.bincount(col[col >= 0], minlength=s)
+        off = np.nonzero(counts != spec.n // s)[0]
         if col.min() < 0:
             defects.append(model.Defect("non-lattice quantitative column", column=k))
-        else:
-            defects += _balance_defects(col, s, k)
+        elif off.size:
+            lev = int(off[0])
+            defects.append(model.Defect(f"level {lev} occurs {int(counts[lev])} times, "
+                                        f"expected {spec.n // s}", column=k, level=lev))
     return tuple(defects)
 
 

@@ -1,8 +1,11 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqdesign import (
     CheckReport,
@@ -370,6 +373,68 @@ def test_validate_utype_ccd_is_not_utype():
     report = validate_utype(load_reference_design("ccd_full_1"))
     assert not report.passed
     assert any("non-lattice" in d.message for d in report.defects)
+
+
+def _per_column_defects(design):
+    """validate_utype's report, one column at a time by counting its entries."""
+    spec = design.spec
+    defects = []
+    for k, s in enumerate(spec.levels):
+        if spec.n % s:
+            defects.append(Defect(f"level count {s} does not divide run count {spec.n}", column=k))
+            continue
+        values = (design.qualitative[:, k] if k < spec.p
+                  else design.quantitative[:, k - spec.p] * s - 0.5)
+        if k >= spec.p and np.abs(values - np.rint(values)).max() > 1e-6:
+            defects.append(Defect("non-lattice quantitative column", column=k))
+            continue
+        counts = Counter(np.rint(values).astype(np.int64).tolist())
+        want = spec.n // s
+        off = [lev for lev in range(s) if counts[lev] != want]
+        if off:
+            message = f"level {off[0]} occurs {counts[off[0]]} times, expected {want}"
+            defects.append(Defect(message, column=k, level=off[0]))
+    return tuple(defects)
+
+
+@st.composite
+def _checkable_designs(draw):
+    """Designs with balanced, unbalanced and off-lattice columns, and counts not dividing n."""
+    n = draw(st.sampled_from([1, 2, 6, 12, 16, 24]))
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if p + q == 0:
+        p = 1
+    divisors = [s for s in range(1, n + 1) if n % s == 0]
+    levels = tuple(
+        draw(st.one_of(st.sampled_from(divisors), st.integers(1, 2 * n + 3)))
+        for _ in range(p + q)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for s in levels:
+        kind = draw(st.sampled_from(["balanced", "random", "one off"]))
+        if kind == "balanced" and n % s == 0:
+            col = rng.permutation(np.repeat(np.arange(s), n // s))
+        else:
+            col = rng.integers(0, s, n)
+            if kind == "one off" and n % s == 0:
+                col = rng.permutation(np.repeat(np.arange(s), n // s))
+                col[rng.integers(n)] = rng.integers(s)
+        columns.append(col.astype(np.int64))
+    spec = DesignSpec(n=n, p=p, q=q, levels=levels)
+    qual = np.column_stack(columns[:p]) if p else np.zeros((n, 0), np.int64)
+    quant = np.column_stack([(c + 0.5) / s for c, s in zip(columns[p:], levels[p:])]) if q \
+        else np.zeros((n, 0))
+    for j in range(q):
+        if draw(st.booleans()) and draw(st.booleans()):  # a quarter of them off the lattice
+            quant[rng.integers(n), j] = 0.25 / levels[p + j] + 1e-3 * rng.random()
+    return Design(spec, qual, quant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(design=_checkable_designs())
+def test_validate_utype_matches_a_per_column_count(design):
+    assert validate_utype(design).defects == _per_column_defects(design)
 
 
 def test_validate_utype_on_every_full_factorial():
