@@ -29,6 +29,10 @@ from .model import DEFAULT_CONFIG, DesignSpec, _require_int
 
 # lb1 loops over the s/2 + 1 lattice distances of s quantitative levels (~0.2 s at the cap)
 LB1_LEVEL_CAP = 1 << 20
+# lb2 sums (p + 1)(q + 1) - 1 split terms of integers about p + q digits long, so
+# its time grows as (p + 1)(q + 1)(p + q)^2: about 4e-11 s a unit (2-vCPU Xeon;
+# lb2(64, 200, 200, 4) took 0.23 s and lb2(2, 0, 1752, 2) 0.22 s), ~0.4 s at the cap
+LB2_WORK_CAP = 10**10
 
 
 def lb1(spec: DesignSpec) -> float:
@@ -110,11 +114,22 @@ def lb2(n: int, p: int, q: int, s: int) -> float:
     if n < 1 or p < 0 or q < 0 or p + q < 1 or s < 1:
         raise DomainError("lb2 needs n >= 1, s >= 1 and at least one factor")
     DesignSpec(n, p, q, (s,) * p + (2,) * q).require_utype_feasible()
-    sums = (
-        _split_sum(p, q, s, 2, k, lambda cells: n % cells * (cells - n % cells))
-        for k in range(1, p + q + 1)
-    )
-    return balance_form(n, p, q, s, sums)
+    return balance_form(n, p, q, s, _residue_sums(n, p, q, s))
+
+
+def _residue_sums(n: int, p: int, q: int, s: int):
+    """lb2's per-size sums; CapacityError past ``LB2_WORK_CAP``, once the first is asked for.
+
+    ``balance_form`` asks only after its constant has not overflowed, so
+    a bound that overflows a float is refused as that, however wide.
+    """
+    work = (p + 1) * (q + 1) * (p + q) ** 2
+    if work > LB2_WORK_CAP:
+        raise CapacityError(
+            f"lb2 at p={p}, q={q} exceeds its cap: (p+1)(q+1)(p+q)^2 = {work} > {LB2_WORK_CAP}"
+        )
+    for k in range(1, p + q + 1):
+        yield _split_sum(p, q, s, 2, k, lambda cells: n % cells * (cells - n % cells))
 
 
 @dataclass(frozen=True)

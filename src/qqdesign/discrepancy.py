@@ -24,21 +24,27 @@ c for an agreement mask.  ``_row_weights`` multiplies a block's
 per-factor weights in the order of a list of steps, one per factor,
 that its caller makes once: ``_kernel_step`` (a quantitative column),
 ``_agreement_step`` ((a/b)^(agreements) of a qualitative block) or
-``_gather`` (a table lookup).  The closed form (``_closed_form_steps``)
+``_gather`` (rows of a table).  The closed form (``_closed_form_steps``)
 takes the quantitative columns in column order, then the qualitative
-block, and sums the square parts plus twice the rests (``np.sum`` per
-part, ``math.fsum`` across them).  Where the walk has several blocks it
-gathers from tables cached per level count: an s-level quantitative
-column whose values are exactly its lattice points (its caller passes
-``Design._exact_columns``; swd's rescaled slices and dd pass none)
-reads T[u, v], the kernel ``_kernel_step`` gives between levels u and
-v, and the qualitative block (a/b)^(agreements) over its Q level
-combinations, indexed by mixed-radix codes, while s^2 or Q^2 fits in a
-block.  A table entry is the formula on the same floats, so every value
-is the formula's, bit for bit.  The swap evaluator's row route takes, per
-swapped column, the other factors' steps and the column's own: its
-kernel, or for a qualitative column its agreements scaled by a/b - 1
-(``_same_step``).  Both balance-pattern routes histogram every block's
+block, and sums the square parts plus twice the rests (``np.add.reduce``
+per part, ``math.fsum`` across them).  Where the walk has several blocks
+it reads tables cached per level count: an s-level quantitative column
+whose values are exactly its lattice points (its caller passes
+``Design._exact_columns``; swd's rescaled slices and dd pass none) reads
+T[u, v], the kernel ``_kernel_step`` gives between levels u and v, and
+the qualitative block (a/b)^(agreements) over its Q level combinations,
+indexed by mixed-radix codes, while s^2 or Q^2 fits in a block.  Per
+call it takes each such table's rows at the n codes, T[:, codes] (s * n
+floats), so a block row is one contiguous copy; these rows, one block of
+full rows and the walk's buffers are one allocation.  There a kernel's
+broadcast subtract runs without numpy's iteration buffers
+(``_unbuffered_subtract``), which would cost more than the subtract at
+rows shorter than about 3000; the sums keep numpy's default buffer,
+since their bits depend on it.  A table entry is the formula on the same
+floats, so every value is the formula's, bit for bit.  The swap
+evaluator's row route takes, per swapped column, the other factors'
+steps and the column's own: its kernel, or for a qualitative column its
+agreements scaled by a/b - 1 (``_same_step``).  Both balance-pattern routes histogram every block's
 codes (``_agreement_histogram``).  Setting p = 0 recovers the wrap-around
 discrepancy (WD), q = 0 the discrete discrepancy (DD).
 
@@ -119,30 +125,50 @@ def _agreement_buffers(rows: int, cols: int):
 
 
 def _buffers(rows: int, cols: int):
-    """rows x cols buffers for ``_row_weights``: three float64, then ``_agreement_buffers``.
+    """rows x cols buffers for ``_row_weights``: three float64, then ``_agreement_buffers``' three."""
+    return _buffer_set(rows, cols, 0)[0]
+
+
+def _buffer_set(rows: int, cols: int, spare: int):
+    """``_buffers(rows, cols)`` and ``spare`` more float64 entries, all in one allocation.
 
     The float64 ones start on a 64-byte cache line: the n = 1024 closed form
-    ran about 20% slower on buffers 16 bytes off one (2-vCPU Xeon).
+    ran about 20% slower on buffers 16 bytes off one (2-vCPU Xeon).  One
+    allocation, not one per buffer: when the closed form freed its buffers
+    and table rows as separate arrays of a few hundred KB each, glibc's
+    malloc handed their pages back, and each n = 512 call faulted about 200
+    pages in again; one allocation per call faulted none.
     """
-    size = 3 * rows * cols
-    raw = np.empty(size + 7)  # numpy aligns float64 data to 8 bytes at least
-    shift = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 8  # raw.ctypes is slower
-    return (*raw[shift : shift + size].reshape(3, rows, cols), *_agreement_buffers(rows, cols))
+    size = rows * cols
+    intp = np.dtype(np.intp).itemsize
+    # float64 buffers, spare and intp ones all keep the 8-byte steps; the bool one goes last
+    ends = np.cumsum([0, 8 * 3 * size, 8 * spare, intp * 2 * size, size])
+    raw = np.empty(ends[-1] + 63, np.uint8)
+    raw = raw[-ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 :]  # raw.ctypes is slower
+    floats, spare, ints, same = (raw[a:b] for a, b in zip(ends, ends[1:]))
+    buffers = (*floats.view(np.float64).reshape(3, rows, cols),
+               *ints.view(np.intp).reshape(2, rows, cols), same.view(np.bool_).reshape(rows, cols))
+    return buffers, spare.view(np.float64)
 
 
-def _row_blocks(n: int, make_buffers):
+def _block_height(n: int) -> int:
+    """Rows per block of an n-row walk: at most PAIR_BLOCK pair entries, at least one row."""
+    return min(max(1, PAIR_BLOCK // n), n)
+
+
+def _row_blocks(n: int, buffers):
     """Each unordered pair of n rows once: row blocks [start, stop) against rows [start, n).
 
     Yields ``(rows, start, views)``: the block's row slice, its first row,
     and C-contiguous (stop - start) x (n - start) views on the leading
-    entries of one buffer set, ``make_buffers(step, n)`` for the first and
-    largest block, of at most PAIR_BLOCK entries, so memory is O(n*B).  The
-    first stop - start columns are the square part; the rests hold each
-    pair i < j exactly once, so the double sum over i and j is the squares
-    plus twice the rests.  Views hold a block only until the next one.
+    entries of ``buffers``, a buffer set shaped as the first and largest
+    block, ``_block_height(n)`` x n (at most PAIR_BLOCK entries), so memory
+    is O(n*B).  The first stop - start columns are the square part; the
+    rests hold each pair i < j exactly once, so the double sum over i and j
+    is the squares plus twice the rests.  Views hold a block only until the
+    next one.
     """
-    step = min(max(1, PAIR_BLOCK // n), n)
-    buffers = make_buffers(step, n)  # the first block's shape
+    step = _block_height(n)
     for start in range(0, n, step):
         stop = min(start + step, n)
         views, size = buffers, (stop - start) * (n - start)
@@ -175,19 +201,52 @@ def _agreements(levels, rows, start, out, masks=False, skip=None):
             counted = True
 
 
-def _gather(codes, table, rows, start, target, out):
-    """table[codes[i], codes[j]]: a factor's weights read from its table."""
-    # the block rows' sub-table, taken along the other rows' codes; clip writes unbuffered
-    return np.take(table[codes[rows]], codes[start:], 1, target, "clip")
+def _gather(codes, table_rows, full_rows, rows, start, target, out):
+    """T[codes[i], codes[j]]: a factor's weights copied from its table rows.
+
+    ``table_rows`` is T[:, codes], the factor's table T read at the n
+    rows' codes: row i of the block is row codes[i] of it from column
+    start.  ``np.take`` copies the block's whole rows into ``full_rows``
+    (at least the block's height by n), one contiguous run each, and
+    their columns from start on are then copied into ``target``.  A
+    ``take`` from the strided columns would copy them whole first, indexing
+    rows and columns allocates a block per call, and a Python copy per row
+    cost 0.45 us a row.
+    """
+    taken = np.take(table_rows, codes[rows], 0, full_rows[: target.shape[0]], "clip")
+    np.copyto(target, taken[:, start:])
+    return target
 
 
-def _kernel_step(values, rows, start, target, out):
+def _unbuffered_subtract(x, z, out):
+    """``np.subtract(x, z, out)`` run without numpy's iteration buffers.
+
+    numpy 2.x buffers a broadcast ufunc whose rows are short against its
+    buffer (8192 entries by default): a (16, 2048) block of a column
+    against itself took 32 us buffered, allocating 132 KB, and 9 us
+    unbuffered (2-vCPU Xeon, numpy 2.4).  At the smallest buffer numpy
+    iterates the rows in place, and the difference has the same bits.
+    Only the subtract: the bits of a sum depend on the buffer size, and the
+    agreement comparison ran faster buffered.  Setting the size twice costs
+    about 2.3 us, which a block of a several-block walk repays; the row
+    route's two-row scores and single-block walks keep ``np.subtract``.
+    """
+    size = np.setbufsize(16)
+    try:
+        return np.subtract(x, z, out)
+    finally:
+        np.setbufsize(size)
+
+
+def _kernel_step(values, rows, start, target, out, subtract=np.subtract):
     """Wrap-around kernel (3/2 - |x - z|) + |x - z|^2 of one column, step by step.
 
-    x runs over rows ``rows``, z over rows start..n-1; ``out[2]`` is scratch.
+    x runs over rows ``rows``, z over rows start..n-1; ``out[2]`` is
+    scratch.  ``subtract`` forms x - z (``_unbuffered_subtract`` in the
+    closed form's several-block walks).
     """
     work = out[2]
-    np.subtract(values[rows, None], values[start:], work)
+    subtract(values[rows, None], values[start:], work)
     np.abs(work, work)
     np.multiply(work, work, target)  # d * d
     np.subtract(1.5, work, work)
@@ -230,29 +289,52 @@ def _row_weights(steps, rows, start, out):
 
 
 def _closed_form_steps(qualitative, quantitative, levels, config, ratio_powers, exact=None):
-    """The closed form's steps: each quantitative column in turn, then the qualitative block.
+    """The closed form's steps and its walk's buffer set.
 
-    A quantitative column with exact levels reads its level table, and the
-    qualitative block its agreement table over the Q level combinations,
-    where a table pays: small against a block (s^2 or Q^2 <= PAIR_BLOCK)
-    and reused over several (n^2 > PAIR_BLOCK).  ``exact`` is the
-    design's ``_exact_columns``, called only then, or None: no column is.
-    The others compute their weights from the formula.
+    The steps take each quantitative column in turn, then the qualitative
+    block.  A quantitative column with exact levels reads its level table,
+    and the qualitative block its agreement table over the Q level
+    combinations, where a table pays: small against a block (s^2 or Q^2 <=
+    PAIR_BLOCK) and reused over several (n^2 > PAIR_BLOCK).  ``exact`` is
+    the design's ``_exact_columns``, called only then, or None: no column
+    is.  Such a step holds the table's rows at the n codes, T[:, codes]
+    (s * n floats, s and Q at most 181), and copies a block row from them
+    whole (``_gather``).  The others compute their weights from the
+    formula; in several blocks a kernel's broadcast subtract runs
+    unbuffered (``_unbuffered_subtract``), while the walk's sums keep
+    numpy's buffers, on which their bits depend.  The buffers, one block of
+    full rows for ``_gather`` and the table rows are one allocation
+    (``_buffer_set``).
     """
     n, p = qualitative.shape
     several = n * n > PAIR_BLOCK
     columns = exact() if exact and several else [None] * quantitative.shape[1]
-    steps = []
-    for values, s, codes in zip(quantitative.T, levels[p:], columns):
-        steps.append(partial(_kernel_step, values) if codes is None or s * s > PAIR_BLOCK
-                     else partial(_gather, np.ascontiguousarray(codes), _quantitative_table(s)))
+    kernel = partial(_kernel_step, subtract=_unbuffered_subtract) if several else _kernel_step
+    # a step, or the (table, codes) that its gather reads
+    plan = [partial(kernel, values) if codes is None or s * s > PAIR_BLOCK
+            else (_quantitative_table(s), codes)
+            for values, s, codes in zip(quantitative.T, levels[p:], columns)]
     s_qual = levels[:p]
     if several and p and math.prod(s_qual) ** 2 <= PAIR_BLOCK:
-        codes = np.ravel_multi_index(tuple(qualitative.T), s_qual)
-        steps.append(partial(_gather, codes, _qualitative_table(s_qual, config)))
+        plan.append((_qualitative_table(s_qual, config),
+                     np.ravel_multi_index(tuple(qualitative.T), s_qual)))
     elif p:
-        steps.append(partial(_agreement_step, qualitative, ratio_powers, None))
-    return steps
+        plan.append(partial(_agreement_step, qualitative, ratio_powers, None))
+    height = _block_height(n)
+    held = sum(len(entry[0]) for entry in plan if isinstance(entry, tuple))  # table rows
+    buffers, spare = _buffer_set(height, n, (height + held) * n if held else 0)
+    spare = spare.reshape(-1, n)
+    full_rows, at = spare[:height], height
+    steps = []
+    for entry in plan:
+        if isinstance(entry, tuple):
+            table, codes = entry
+            # clip writes into the spare rows unbuffered; codes are in range
+            table_rows = np.take(table, codes, 1, spare[at : at + len(table)], "clip")
+            entry = partial(_gather, codes, table_rows, full_rows)
+            at += len(table)
+        steps.append(entry)
+    return steps, buffers
 
 
 def _ratio_powers(config: CriterionConfig, p: int) -> np.ndarray:
@@ -299,7 +381,7 @@ def _agreement_histogram(levels: np.ndarray, masks: bool) -> np.ndarray:
     levels = levels.astype(np.min_scalar_type(levels.max()))
     size = 1 << m if masks else m + 1
     hist = np.zeros(size, np.intp)
-    for rows, start, out in _row_blocks(n, _agreement_buffers):
+    for rows, start, out in _row_blocks(n, _agreement_buffers(_block_height(n), n)):
         _agreements(levels, rows, start, out, masks)
         codes = out[0]
         # pairs within the block once, the rest twice; ravel is a view of the whole block
@@ -331,14 +413,16 @@ def _qqd_squared_arrays(
     # 10^3; weights that overflow (numpy's power gives inf) are refused below
     with np.errstate(all="ignore"):
         ratio_powers = _ratio_powers(config, p)
-        steps = _closed_form_steps(qualitative, quantitative, levels, config, ratio_powers, exact)
+        steps, buffers = _closed_form_steps(qualitative, quantitative, levels, config,
+                                            ratio_powers, exact)
         partials = []
-        for rows, start, out in _row_blocks(n, _buffers):
+        for rows, start, out in _row_blocks(n, buffers):
             weights = _row_weights(steps, rows, start, out)
             square = weights.shape[0]
-            partials.append(float(np.sum(weights[:, :square])))
+            # np.sum's reduction without its wrapper: the same bits
+            partials.append(float(np.add.reduce(weights[:, :square], None)))
             if square < weights.shape[1]:  # the last block has no rest
-                partials.append(2.0 * float(np.sum(weights[:, square:])))
+                partials.append(2.0 * float(np.add.reduce(weights[:, square:], None)))
         total = math.fsum(partials)
         pairs = float(total * np.float64(config.b) ** p / n**2)
     C = _constant_term(levels[:p], quantitative.shape[1], config.a, config.b)

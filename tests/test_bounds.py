@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qqdesign import (
+    CapacityError,
     DesignSpec,
     DomainError,
     design_from_levels,
@@ -173,6 +174,27 @@ def test_lb2_handles_wide_designs_exactly():
     # moduli overflow 64-bit integers; exact arithmetic must survive
     value = lb2(6, 30, 30, 3)
     assert math.isfinite(value)
+
+
+def test_lb2_refuses_work_past_its_cap_once_its_constant_is_finite(monkeypatch):
+    import qqdesign.bounds as bounds_module
+
+    # (p + 1)(q + 1)(p + q)^2 = 201 * 301 * 500^2 = 1.5e10, no split summed
+    def unsummed(*args):
+        raise AssertionError("the refusal must come before any split is summed")
+
+    monkeypatch.setattr(bounds_module, "_split_sum", unsummed)
+    message = "lb2 at p=200, q=300 exceeds its cap: (p+1)(q+1)(p+q)^2 = 15125250000 > 10000000000"
+    with pytest.raises(CapacityError) as refusal:
+        lb2(64, 200, 300, 4)
+    assert str(refusal.value) == message
+    # a constant that overflows a float is refused as that first, however wide
+    with pytest.raises(DomainError, match="overflows a float"):
+        lb2(4, 2622, 1, 4)
+    monkeypatch.undo()
+    # the widest evaluated sums stay within the cap
+    assert (1752 + 1) * 1752**2 <= bounds_module.LB2_WORK_CAP
+    assert math.isfinite(lb2(64, 100, 100, 4))
 
 
 @pytest.mark.parametrize("args", [(4, 1, 1, 2.5), (4, 1.0, 1, 2), (4.0, 1, 1, 2), (4, 1, True, 2)])

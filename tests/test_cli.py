@@ -421,6 +421,15 @@ def test_bounds_refuses_a_level_count_over_lb1s_cap_at_once(capsys):
     assert err == f"error: quantitative level count {s} exceeds lb1's cap {2**20}\n"
 
 
+def test_bounds_refuses_lb2_work_over_its_cap(capsys):
+    argv = ["bounds", "--n", "64", "--p", "200", "--q", "300", "--levels", "4^200,2^300"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: lb2 at p=200, q=300 exceeds its cap: "
+                   "(p+1)(q+1)(p+q)^2 = 15125250000 > 10000000000\n")
+
+
 def test_bounds_that_overflow_a_float_end_in_one_error_line(capsys):
     argv = ["bounds", "--n", "2", "--p", "0", "--q", "2500", "--levels", "2^2500"]
     code, out, err = run(capsys, *argv)

@@ -115,8 +115,8 @@ def test_diagonal_terms_contribute_three_halves_power():
     from qqdesign.discrepancy import _buffers, _closed_form_steps, _constant_term, _row_weights
 
     ratio_powers = (1.5 / 1.25) ** np.arange(p + 1)
-    steps = _closed_form_steps(design.qualitative, design.quantitative, design.spec.levels,
-                               DEFAULT_CONFIG, ratio_powers)
+    steps, _ = _closed_form_steps(design.qualitative, design.quantitative, design.spec.levels,
+                                  DEFAULT_CONFIG, ratio_powers)
     w = 1.25**p * _row_weights(steps, slice(None), 0, _buffers(n, n))
     off_diag = w - np.diag(np.diag(w))
     value_without_diag = (
@@ -150,7 +150,8 @@ def _walk_at(monkeypatch, n, walk):
     """Set PAIR_BLOCK so that ``_row_blocks`` walks n rows as ``walk`` says; check that walk."""
     size = {"one-row": n - 1, "ragged": discrepancy.PAIR_BLOCK, "one-block": n * n}[walk]
     monkeypatch.setattr(discrepancy, "PAIR_BLOCK", size)
-    blocks = list(discrepancy._row_blocks(n, discrepancy._agreement_buffers))
+    height = discrepancy._block_height(n)
+    blocks = list(discrepancy._row_blocks(n, discrepancy._agreement_buffers(height, n)))
     heights = [rows.stop - rows.start for rows, _, _ in blocks]
     assert {"one-row": heights == [1] * n, "one-block": heights == [n],
             "ragged": len(heights) > 1 and 0 < heights[-1] < heights[0]}[walk], heights
@@ -210,15 +211,23 @@ def test_row_weights_from_a_column_start_match_the_full_rows():
     qual, (wide, narrow) = mixed.qualitative, mixed.quantitative.T
     kernel, agreement, gather = (discrepancy._kernel_step, discrepancy._agreement_step,
                                  discrepancy._gather)
-    # every step kind: formula kernels, agreements without a column, both tables
+    # every step kind: formula kernels (also unbuffered), agreements without a column, both
+    # tables' rows; a gather copies whole rows into scratch of the block's height by n
     kernels = [partial(kernel, wide), partial(kernel, narrow)]
+    unbuffered = [partial(kernel, wide, subtract=discrepancy._unbuffered_subtract)]
+    quantitative_codes = mixed._exact_columns()[1]
+    qualitative_codes = np.ravel_multi_index(tuple(qual.T), (4, 3))
+    full_rows = np.full((24, 24), np.nan)
     step_lists = [
         [*kernels, partial(agreement, qual, ratio_powers, None)],
         [*kernels, partial(agreement, qual, ratio_powers, 0)],
         [kernels[0], partial(agreement, qual, ratio_powers, 3)],
-        [partial(gather, mixed._exact_columns()[1], discrepancy._quantitative_table(8)),
-         partial(gather, np.ravel_multi_index(tuple(qual.T), (4, 3)),
-                 discrepancy._qualitative_table((4, 3), DEFAULT_CONFIG))],
+        [*unbuffered, partial(agreement, qual, ratio_powers, 1)],
+        [partial(gather, quantitative_codes,
+                 discrepancy._quantitative_table(8).take(quantitative_codes, 1), full_rows),
+         partial(gather, qualitative_codes,
+                 discrepancy._qualitative_table((4, 3), DEFAULT_CONFIG).take(qualitative_codes, 1),
+                 full_rows)],
     ]
     blocks = [(slice(5, 9), 5), (slice(0, 24), 0), (slice(20, 24), 20), (slice(3, 4), 10)]
     cases = [(24, steps, rows, start) for rows, start in blocks for steps in step_lists]
@@ -291,7 +300,7 @@ def test_single_block_closed_form_is_one_sum_bit_for_bit():
         spec = design.spec
         n, p = spec.n, spec.p
         assert n <= discrepancy.PAIR_BLOCK // n  # one block
-        steps = discrepancy._closed_form_steps(
+        steps, _ = discrepancy._closed_form_steps(
             design.qualitative, design.quantitative, spec.levels, DEFAULT_CONFIG,
             (1.5 / 1.25) ** np.arange(p + 1),
         )
@@ -385,7 +394,7 @@ def test_table_gathers_equal_the_formula_bit_for_bit(shape, seed, kinds, ratio, 
             np.zeros((n, 0), np.int64), design.quantitative, ()
         )
     # the tables are taken exactly where they pay: several blocks, s^2 and Q^2 within a block
-    steps = discrepancy._closed_form_steps(
+    steps, _ = discrepancy._closed_form_steps(
         design.qualitative, design.quantitative, spec.levels, DEFAULT_CONFIG, np.ones(spec.p + 1),
         design._exact_columns,
     )
@@ -398,6 +407,73 @@ def test_table_gathers_equal_the_formula_bit_for_bit(shape, seed, kinds, ratio, 
         fits = several and math.prod(s_qual) ** 2 <= discrepancy.PAIR_BLOCK
         expected.append(gather if fits else agreement)
     assert [step.func for step in steps] == expected
+
+
+def _eval_large_designs():
+    """Designs shaped as the benchmark's eval_large files: n = 2048 over (4, 4, 16, 32), p = 2.
+
+    One on the lattice, whose three factors read table rows, and one with
+    the same qualitative columns at raw quantitative values, whose two
+    kernels run from the formula.
+    """
+    spec = DesignSpec(n=2048, p=2, q=2, levels=(4, 4, 16, 32))
+    lattice = random_utype(spec, 0)
+    raw = Design(spec, lattice.qualitative, np.random.default_rng(0).random((2048, 2)))
+    return lattice, raw
+
+
+def test_closed_form_is_the_formula_bit_for_bit_at_the_benchmark_sizes():
+    for design in _eval_large_designs():
+        qual, quant = design.qualitative, design.quantitative
+        assert qqd_squared(design) == _formula_closed_form(qual, quant, (4, 4))
+        assert wd_squared(design) == _formula_closed_form(np.zeros((2048, 0), np.int64), quant, ())
+        assert dd(design) == _formula_closed_form(qual, np.zeros((2048, 0)), (4, 4))
+    # search_large's U(1024; 4 * 1024^2): two formula kernels and the qualitative table
+    design = random_utype(DesignSpec(n=1024, p=1, q=2, levels=(4, 1024, 1024)), 0)
+    assert qqd_squared(design) == _formula_closed_form(design.qualitative, design.quantitative, (4,))
+
+
+def test_closed_form_leaves_numpys_buffer_size_as_it_found_it():
+    size = np.getbufsize()
+    # several blocks: 512-level columns run the formula, with an unbuffered subtract
+    design = random_utype(DesignSpec(n=512, p=2, q=2, levels=(4, 4, 512, 512)), 0)
+    steps, _ = discrepancy._closed_form_steps(
+        design.qualitative, design.quantitative, design.spec.levels, DEFAULT_CONFIG,
+        np.ones(3), design._exact_columns,
+    )
+    assert [step.keywords for step in steps[:2]] == [
+        {"subtract": discrepancy._unbuffered_subtract}] * 2
+    qqd_squared(design)
+    assert np.getbufsize() == size
+    # (a/b)^2 = 1e600 overflows, so the pair sum does
+    with pytest.raises(DomainError, match="the pair sum of the kernel weights overflow"):
+        qqd_squared(design, CriterionConfig(a=1e300, b=1.0))
+    assert np.getbufsize() == size
+    with pytest.raises(ValueError):  # shapes that do not broadcast
+        discrepancy._unbuffered_subtract(np.ones(3), np.ones(4), np.empty(3))
+    assert np.getbufsize() == size
+
+
+def test_closed_form_allocates_its_walk_once_and_iterates_the_subtract_unbuffered():
+    lattice, raw = _eval_large_designs()
+    for design, table_rows in ((raw, 16), (lattice, 16 + 32 + 16)):
+        qqd_squared(design)  # the design's cached decode is made outside the trace
+        tracemalloc.start()
+        try:
+            qqd_squared(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one allocation: the walk's buffers (three float64 and two intp 16 x 2048
+        # blocks and a bool one, 1.28 MB), one block of full rows for the gathers
+        # (256 KB) and each table's rows T[:, codes] (2048 floats a row: the raw
+        # design's qualitative table, 16 rows, 256 KB; the lattice's 16 + 32 + 16
+        # rows, 1 MB).  Beyond it: the sums' 64 KB reduction buffer and the
+        # qualitative codes (16 KB).  numpy's buffered broadcast subtract took
+        # 132 KB on top of the walk, and per-block indexed copies 256 KB
+        block = 16 * 2048
+        walk = (3 * 8 + 2 * np.dtype(np.intp).itemsize + 1) * block + 8 * (16 + table_rows) * 2048
+        assert walk < peak < walk + 112 * 1024
 
 
 def test_agreement_histogram_builds_its_blocks_in_one_buffer_set():

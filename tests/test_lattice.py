@@ -87,9 +87,9 @@ def _closed_form_step_kinds():
     calls, real = [], discrepancy._closed_form_steps
 
     def record(*args, **kwargs):
-        steps = real(*args, **kwargs)
+        steps, buffers = real(*args, **kwargs)
         calls.append([step.func for step in steps])
-        return steps
+        return steps, buffers
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrepancy, "_closed_form_steps", record)
