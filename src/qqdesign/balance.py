@@ -213,13 +213,22 @@ def _split_sum(p: int, q: int, s1: int, s2: int, k: int, term) -> tuple[int, int
     split's integer numerator.  Every split's cell count divides the
     size's largest, s1^min(p, k) s2^min(q, k), so each term is multiplied
     up to that common denominator and the sum is one integer over it.
+    Each split's binomials, cell count and scale follow from the previous
+    split's by exact integer divisions, not from fresh powers and binomials.
     """
     top1, top2 = min(p, k), min(q, k)
-    total = 0
-    for k1 in range(max(0, k - q), top1 + 1):
-        k2 = k - k1
-        scale = s1 ** (top1 - k1) * s2 ** (top2 - k2)  # the common denominator over cells
-        total += math.comb(p, k1) * math.comb(q, k2) * term(s1**k1 * s2**k2) * scale
+    k1 = max(0, k - q)
+    k2 = k - k1
+    comb1, comb2 = math.comb(p, k1), math.comb(q, k2)
+    cells = s1**k1 * s2**k2
+    scale = s1 ** (top1 - k1) * s2 ** (top2 - k2)  # the common denominator over cells
+    total = comb1 * comb2 * term(cells) * scale
+    while k1 < top1:  # one qualitative column more, one quantitative fewer
+        comb1 = comb1 * (p - k1) // (k1 + 1)
+        comb2 = comb2 * k2 // (q - k2 + 1)
+        cells, scale = cells * s1 // s2, scale * s2 // s1
+        k1, k2 = k1 + 1, k2 - 1
+        total += comb1 * comb2 * term(cells) * scale
     return total, s1**top1 * s2**top2
 
 

@@ -22,7 +22,7 @@ from qqdesign import (
     qqd_squared,
     random_utype,
 )
-from qqdesign.balance import _full_factorial
+from qqdesign.balance import _full_factorial, _split_sum
 from qqdesign.discrepancy import _lattice_kernel
 from qqdesign.reference import load_reference_design
 
@@ -333,6 +333,33 @@ def test_lb2_matches_a_per_term_fraction_sum(p, q, s, runs):
         p = 1
     n = math.lcm(s if p else 1, 2 if q else 1) * runs
     assert lb2(n, p, q, s) == _fraction_lb2(n, p, q, s)
+
+
+def _frozen_split_sum(p, q, s1, s2, k, term):
+    """A frozen copy of ``_split_sum`` that computes each split's binomials and powers afresh."""
+    top1, top2 = min(p, k), min(q, k)
+    total = 0
+    for k1 in range(max(0, k - q), top1 + 1):
+        k2 = k - k1
+        scale = s1 ** (top1 - k1) * s2 ** (top2 - k2)
+        total += math.comb(p, k1) * math.comb(q, k2) * term(s1**k1 * s2**k2) * scale
+    return total, s1**top1 * s2**top2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(0, 40),
+    q=st.integers(0, 40),
+    s1=st.one_of(st.integers(1, 9), st.integers(2, 2**40)),
+    s2=st.one_of(st.integers(1, 9), st.integers(2, 2**40)),
+    k=st.integers(1, 82),
+    n=st.integers(1, 10**30),
+)
+def test_split_sum_steps_its_terms_to_the_frozen_loops_integers(p, q, s1, s2, k, n):
+    p += p + q == 0  # at least one column
+    k = min(k, p + q)
+    for term in (lambda cells: n * n, lambda cells: n % cells * (cells - n % cells)):
+        assert _split_sum(p, q, s1, s2, k, term) == _frozen_split_sum(p, q, s1, s2, k, term)
 
 
 # U(64; 64^9) has cells up to 2^54 and n^2 cells = 2^66; the 4-level

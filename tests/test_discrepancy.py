@@ -212,22 +212,25 @@ def test_row_weights_from_a_column_start_match_the_full_rows():
     kernel, agreement, gather = (discrepancy._kernel_step, discrepancy._agreement_step,
                                  discrepancy._gather)
     # every step kind: formula kernels (also unbuffered), agreements without a column, both
-    # tables' rows; a gather copies whole rows into scratch of the block's height by n
+    # tables' rows, gathered as the first step (a new array) and after one (into the product)
     kernels = [partial(kernel, wide), partial(kernel, narrow)]
     unbuffered = [partial(kernel, wide, subtract=discrepancy._unbuffered_subtract)]
     quantitative_codes = mixed._exact_columns()[1]
     qualitative_codes = np.ravel_multi_index(tuple(qual.T), (4, 3))
-    full_rows = np.full((24, 24), np.nan)
+    gathers = [
+        partial(gather, quantitative_codes,
+                discrepancy._quantitative_table(8).take(quantitative_codes, 1)),
+        partial(gather, qualitative_codes,
+                discrepancy._qualitative_table((4, 3), DEFAULT_CONFIG).take(qualitative_codes, 1)),
+    ]
     step_lists = [
         [*kernels, partial(agreement, qual, ratio_powers, None)],
         [*kernels, partial(agreement, qual, ratio_powers, 0)],
         [kernels[0], partial(agreement, qual, ratio_powers, 3)],
         [*unbuffered, partial(agreement, qual, ratio_powers, 1)],
-        [partial(gather, quantitative_codes,
-                 discrepancy._quantitative_table(8).take(quantitative_codes, 1), full_rows),
-         partial(gather, qualitative_codes,
-                 discrepancy._qualitative_table((4, 3), DEFAULT_CONFIG).take(qualitative_codes, 1),
-                 full_rows)],
+        gathers,
+        [gathers[0], kernels[0], partial(agreement, qual, ratio_powers, None)],
+        [kernels[0], gathers[1]],
     ]
     blocks = [(slice(5, 9), 5), (slice(0, 24), 0), (slice(20, 24), 20), (slice(3, 4), 10)]
     cases = [(24, steps, rows, start) for rows, start in blocks for steps in step_lists]
@@ -238,10 +241,32 @@ def test_row_weights_from_a_column_start_match_the_full_rows():
         full = discrepancy._row_weights(steps, rows, 0, _dirty_buffers(height, n))
         out = _dirty_buffers(height, n - start)
         part = discrepancy._row_weights(steps, rows, start, out)
-        assert part is out[0]
+        if not steps or steps[0].func is not gather:  # the first step writes its target
+            assert part is out[0]
         assert part.tobytes() == full[:, start:].tobytes()
         if not steps:
             assert part.tobytes() == np.ones(part.shape).tobytes()
+
+
+def test_gather_is_the_table_at_the_codes_bit_for_bit():
+    n = 2040  # 16-row blocks, the last one ragged (8 rows)
+    rng = np.random.default_rng(7)
+    out, dirty = (_dirty_buffers(discrepancy._block_height(n), n) for _ in range(2))
+    # tables with fewer rows than a block, as many and more, and the qualitative one
+    tables = [discrepancy._quantitative_table(s) for s in (8, 16, 32)]
+    tables.append(discrepancy._qualitative_table((4, 3), CriterionConfig(a=2.0, b=0.5)))
+    for table in tables:
+        codes = rng.integers(0, len(table), n)
+        table_rows = table.take(codes, 1)  # as the closed form holds them
+        blocks = list(discrepancy._row_blocks(n, out))
+        assert [rows.stop - rows.start for rows, _, _ in blocks[-2:]] == [16, 8]
+        for rows, start, views in blocks:
+            got = discrepancy._gather(codes, table_rows, rows, start, views[1], views)
+            want = table[np.ix_(codes[rows], codes[start:])]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not any(np.shares_memory(got, buffer) for buffer in out)
+    # target and scratch are left as they were
+    assert [buffer.tobytes() for buffer in out] == [buffer.tobytes() for buffer in dirty]
 
 
 def test_in_place_kernel_is_the_formula_bit_for_bit():
@@ -433,6 +458,20 @@ def test_closed_form_is_the_formula_bit_for_bit_at_the_benchmark_sizes():
     assert qqd_squared(design) == _formula_closed_form(design.qualitative, design.quantitative, (4,))
 
 
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="the values were recorded with numpy 2")
+def test_closed_form_values_at_the_benchmark_sizes_are_pinned_to_the_bit():
+    # float.hex of each value, recorded before the gathers wrote into the product;
+    # the formula pins above would pass a change made to both routes at once
+    pins = [("0x1.0e1d757ec0000p-9", "0x1.1eec298e39000p-10", "0x1.59fffffff0000p-16"),
+            ("0x1.d2d81ab5c4000p-12", "0x1.5b41e04920000p-13", "0x1.59fffffff0000p-16")]
+    for design, pinned in zip(_eval_large_designs(), pins):
+        got = (qqd_squared(design), wd_squared(design), dd(design))
+        assert tuple(map(float.hex, got)) == pinned
+    design = random_utype(DesignSpec(n=1024, p=1, q=2, levels=(4, 1024, 1024)), 0)
+    assert qqd_squared(design).hex() == "0x1.8252a5fb98000p-14"
+
+
 def test_closed_form_leaves_numpys_buffer_size_as_it_found_it():
     size = np.getbufsize()
     # several blocks: 512-level columns run the formula, with an unbuffered subtract
@@ -456,23 +495,30 @@ def test_closed_form_leaves_numpys_buffer_size_as_it_found_it():
 
 def test_closed_form_allocates_its_walk_once_and_iterates_the_subtract_unbuffered():
     lattice, raw = _eval_large_designs()
-    for design, table_rows in ((raw, 16), (lattice, 16 + 32 + 16)):
-        qqd_squared(design)  # the design's cached decode is made outside the trace
+    # (value, table rows, gathered blocks alive at once): the raw design's two
+    # kernels without a table, then with the qualitative table after them; the
+    # lattice's three tables, each gathered after the first into its product
+    cases = ((wd_squared, raw, 0, 0), (qqd_squared, raw, 16, 1),
+             (qqd_squared, lattice, 16 + 32 + 16, 2))
+    for value, design, table_rows, gathered in cases:
+        value(design)  # the design's cached decode is made outside the trace
         tracemalloc.start()
         try:
-            qqd_squared(design)
+            value(design)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one allocation: the walk's buffers (three float64 and two intp 16 x 2048
-        # blocks and a bool one, 1.28 MB), one block of full rows for the gathers
-        # (256 KB) and each table's rows T[:, codes] (2048 floats a row: the raw
-        # design's qualitative table, 16 rows, 256 KB; the lattice's 16 + 32 + 16
-        # rows, 1 MB).  Beyond it: the sums' 64 KB reduction buffer and the
-        # qualitative codes (16 KB).  numpy's buffered broadcast subtract took
-        # 132 KB on top of the walk, and per-block indexed copies 256 KB
+        # blocks and a bool one, 1.28 MB) and each table's rows T[:, codes] (2048
+        # floats a row: the raw design's qualitative table, 16 rows, 256 KB; the
+        # lattice's 16 + 32 + 16 rows, 1 MB).  Beyond it: the gathered (16, 2048)
+        # blocks, 256 KB each, a block's product released before the next one's
+        # first gather, the sums' 64 KB reduction buffer and the qualitative codes
+        # (16 KB).  numpy's buffered broadcast subtract took 132 KB on top of the
+        # walk, and a block of full rows for the gathers 256 KB
         block = 16 * 2048
-        walk = (3 * 8 + 2 * np.dtype(np.intp).itemsize + 1) * block + 8 * (16 + table_rows) * 2048
+        walk = (3 * 8 + 2 * np.dtype(np.intp).itemsize + 1) * block + 8 * table_rows * 2048
+        walk += 8 * gathered * block
         assert walk < peak < walk + 112 * 1024
 
 
