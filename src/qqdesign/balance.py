@@ -20,9 +20,10 @@ is floating point, so the two routes agree exactly; ``balance_component``
 counts one subset's level combinations directly.  ``balance_form`` turns
 per-size sums into the squared discrepancy, with the exact full-factorial
 value as its constant; ``qqd_from_balance`` feeds it the row-form sums
-and ``bounds.lb2`` residue bounds on them.  ``_split_sum`` sums an integer
+and ``bounds.lb2`` residue bounds on them.  ``_split_sums`` sums an integer
 numerator over the cell count across the qualitative/quantitative splits
-of each size, for the uniform reference term here and for lb2's residues.
+of each size in turn, for the uniform reference term here and for lb2's
+residues.
 
 Every exact sum is an integer over one common denominator, the size's
 largest cell count (and, in ``balance_form``, its product with the
@@ -146,9 +147,9 @@ def balance_pattern(design: Design) -> BalancePattern:
     keys = chain.from_iterable(combinations(range(m), k) for k in range(1, m + 1))
     components = dict(zip(keys, map(truediv, numerators, cells)))  # each int / int rounds once
     aggregate, start = [], 0
-    for k in range(1, m + 1):
+    references = _split_sums(p, q, s1, s2, lambda cells: n * n)
+    for k, (reference, common) in enumerate(references, start=1):
         count = math.comb(m, k)
-        reference, common = _split_sum(p, q, s1, s2, k, lambda cells: n * n)
         total = sum(pairs[start : start + count])
         aggregate.append((total * common - reference) / (common * count))
         start += count
@@ -193,43 +194,57 @@ def _size_sums(levels: np.ndarray, p: int, q: int, s1: int, s2: int):
     A subset counts the pair (i, j) iff the rows agree on all its columns,
     so the pair counts collapse to binomials of the per-pair agreement
     count; only the uniform reference term needs the column split.  Each
-    sum is a (numerator, denominator) pair of integers, over ``_split_sum``'s
+    sum is a (numerator, denominator) pair of integers, over ``_split_sums``'
     common denominator.  A generator: the row pairs are histogrammed when
     the first sum is asked for.
     """
     n, m = levels.shape
     # the pairs agree on few distinct counts, and C(a, k) is 0 for a < k
     hist = [(a, h) for a, h in enumerate(_agreement_histogram(levels, masks=False).tolist()) if h]
-    for k in range(1, m + 1):
-        reference, common = _split_sum(p, q, s1, s2, k, lambda cells: n * n)
+    references = _split_sums(p, q, s1, s2, lambda cells: n * n)
+    for k, (reference, common) in enumerate(references, start=1):
         yield sum(h * math.comb(a, k) for a, h in hist) * common - reference, common
 
 
-def _split_sum(p: int, q: int, s1: int, s2: int, k: int, term) -> tuple[int, int]:
-    """Exact sum of ``term(cells) / cells`` over all k-column subsets, as (numerator, denominator).
+def _split_sums(p: int, q: int, s1: int, s2: int, term):
+    """Exact sums of ``term(cells) / cells`` over all k-column subsets, for k = 1..p+q in turn.
 
     C(p, k1) C(q, k - k1) subsets have k1 qualitative columns and
     cells = s1^k1 s2^(k - k1) level combinations; ``term`` gives each
     split's integer numerator.  Every split's cell count divides the
     size's largest, s1^min(p, k) s2^min(q, k), so each term is multiplied
-    up to that common denominator and the sum is one integer over it.
-    Each split's binomials, cell count and scale follow from the previous
-    split's by exact integer divisions, not from fresh powers and binomials.
+    up to that common denominator and the sum is one (numerator,
+    denominator) pair of integers.  Each split's binomials, cell count and
+    scale follow from the previous split's by exact integer steps, and
+    the first split of size k + 1 from that of size k, with no fresh
+    powers or binomials.
     """
-    top1, top2 = min(p, k), min(q, k)
-    k1 = max(0, k - q)
-    k2 = k - k1
-    comb1, comb2 = math.comb(p, k1), math.comb(q, k2)
-    cells = s1**k1 * s2**k2
-    scale = s1 ** (top1 - k1) * s2 ** (top2 - k2)  # the common denominator over cells
-    total = comb1 * comb2 * term(cells) * scale
-    while k1 < top1:  # one qualitative column more, one quantitative fewer
-        comb1 = comb1 * (p - k1) // (k1 + 1)
-        comb2 = comb2 * k2 // (q - k2 + 1)
-        cells, scale = cells * s1 // s2, scale * s2 // s1
-        k1, k2 = k1 + 1, k2 - 1
-        total += comb1 * comb2 * term(cells) * scale
-    return total, s1**top1 * s2**top2
+    # the first split of size k: k1 = max(0, k - q) qualitative columns;
+    # at k = 0 every count is 1
+    k1, comb1, comb2, cells, scale, common = 0, 1, 1, 1, 1, 1
+    for k in range(1, p + q + 1):
+        if k <= q:  # one quantitative column more: C(q, k) from C(q, k - 1)
+            comb2 = comb2 * (q - k + 1) // k
+            cells, common = cells * s2, common * s2
+            if k <= p:  # the common denominator gains a qualitative column
+                scale, common = scale * s1, common * s1
+        else:  # one qualitative column more: C(p, k1 + 1) from C(p, k1)
+            comb1 = comb1 * (p - k1) // (k1 + 1)
+            k1, cells = k1 + 1, cells * s1
+            if k <= p:
+                common *= s1
+            else:  # s1^p, no longer s1^k, is the largest: the scale loses s1
+                scale //= s1
+        # the size's other splits: one qualitative column more, one quantitative fewer
+        c1, c2, c, sc, j1, j2, top1 = comb1, comb2, cells, scale, k1, k - k1, min(p, k)
+        total = c1 * c2 * term(c) * sc
+        while j1 < top1:
+            c1 = c1 * (p - j1) // (j1 + 1)
+            c2 = c2 * j2 // (q - j2 + 1)
+            c, sc = c * s1 // s2, sc * s2 // s1
+            j1, j2 = j1 + 1, j2 - 1
+            total += c1 * c2 * term(c) * sc
+        yield total, common
 
 
 def balance_pattern_rowform(design: Design) -> BalancePattern:

@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .balance import _full_factorial, _split_sum, _to_float, _two_type_shape, balance_form
+from .balance import _full_factorial, _split_sums, _to_float, _two_type_shape, balance_form
 from .discrepancy import _constant_term, _lattice_kernel
 from .errors import CapacityError, DomainError
 from .model import DEFAULT_CONFIG, DesignSpec, _require_int
@@ -107,7 +107,7 @@ def lb2(n: int, p: int, q: int, s: int) -> float:
     component, with cells = s^k1 * 2^k2 and r = n mod cells.  Residuals
     are taken in exact integer arithmetic (the moduli outgrow 64 bits
     quickly): each split's r (cells - r) is the integer numerator that
-    ``balance._split_sum`` sums over the size's common denominator, and
+    ``balance._split_sums`` sums over each size's common denominator, and
     ``balance_form`` sums the sizes as integers and rounds once.
     """
     _require_int("lb2 argument", n, p, q, s)
@@ -128,8 +128,7 @@ def _residue_sums(n: int, p: int, q: int, s: int):
         raise CapacityError(
             f"lb2 at p={p}, q={q} exceeds its cap: (p+1)(q+1)(p+q)^2 = {work} > {LB2_WORK_CAP}"
         )
-    for k in range(1, p + q + 1):
-        yield _split_sum(p, q, s, 2, k, lambda cells: n % cells * (cells - n % cells))
+    yield from _split_sums(p, q, s, 2, lambda cells: n % cells * (cells - n % cells))
 
 
 @dataclass(frozen=True)

@@ -7,24 +7,37 @@ token is a raw unit-interval value, so ``3`` means level 3 while ``0.5``
 means the value one half.  A JSON mirror carries the same content under
 the keys n, p, q, levels, rows.  Files are UTF-8, with or without a BOM.
 
-Text rows are parsed by one C-level call, ``np.loadtxt``, JSON rows by
-``json``; both are then typed a column at a time.  A refused token, or a
-column that cannot be typed exactly (signed integers, integers mixed
-with decimals), sends the rows through the row-major walk
-``_design_from_rows``, which raises what an entry-by-entry decoder
-would, in its order: the first unparseable token, the row count, each
-row's width then entries, then Design's checks.
+Text is split into lines only up to its two header lines.  A data block
+of unsigned integer levels alone (ASCII digits, spaces, tabs and line
+ends), as ``write_design`` writes for a lattice design, is parsed by one
+C-level call, ``np.loadtxt`` with int64 entries; its levels build the
+Design through ``design_from_levels``, which hands the decode over, so
+no reader decodes the values again.  Any other text block is parsed by
+``np.loadtxt`` as floats, JSON rows by ``json``; both are then typed a
+column at a time.  A refused token, or a column that cannot be typed
+exactly (signed integers, integers mixed with decimals), sends the rows
+through the row-major walk ``_design_from_rows``, which raises what an
+entry-by-entry decoder would, in its order: the first unparseable token,
+the row count, each row's width then entries, then Design's checks.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .model import Design, DesignSpec, _unit
+from .model import Design, DesignSpec, _unit, design_from_levels
+
+# a line and its end, as str.splitlines splits them
+_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_ENDS}]*)(?:\r\n|[{_ENDS}]|\\Z)")
+# the bytes of a data block of unsigned integer levels
+_LEVEL_TEXT = b"0123456789 \t\r\n"
 
 
 def _parse_int(token: str, where: str) -> int:
@@ -35,19 +48,54 @@ def _parse_int(token: str, where: str) -> int:
 
 
 def loads_design_text(text: str) -> Design:
-    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if len(lines) < 2:
+    header, rest = [], ""
+    for match in _LINE.finditer(text):  # only up to the header's second line
+        line = match[1].strip()
+        if line and line[0] != "#":
+            header.append(line)
+        if len(header) == 2:
+            rest = text[match.end() :]
+            break
+    if len(header) < 2:
         raise ParseError("design file needs a header of two lines: 'n p q' and level counts")
-    head = lines[0].split()
+    head = header[0].split()
     if len(head) != 3:
-        raise ParseError(f"line 1: expected 'n p q', got {lines[0]!r}")
+        raise ParseError(f"line 1: expected 'n p q', got {header[0]!r}")
     n, p, q = (_parse_int(tok, "line 1") for tok in head)
-    levels = tuple(_parse_int(tok, "line 2") for tok in lines[1].split())
+    levels = tuple(_parse_int(tok, "line 2") for tok in header[1].split())
     spec = DesignSpec(n=n, p=p, q=q, levels=levels)
-    rows = lines[2:]  # if the parse cannot type them exactly, the row-major walk decides
+    design = _parse_levels(spec, rest)
+    if design is not None:
+        return design
+    rows = [line for line in map(str.strip, rest.splitlines()) if line and line[0] != "#"]
+    # if the parse cannot type them exactly, the row-major walk decides
     return _parse_block(spec, rows) or _design_from_rows(spec, [
         [_token_value(t, r, k) for k, t in enumerate(row.split())] for r, row in enumerate(rows)
     ])
+
+
+def _parse_levels(spec: DesignSpec, rest: str) -> Design | None:
+    """The Design of a data block of unsigned integer levels parsed as int64 in C, or None.
+
+    None, for the float parse and the walk to decide, unless the block
+    holds only ASCII digits and blanks and has a digit (loadtxt warns on
+    a block without data), parses as n rows of m int64 fields, and each
+    column's levels are below its level count.
+    """
+    if not rest.isascii() or rest.encode().translate(None, _LEVEL_TEXT) or not rest.strip():
+        return None
+    try:  # newline=None reads a lone CR as a line end, as splitlines does
+        block = np.loadtxt(io.StringIO(rest, newline=None), np.int64, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):  # ragged rows, or a token past int64
+        return None
+    if block.shape != (spec.n, spec.m):
+        return None
+    # as uint64 a negative level (numpy 1.x casts a token past int64 through
+    # a float) is past every limit, so one reduction checks both ends
+    tops = block.view(np.uint64).max(axis=0).tolist()
+    if any(top >= s for top, s in zip(tops, spec.levels)):
+        return None
+    return design_from_levels(spec, block[:, : spec.p], block[:, spec.p :])
 
 
 def _token_value(token: str, r: int, k: int) -> int | float:

@@ -62,11 +62,14 @@ LB1_CASE = {
 }
 
 
+# the bundled data directory, resolved once
+_DATA = files("qqdesign").joinpath("data")
+
+
 def load_reference_design(name: str) -> Design:
     if name not in DESIGN_NAMES:
         raise KeyError(f"unknown reference design {name!r}")
-    resource = files("qqdesign").joinpath("data", f"{name}.txt")
-    return loads_design_text(resource.read_text())
+    return loads_design_text(_DATA.joinpath(f"{name}.txt").read_text())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from qqdesign import (
     qqd_squared,
     random_utype,
 )
-from qqdesign.balance import _full_factorial, _split_sum
+from qqdesign.balance import _full_factorial, _split_sums
 from qqdesign.discrepancy import _lattice_kernel
 from qqdesign.reference import load_reference_design
 
@@ -336,7 +336,7 @@ def test_lb2_matches_a_per_term_fraction_sum(p, q, s, runs):
 
 
 def _frozen_split_sum(p, q, s1, s2, k, term):
-    """A frozen copy of ``_split_sum`` that computes each split's binomials and powers afresh."""
+    """A frozen copy of size k's sum that computes each split's binomials and powers afresh."""
     top1, top2 = min(p, k), min(q, k)
     total = 0
     for k1 in range(max(0, k - q), top1 + 1):
@@ -356,10 +356,15 @@ def _frozen_split_sum(p, q, s1, s2, k, term):
     n=st.integers(1, 10**30),
 )
 def test_split_sum_steps_its_terms_to_the_frozen_loops_integers(p, q, s1, s2, k, n):
+    # the generator carries each size's first split to the next size: every
+    # size up to k, and then the last, must give the frozen loop's integers
     p += p + q == 0  # at least one column
     k = min(k, p + q)
     for term in (lambda cells: n * n, lambda cells: n % cells * (cells - n % cells)):
-        assert _split_sum(p, q, s1, s2, k, term) == _frozen_split_sum(p, q, s1, s2, k, term)
+        sums = list(_split_sums(p, q, s1, s2, term))
+        assert len(sums) == p + q
+        for size in (*range(1, k + 1), p + q):
+            assert sums[size - 1] == _frozen_split_sum(p, q, s1, s2, size, term)
 
 
 # U(64; 64^9) has cells up to 2^54 and n^2 cells = 2^66; the 4-level

@@ -183,7 +183,7 @@ def test_lb2_refuses_work_past_its_cap_once_its_constant_is_finite(monkeypatch):
     def unsummed(*args):
         raise AssertionError("the refusal must come before any split is summed")
 
-    monkeypatch.setattr(bounds_module, "_split_sum", unsummed)
+    monkeypatch.setattr(bounds_module, "_split_sums", unsummed)
     message = "lb2 at p=200, q=300 exceeds its cap: (p+1)(q+1)(p+q)^2 = 15125250000 > 10000000000"
     with pytest.raises(CapacityError) as refusal:
         lb2(64, 200, 300, 4)
@@ -295,17 +295,17 @@ def test_balance_form_refuses_a_clear_overflow_before_any_exact_sum(monkeypatch)
 
     terms = []
 
-    def spy(p, q, s1, s2, k, term):
+    def spy(p, q, s1, s2, term):
         def recorded(cells):
             terms.append(cells)
             return term(cells)
 
-        return balance_module._split_sum(p, q, s1, s2, k, recorded)
+        return balance_module._split_sums(p, q, s1, s2, recorded)
 
     def unhistogrammed(*args):
         raise AssertionError("the refusal must come before the row pairs are counted")
 
-    monkeypatch.setattr(bounds_module, "_split_sum", spy)
+    monkeypatch.setattr(bounds_module, "_split_sums", spy)
     # the full-factorial part alone is about e^764, past the largest float's e^709.8
     with pytest.raises(DomainError, match="overflows a float"):
         lb2(2, 0, 2400, 2)

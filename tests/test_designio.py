@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,31 @@ def test_domain_error_level_out_of_range_location():
 def test_parse_error_bad_header():
     with pytest.raises(ParseError, match="line 1"):
         loads_design_text("4 1\n2\n")
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("2 1 1\n2 2\n", ParseError, "expected 2 data rows, found 0"),
+        ("2 1 1\n2 2\n\n \t\r\n  ", ParseError, "expected 2 data rows, found 0"),
+        ("3 1 1\n2 2\n0 1\n1 0\n", ParseError, "expected 3 data rows, found 2"),
+        ("3 1 1\r2 2\r0 1\r\r1 0\r", ParseError, "expected 3 data rows, found 2"),
+        ("2 1 1\n2 2\n0 1\n1 2\n", DomainError, "row 1, column 1: level 2 outside 0..1"),
+        ("2 1 1\n2 2\n2 1\n1 0\n", DomainError,
+         "qualitative entry 2 at row 0, column 0 outside 0..1"),
+    ],
+    ids=["header-only", "blank-block", "short", "short-cr", "quantitative-level",
+         "qualitative-level"],
+)
+def test_a_block_of_levels_is_refused_as_the_walk_refuses_it_without_a_warning(
+    text, error, message
+):
+    # numpy's loadtxt warns on a block without data rows: none may reach it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as refusal:
+            loads_design_text(text)
+    assert str(refusal.value) == message
 
 
 def test_dumps_text_reparses_identically():

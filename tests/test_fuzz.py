@@ -8,7 +8,15 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qqdesign import Design, DesignSpec, DomainError, ParseError, QQDesignError, read_design
+from qqdesign import (
+    Design,
+    DesignSpec,
+    DomainError,
+    ParseError,
+    QQDesignError,
+    designio,
+    read_design,
+)
 from qqdesign.cli import main
 
 FUZZ = settings(max_examples=100, deadline=None)
@@ -300,3 +308,71 @@ def test_read_design_matches_the_entry_by_entry_decoder(tmp_path_factory, conten
     path = tmp_path_factory.getbasetemp() / "differential-design.txt"
     path.write_text(content)
     assert _outcome(read_design, path) == _outcome(_reference_read, path)
+
+
+@st.composite
+def _level_documents(draw):
+    """Text documents whose data block holds only ASCII digits, spaces, tabs and line ends."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    counts = st.sampled_from([1, 2, 3, 4, 7, 2**50, 2**53, 2**53 + 2])
+    levels = draw(st.lists(counts, min_size=max(p, 1), max_size=3))
+    p = min(p, len(levels))
+    sep = draw(st.sampled_from([" ", "\t", " \t ", "  "]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+    def token(s):
+        value = draw(st.integers(0, s - 1) | st.sampled_from([s, 2**53 - 1, 2**53, 2**63, 10**19]))
+        return "0" * draw(st.sampled_from([0, 0, 0, 1, 20])) + str(value)
+
+    lines = [f"{n} {p} {len(levels) - p}", " ".join(map(str, levels))]
+    for _ in range(draw(st.sampled_from([n, n, n, n, n - 1, n + 1, 0]))):
+        width = len(levels) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        lines.append(sep.join(token(s) for s in (levels + levels[-1:])[:width]))
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t", " \t"]), max_size=1))
+    return end.join(lines) + draw(st.sampled_from(["", end, end + " \t" + end]))
+
+
+def _walked(text):
+    """The Design the entry-by-entry walk gives for a level document, or its refusal."""
+    head, counts, *rows = [line for line in map(str.strip, text.splitlines()) if line]
+    n, p, q = map(int, head.split())
+    spec = DesignSpec(n=n, p=p, q=q, levels=tuple(map(int, counts.split())))
+    return designio._design_from_rows(spec, [
+        [designio._token_value(t, r, k) for k, t in enumerate(row.split())]
+        for r, row in enumerate(rows)
+    ])
+
+
+def _decoded_outcome(read, text):
+    """The Design as spec, arrays, decode and exactness, or the refusal as type and message."""
+    try:
+        design = read(text)
+    except QQDesignError as exc:
+        return type(exc), str(exc)
+    arrays = (design.qualitative, design.quantitative, design._lattice)
+    return design.spec, [(a.dtype, a.strides, a.flags.writeable, a.tobytes()) for a in arrays], \
+        design._exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=_level_documents())
+@example(content="2 1 1\r2 2\r0 1\r\r1 0\r")  # CR line ends and a blank line
+@example(content="2 1 1\r\n2 2\r\n0\t1\r\n \t\r\n1\t0\r\n")  # CRLF, tabs, a whitespace line
+@example(content="2 1 1\n2 4\n00000000000000000000001 003\n0 00000000000000000002\n")
+@example(content="2 1 1\n2 4\n0 4\n1 0\n")  # a quantitative level at s
+@example(content="2 1 1\n2 4\n2 0\n1 0\n")  # a qualitative level at s
+@example(content=f"2 1 1\n{2**53 + 2} 2\n{2**53} 0\n0 1\n")  # past the float parse's range
+@example(content=f"2 0 1\n{2**53 + 2}\n{2**53}\n0\n")
+@example(content=f"2 0 1\n{2**53}\n{2**53 - 1}\n0\n")
+@example(content="1 1 0\n2\n99999999999999999999\n")  # past int64
+@example(content="1 0 1\n2\n18446744073709551616\n")
+@example(content="2 1 1\n2 2\n")  # no data rows
+@example(content="2 1 1\n2 2\n \t\r\n\n")
+@example(content="3 1 1\n2 2\n0 1\n1 0\n")  # fewer rows than n
+@example(content="2 1 1\n2 2\n0 1 1\n1\n")  # n*m tokens in rows of the wrong widths
+def test_a_block_of_levels_reads_as_the_entry_walk_decodes_it(content):
+    read = designio.loads_design_text
+    outcome = _decoded_outcome(read, content)
+    assert outcome == _decoded_outcome(_walked, content)
+    if isinstance(outcome[0], DesignSpec) and max(outcome[0].levels) <= 2**50:
+        assert "_lattice" in read(content).__dict__  # parsed as int64, its decode handed over

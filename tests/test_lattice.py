@@ -30,12 +30,14 @@ from qqdesign import (
     SearchConfig,
     design_from_levels,
     design_to_json_dict,
+    dumps_design_text,
     frequency_vector,
     is_mcd,
     qqd_from_balance,
     qqd_squared,
     qqd_squared_quadratic,
     random_utype,
+    read_design,
     search_uniform,
     validate_utype,
     wd_squared,
@@ -258,15 +260,16 @@ def test_each_design_is_decoded_at_most_once(tmp_path, capsys):
     two_level = tmp_path / "two-level.txt"
     write_design(random_utype(DesignSpec(n=64, p=4, q=8, levels=(2,) * 12), 0), two_level)
 
+    # a file of integer levels is read with its decode handed over
     with _decodes() as shapes, _exactness_tests() as tested:
         assert main(["eval", "--json", str(lattice)]) == 0
     assert "cross_check" in json.loads(capsys.readouterr().out)
-    assert shapes == tested == [(512, 2)]
+    assert shapes == tested == []
 
     with _decodes() as shapes, _exactness_tests() as tested:
         assert main(["balance", "--json", str(two_level)]) == 0
     capsys.readouterr()
-    assert shapes == [(64, 8)] and tested == []
+    assert shapes == tested == []
 
     mcd = _fresh(load_reference_design("mcd_16run_1"))
     with _decodes() as shapes, _exactness_tests() as tested:
@@ -285,15 +288,15 @@ def test_each_design_is_decoded_at_most_once(tmp_path, capsys):
     assert shapes == tested == [(256, 2)]
 
     # n^2 > PAIR_BLOCK, so the final check reads the winner's exactness: a search
-    # hands over its start's, which a random start has and a start file tests once
+    # hands over its start's, which a random start has and so has a start file of levels
     search = ["search", "--json", "--n", "256", "--p", "1", "--q", "2", "--levels", "2,4,8",
               "--budget", "40", "--restarts", "2"]
     written = tmp_path / "winner.txt"
-    for extra, once in [(["--out", str(written)], []), (["--start", str(written)], [(256, 2)])]:
+    for extra in (["--out", str(written)], ["--start", str(written)]):
         with _decodes() as shapes, _exactness_tests() as tested:
             assert main([*search, *extra]) in (0, 4)
         assert json.loads(capsys.readouterr().out)["trace"][-1][0] > 0  # the winner is not the start
-        assert shapes == tested == once
+        assert shapes == tested == []
 
 
 @pytest.mark.parametrize("n, levels, cells", [("16", "4,2,2", True), ("64", "4,64,64", False)],
@@ -304,7 +307,8 @@ def test_a_search_decodes_only_a_start_it_reads(n, levels, cells, tmp_path, caps
     search = ["search", "--json", "--n", n, "--p", "1", "--q", "2", "--levels", levels,
               "--budget", "200", "--restarts", "2"]
     written = tmp_path / "random.txt"
-    # random starts hand their levels over, and the winner the decode it was searched with
+    # random starts hand their levels over, a start read from a file of levels
+    # its parsed levels, and the winner the decode it was searched with
     with _decodes() as shapes:
         assert main([*search, "--out", str(written)]) in (0, 4)
     assert json.loads(capsys.readouterr().out)["trace"][-1][0] > 0  # the winner is not the start
@@ -313,7 +317,25 @@ def test_a_search_decodes_only_a_start_it_reads(n, levels, cells, tmp_path, caps
         assert main([*search, "--start", str(written), "--seed", "1",
                      "--out", str(tmp_path / "from-start.txt")]) in (0, 4)
     capsys.readouterr()
-    assert shapes == [(spec.n, 2)]
+    assert shapes == []
+
+
+def test_a_file_of_levels_is_read_with_its_decode_handed_over(tmp_path):
+    spec = DesignSpec(n=64, p=2, q=3, levels=(4, 2, 8, 64, 2**50))
+    design = random_utype(DesignSpec(n=64, p=2, q=2, levels=(4, 2, 8, 64)), 3)
+    top = np.arange(64)[:, None] * (2**44 + 1)  # levels up to 2^50 - 2^44
+    text = dumps_design_text(design_from_levels(spec, design.qualitative,
+                                                np.hstack([design._lattice, top])))
+    for copy in (text, text.replace("\n", "\r\n").replace(" ", "\t"), text.replace("\n", "\r")):
+        path = tmp_path / "levels.txt"
+        path.write_text(copy, newline="")
+        with _decodes() as shapes, _exactness_tests() as tested:
+            read = read_design(path)
+        assert shapes == tested == []
+        assert "_lattice" in read.__dict__ and not read._lattice.flags.writeable
+        fresh = _fresh(read)
+        assert read._lattice.tobytes() == fresh._lattice.tobytes()
+        assert read._exact == fresh._exact == (True,) * 3
 
 
 def test_the_winner_takes_over_the_decode_of_its_values():
